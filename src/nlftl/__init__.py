@@ -1,7 +1,15 @@
 """Nonlocal follow-the-leader transport: particle and finite-volume solvers
 with mass/TV/Wasserstein diagnostics and a Kruzkov entropy residual."""
 
-from .entropy import EntropyReport, SpatialBump, TestFunction, bump_pair, entropy_residual, single_bump
+from .entropy import (
+    EntropyReport,
+    SpatialBump,
+    TestFunction,
+    bump_pair,
+    entropy_residual,
+    entropy_residuals,
+    single_bump,
+)
 from .errors import ConfigError, InvariantViolation
 from .godunov import FVState, GodunovRun, Grid, cell_averages, gd_run, gd_step, godunov_flux, split_fields, source_term, state_profile
 from .metrics import l1_distance, total_mass, total_variation, wasserstein1

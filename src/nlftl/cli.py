@@ -152,7 +152,12 @@ def _cmd_entropy_audit(args) -> int:
     flagged = [r for r in reports if r.violation]
     print(f"entropy-audit: {len(reports)} residuals, {len(flagged)} flagged -> {d}")
     for r in flagged:
-        print(f"  VIOLATION c={r.c:g} residual={r.residual:.6g} phi={r.phi}")
+        print(
+            f"  VIOLATION c={r.c:g} residual={r.residual:.6g} est_error={r.est_error:.3g} guard={r.guard:.3g} phi={r.phi}"
+        )
+    # a report is flagged when residual + guard < 0
+    tight = min(reports, key=lambda r: r.residual + r.guard)
+    print(f"  smallest margin residual+guard={tight.residual + tight.guard:.6g} at c={tight.c:g} phi={tight.phi}")
     return 0
 
 

@@ -16,7 +16,9 @@ profile are exact: integrating K' (resp. K'') over a cell telescopes to K
 (resp. K') at the cell edges, so K' conv rho collapses to one kernel
 evaluation per breakpoint weighted by the density jump.  The space integral
 uses 3-point Gauss-Legendre on the merged cell grid and the time integral
-is trapezoidal over the snapshots.
+is trapezoidal over the snapshots.  The c-independent integrands (density,
+flux, both convolutions, phi and phi') are evaluated once per snapshot and
+grid and shared by every constant of an audit.
 """
 
 from __future__ import annotations
@@ -159,7 +161,11 @@ def single_bump(horizon: float, center: float = 0.0, width: float = 1.0, kind: s
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Residual of one (test function, constant) pair at a known resolution."""
+    """Residual of one (test function, constant) pair at a known resolution.
+
+    ``violation`` is ``residual < -guard``, where the guard band is
+    max(guard_floor, 10 * est_error).
+    """
 
     c: float
     phi: str
@@ -167,10 +173,20 @@ class EntropyReport:
     resolution: str
     residual_coarse: float
     est_error: float
+    guard: float
     violation: bool
 
     def json_record(self) -> dict:
-        return {"c": self.c, "phi": self.phi, "residual": self.residual, "resolution": self.resolution}
+        return {
+            "c": self.c,
+            "phi": self.phi,
+            "residual": self.residual,
+            "resolution": self.resolution,
+            "residual_coarse": self.residual_coarse,
+            "est_error": self.est_error,
+            "guard": self.guard,
+            "violation": self.violation,
+        }
 
 
 def _quad_grid(profile: DensityProfile, lo: float, hi: float, n_space: int):
@@ -189,7 +205,10 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
     """(K' conv rho, K'' conv rho) at points x, exact per cell.
 
     sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into jump coefficients at the
-    breakpoints, one kernel evaluation per charged breakpoint.
+    breakpoints, one kernel evaluation per charged breakpoint.  K and K'
+    share one exponential; each product is formed in the operation order of
+    ``Kernel.value`` and ``Kernel.d1``, so the sums equal
+    ``sum(coef * kernel.value(d))`` and ``sum(coef * kernel.d1(d))`` exactly.
     """
     jumps = np.diff(profile.values, prepend=0.0, append=0.0)
     keep = jumps != 0.0
@@ -198,46 +217,121 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
     if bp.size == 0:
         return np.zeros_like(x), np.zeros_like(x)
     d = x[:, None] - bp[None, :]
-    w1 = np.sum(coef[None, :] * kernel.value(d), axis=1)
-    w2 = np.sum(coef[None, :] * kernel.d1(d), axis=1)
+    e = np.multiply(-kernel.inv_width, d)
+    e *= d
+    np.exp(e, out=e)
+    d *= 2.0 * kernel.amplitude * kernel.inv_width
+    d *= e
+    d *= coef
+    w2 = np.sum(d, axis=1)
+    e *= -kernel.amplitude
+    e *= coef
+    w1 = np.sum(e, axis=1)
     return w1, w2
 
 
-def _snapshot_terms(profile, kernel, mobility, test_fn, c, x, w):
-    """Spatial integrals feeding the time quadrature at one snapshot.
+def _snapshot_terms(profile, kernel, mobility, test_fn, cs, n_space):
+    """Spatial integrals feeding the time quadrature at one snapshot, per constant.
 
-    Returns (S_abs, S_flux) with
+    Returns arrays (S_abs, S_flux) indexed like ``cs``, with
       S_abs  = int |rho - c| phi dx
       S_flux = int sign(rho - c) [ (f(rho) - f(c)) W1 phi' - f(c) W2 phi ] dx.
+    Everything that does not depend on c is evaluated once.
     """
+    lo, hi = test_fn.x_support
+    x, w = _quad_grid(profile, lo, hi, n_space)
     rho = profile.value_at(x)
+    f_rho = mobility.flux(rho)
     w1, w2 = _convolutions(kernel, profile, x)
     phi = test_fn.phi(x)
     dphi = test_fn.dphi(x)
-    dev = rho - c
-    sgn = np.sign(dev)
-    fc = mobility.flux(c)
-    s_abs = float(np.sum(w * np.abs(dev) * phi))
-    s_flux = float(np.sum(w * sgn * ((mobility.flux(rho) - fc) * w1 * dphi - fc * w2 * phi)))
+    s_abs = np.empty(len(cs))
+    s_flux = np.empty(len(cs))
+    for j, c in enumerate(cs):
+        dev = rho - c
+        fc = mobility.flux(c)
+        s_abs[j] = np.sum(w * np.abs(dev) * phi)
+        s_flux[j] = np.sum(w * np.sign(dev) * ((f_rho - fc) * w1 * dphi - fc * w2 * phi))
     return s_abs, s_flux
 
 
-def _residual_once(snapshots, kernel, mobility, test_fn, c, n_space) -> float:
-    lo, hi = test_fn.x_support
-    t_prev = None
+def _time_quadrature(times, s_abs, s_flux, test_fn) -> np.ndarray:
+    """Initial term plus trapezoidal time integral, one residual per column.
+
+    Rows of ``s_abs``/``s_flux`` are the snapshots at ``times``, columns the
+    constants.
+    """
+    acc = np.zeros(s_abs.shape[1])
     g_prev = None
-    acc = 0.0
-    initial = None
-    for t, profile in snapshots:
-        x, w = _quad_grid(profile, lo, hi, n_space)
-        s_abs, s_flux = _snapshot_terms(profile, kernel, mobility, test_fn, c, x, w)
-        if initial is None:
-            initial = s_abs * test_fn.xi(t)
-        g = s_abs * test_fn.dxi(t) - s_flux * test_fn.xi(t)
-        if t_prev is not None:
-            acc += 0.5 * (t - t_prev) * (g + g_prev)
-        t_prev, g_prev = t, g
-    return initial + acc
+    for k, t in enumerate(times):
+        g = s_abs[k] * test_fn.dxi(t) - s_flux[k] * test_fn.xi(t)
+        if k:
+            acc += 0.5 * (t - times[k - 1]) * (g + g_prev)
+        g_prev = g
+    return s_abs[0] * test_fn.xi(times[0]) + acc
+
+
+def entropy_residuals(
+    snapshots,
+    kernel: Kernel,
+    mobility: Mobility,
+    test_fn: TestFunction,
+    c_list,
+    n_space: int = 256,
+    guard_floor: float = 1e-6,
+) -> list[EntropyReport]:
+    """Residuals of a trajectory against one test function, one per constant.
+
+    ``snapshots`` is a sequence of (time, DensityProfile) with strictly
+    increasing times starting at 0 and covering the temporal support of the
+    test function.  Each residual is evaluated at ``n_space`` and 2*n_space
+    spatial cells; the difference, plus the change from halving the snapshot
+    density, estimates the quadrature error, and the violation flag fires
+    only below -max(guard_floor, 10 * estimate).
+
+    All constants share one pass over the snapshots: the kernel sums and
+    the other c-independent integrands are evaluated once per snapshot and
+    grid, whatever the length of ``c_list``.
+    """
+    cs = [float(c) for c in c_list]
+    if not cs:
+        raise ValueError("need at least one constant c")
+    if not all(c >= 0.0 and math.isfinite(c) for c in cs):
+        raise ValueError("c must be a finite non-negative constant")
+    snaps = [(float(t), p) for t, p in snapshots]
+    if not snaps:
+        raise ValueError("need at least one snapshot")
+    times = [t for t, _ in snaps]
+    if times[0] != 0.0 or not all(b > a for a, b in zip(times, times[1:])):
+        raise ValueError("snapshot times must increase strictly from 0")
+    if times[-1] < test_fn.t_support_end - 1e-12:
+        raise ValueError(
+            f"trajectory ends at t={times[-1]:g} but the test function is supported up to t={test_fn.t_support_end:g}"
+        )
+    # per-snapshot scalars only: rows are snapshots, columns constants
+    coarse_abs, coarse_flux, fine_abs, fine_flux = (np.empty((len(snaps), len(cs))) for _ in range(4))
+    for k, (_, profile) in enumerate(snaps):
+        coarse_abs[k], coarse_flux[k] = _snapshot_terms(profile, kernel, mobility, test_fn, cs, n_space)
+        fine_abs[k], fine_flux[k] = _snapshot_terms(profile, kernel, mobility, test_fn, cs, 2 * n_space)
+    coarse = _time_quadrature(times, coarse_abs, coarse_flux, test_fn)
+    fine = _time_quadrature(times, fine_abs, fine_flux, test_fn)
+    if not np.all(np.isfinite(fine)):
+        raise ValueError("residual is not finite")
+    est = np.abs(fine - coarse)
+    if len(snaps) >= 3:
+        # halved snapshot density bounds the trapezoid-in-time error; its
+        # rows are a subset of the fine pass
+        rows = list(range(0, len(snaps), 2))
+        if (len(snaps) - 1) % 2:
+            rows.append(len(snaps) - 1)
+        thin = _time_quadrature([times[k] for k in rows], fine_abs[rows], fine_flux[rows], test_fn)
+        est += np.abs(thin - fine)
+    resolution = f"space={2 * n_space}x3gauss;snapshots={len(snaps)}"
+    reports = []
+    for c, res, res_coarse, err in zip(cs, fine.tolist(), coarse.tolist(), est.tolist()):
+        guard = max(guard_floor, 10.0 * err)
+        reports.append(EntropyReport(c, test_fn.label, res, resolution, res_coarse, err, guard, res < -guard))
+    return reports
 
 
 def entropy_residual(
@@ -249,42 +343,6 @@ def entropy_residual(
     n_space: int = 256,
     guard_floor: float = 1e-6,
 ) -> EntropyReport:
-    """Residual of a trajectory against one (test function, constant) pair.
-
-    ``snapshots`` is a sequence of (time, DensityProfile) with strictly
-    increasing times starting at 0 and covering the temporal support of the
-    test function.  The residual is evaluated at ``n_space`` and 2*n_space
-    spatial cells; the difference estimates the quadrature error, and the
-    violation flag fires only below -max(guard_floor, 10 * estimate).
-    """
-    if c < 0.0 or not math.isfinite(c):
-        raise ValueError("c must be a finite non-negative constant")
-    snaps = [(float(t), p) for t, p in snapshots]
-    if not snaps:
-        raise ValueError("need at least one snapshot")
-    times = np.asarray([t for t, _ in snaps])
-    if times[0] != 0.0 or (times.size > 1 and not np.all(np.diff(times) > 0.0)):
-        raise ValueError("snapshot times must increase strictly from 0")
-    if times[-1] < test_fn.t_support_end - 1e-12:
-        raise ValueError(
-            f"trajectory ends at t={times[-1]:g} but the test function is supported up to t={test_fn.t_support_end:g}"
-        )
-    coarse = _residual_once(snaps, kernel, mobility, test_fn, c, n_space)
-    fine = _residual_once(snaps, kernel, mobility, test_fn, c, 2 * n_space)
-    if not math.isfinite(fine):
-        raise ValueError("residual is not finite")
-    est = abs(fine - coarse)
-    if len(snaps) >= 3:
-        # halved snapshot density bounds the trapezoid-in-time error
-        thin = snaps[::2] if (len(snaps) - 1) % 2 == 0 else snaps[::2] + [snaps[-1]]
-        est += abs(_residual_once(thin, kernel, mobility, test_fn, c, 2 * n_space) - fine)
-    guard = max(guard_floor, 10.0 * est)
-    return EntropyReport(
-        c=float(c),
-        phi=test_fn.label,
-        residual=fine,
-        resolution=f"space={2 * n_space}x3gauss;snapshots={len(snaps)}",
-        residual_coarse=coarse,
-        est_error=est,
-        violation=bool(fine < -guard),
-    )
+    """Residual of a trajectory against one (test function, constant) pair:
+    the one-constant form of :func:`entropy_residuals`."""
+    return entropy_residuals(snapshots, kernel, mobility, test_fn, (c,), n_space, guard_floor)[0]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .entropy import EntropyReport, TestFunction, bump_pair, entropy_residual, single_bump
+from .entropy import EntropyReport, TestFunction, bump_pair, entropy_residual, entropy_residuals, single_bump
 from .errors import ConfigError
 from .godunov import GodunovRun, Grid, gd_run
 from .metrics import l1_distance, total_variation, wasserstein1
@@ -407,8 +407,7 @@ def run_entropy_audit(
     if frozen:
         for tf in phi_specs:
             snaps = frozen_snapshots(profile0, tf)
-            for c in c_list:
-                reports.append(entropy_residual(snaps, kernel, mobility, tf, c, n_space=n_space))
+            reports.extend(entropy_residuals(snaps, kernel, mobility, tf, c_list, n_space=n_space))
         return reports
     t_need = max(tf.t_support_end for tf in phi_specs)
     if config.t_end < t_need - 1e-12:
@@ -423,8 +422,7 @@ def run_entropy_audit(
     else:
         raise ConfigError(f"unknown audit method {method!r}")
     for tf in phi_specs:
-        for c in c_list:
-            reports.append(entropy_residual(snaps, kernel, mobility, tf, c, n_space=n_space))
+        reports.extend(entropy_residuals(snaps, kernel, mobility, tf, c_list, n_space=n_space))
     return reports
 
 

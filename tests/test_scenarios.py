@@ -231,7 +231,9 @@ def test_entropy_audit_emission(tmp_path):
     assert len(lines) == 2
     for line in lines:
         record = json.loads(line)
-        assert set(record) == {"c", "phi", "residual", "resolution"}
+        assert set(record) == {
+            "c", "phi", "residual", "resolution", "residual_coarse", "est_error", "guard", "violation",
+        }
     meta = json.loads((d / "meta.json").read_text())
     assert meta["method"] == "particles-frozen"
     assert meta["flags"] == sum(1 for r in reports if r.violation)
@@ -297,6 +299,24 @@ def test_cli_entropy_audit_frozen(tmp_path, capsys):
     assert "entropy-audit: 1 residuals" in capsys.readouterr().out
     path = tmp_path / "out" / "stationary-weak" / "particles-frozen" / "entropy.jsonl"
     assert len(path.read_text().splitlines()) == 1
+
+
+def test_cli_entropy_audit_explains_flags(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    argv = [
+        "entropy-audit", "--scenario", "stationary-weak", "--frozen",
+        "--horizon", "2", "--c-list", "0.5,0.0", "--n-space", "64", "--out", out,
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    path = tmp_path / "out" / "stationary-weak" / "particles-frozen" / "entropy.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    flagged = [r for r in records if r["violation"]]
+    assert [r["c"] for r in flagged] == [0.5]
+    (violation,) = [line for line in lines if "VIOLATION" in line]
+    assert f"est_error={flagged[0]['est_error']:.3g} guard={flagged[0]['guard']:.3g}" in violation
+    margin = min(r["residual"] + r["guard"] for r in records)
+    assert lines[-1].startswith(f"  smallest margin residual+guard={margin:.6g} at c=0.5 ")
 
 
 def test_cli_rerun_is_byte_identical(tmp_path, capsys):
