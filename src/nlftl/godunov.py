@@ -14,6 +14,7 @@ edge and K- on the right one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,8 @@ class KernelTables:
     """K' sampled at the half offsets (k + 1/2) dx, k = 0..J-1, of a grid.
 
     These are the offsets from an interface to the cell centers on either
-    side of it; K' is odd, so the same table serves both sides.
+    side of it; K' is odd, so the same table serves both sides.  The table
+    is read-only because :func:`_tables` hands one instance to every caller.
     """
 
     d1: np.ndarray  # K'((k + 1/2) dx) >= 0
@@ -109,7 +111,15 @@ class KernelTables:
     @classmethod
     def build(cls, grid: Grid, kernel: Kernel) -> "KernelTables":
         offsets = (np.arange(grid.cells) + 0.5) * grid.dx
-        return cls(d1=kernel.d1(offsets), cells=grid.cells, dx=grid.dx)
+        d1 = kernel.d1(offsets)
+        d1.setflags(write=False)
+        return cls(d1=d1, cells=grid.cells, dx=grid.dx)
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(grid: Grid, kernel: Kernel) -> KernelTables:
+    """The tables of a (grid, kernel) pair, built once; both are frozen."""
+    return KernelTables.build(grid, kernel)
 
 
 def compute_fields(rho: np.ndarray, tables: KernelTables):
@@ -187,7 +197,7 @@ def gd_step(grid: Grid, state: FVState, kernel: Kernel, mobility: Mobility, dt: 
     """
     rho = state.values
     if fields is None:
-        fields = compute_fields(rho, KernelTables.build(grid, kernel))
+        fields = compute_fields(rho, _tables(grid, kernel))
     g = interface_flux(rho, fields, mobility)
     raw = rho + dt * ((g[1:] - g[:-1]) / grid.dx)
     clipped = np.clip(raw, 0.0, mobility.cap)
@@ -236,7 +246,7 @@ def gd_run(
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    tables = KernelTables.build(grid, kernel)
+    tables = _tables(grid, kernel)
     rho = cell_averages(profile, grid)
     requested = [] if output_times is None else output_times
     outputs = sorted({float(t) for t in requested if 0.0 < t <= t_end})

@@ -107,6 +107,9 @@ def jam_state(center: float, mass: float, mobility: Mobility, n_cells: int) -> P
     return ParticleState(time=0.0, positions=center + idx * gap, particle_mass=pm, cap=mobility.cap)
 
 
+_TILE = 64  # rows per strip of the pair sums: memory is O(_TILE * N)
+
+
 def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) -> np.ndarray:
     """Right-hand side on a raw position array.
 
@@ -117,17 +120,31 @@ def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) ->
     adaptive integrator) are treated as jammed: their mobility factor is 0,
     the continuous extension of v(pm/gap) as gap -> 0+.
 
-    Sums are plain row-wise numpy reductions: pairwise summation in a fixed
-    index order, no BLAS, so results do not depend on thread count.
+    The pair sums walk row strips of ``_TILE`` particles.  A strip evaluates
+    K'(x_i - x_j) once on its block of pairs j > i (the mirrored pairs inside
+    the strip's diagonal tile are evaluated too and masked to zero), adds
+    the block's row sums to the sums over j > i, and subtracts its column
+    sums from the sums over j < i: K' is odd, exactly so in floating point,
+    so K'(x_j - x_i) = -K'(x_i - x_j) bit for bit.  Strips are accumulated
+    in a fixed order with plain numpy reductions, no threads and no BLAS, so
+    results do not depend on thread count; no temporary exceeds
+    ``_TILE * (N+1)`` entries.
     """
     gaps = np.diff(x)
     with np.errstate(divide="ignore"):
         dens = np.where(gaps > 0.0, pm / np.where(gaps > 0.0, gaps, 1.0), np.inf)
     speed = mobility(dens)  # v(R_i), zero where jammed or inverted
-    diff = x[:, None] - x[None, :]
-    kp = kernel.d1(diff)
-    s_above = np.sum(np.triu(kp, 1), axis=1)  # sum over j > i
-    s_below = np.sum(np.tril(kp, -1), axis=1)  # sum over j < i
+    n = x.size
+    s_above = np.zeros(n)  # sum over j > i
+    s_below = np.zeros(n)  # sum over j < i
+    mirrored = np.tri(_TILE, _TILE - 1, -1, dtype=bool)  # column j = lo+1+c is at or left of row i = lo+r
+    for lo in range(0, n - 1, _TILE):
+        hi = min(lo + _TILE, n)
+        kp = kernel.d1(x[lo:hi, None] - x[None, lo + 1 :])
+        rows = hi - lo
+        kp[:, : rows - 1][mirrored[:rows, : rows - 1]] = 0.0
+        s_above[lo:hi] = np.sum(kp, axis=1)
+        s_below[lo + 1 :] -= np.sum(kp, axis=0)
     v_fwd = np.append(speed, 0.0)  # v(R_i); padding hits an empty sum
     v_bwd = np.concatenate(([0.0], speed))  # v(R_{i-1})
     return -pm * (v_fwd * s_above + v_bwd * s_below)
@@ -145,16 +162,14 @@ class Trajectory:
     """Snapshots of an integrated particle run plus running diagnostics.
 
     ``min_gap_seen`` is the minimum gap over every accepted integrator step,
-    not just the stored snapshots; ``masses``/``tvs``/``min_gaps`` are
-    per-snapshot diagnostics of the forward reconstruction.
+    not just the stored snapshots; ``masses`` holds the per-snapshot mass of
+    the forward reconstruction.
     """
 
     states: tuple[ParticleState, ...]
     min_gap_seen: float
     settled: bool = False
     masses: np.ndarray = field(default=None, repr=False, compare=False)
-    tvs: np.ndarray = field(default=None, repr=False, compare=False)
-    min_gaps: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = [s.time for s in self.states]
@@ -175,21 +190,7 @@ class Trajectory:
 
 def _finish_trajectory(states: list[ParticleState], min_gap_seen: float, settled: bool) -> Trajectory:
     masses = np.asarray([reconstruct_density(s, "forward").mass for s in states])
-    tvs = np.asarray([_forward_tv(s) for s in states])
-    min_gaps = np.asarray([s.min_gap for s in states])
-    return Trajectory(
-        states=tuple(states),
-        min_gap_seen=min_gap_seen,
-        settled=settled,
-        masses=masses,
-        tvs=tvs,
-        min_gaps=min_gaps,
-    )
-
-
-def _forward_tv(state: ParticleState) -> float:
-    r = state.particle_mass / state.gaps
-    return float(r[0] + np.sum(np.abs(np.diff(r))) + r[-1])
+    return Trajectory(states=tuple(states), min_gap_seen=min_gap_seen, settled=settled, masses=masses)
 
 
 def integrate(

@@ -1,6 +1,7 @@
 """Particle scheme: quantile init, velocity law, integration invariants."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlftl as nl
+from nlftl.particles import _TILE, _velocities
 
 MOB = nl.Mobility()
 KER = nl.Kernel()
@@ -30,6 +32,29 @@ def oracle_rhs(x, pm, kernel, mobility):
         v_bwd = mobility(dens[i - 1]) if i > 0 else 0.0
         out[i] = -v_fwd * pm * fwd - v_bwd * pm * bwd
     return out
+
+
+def dense_rhs(x, pm, kernel, mobility):
+    """The velocity law on the full (N+1)x(N+1) matrix of K'(x_i - x_j).
+
+    Reference for the tiled production path: every pair is evaluated in
+    both orders and each side is a row-wise reduction of a triangle.
+    """
+    gaps = np.diff(x)
+    with np.errstate(divide="ignore"):
+        dens = np.where(gaps > 0.0, pm / np.where(gaps > 0.0, gaps, 1.0), np.inf)
+    speed = mobility(dens)
+    kp = kernel.d1(x[:, None] - x[None, :])
+    s_above = np.sum(np.triu(kp, 1), axis=1)
+    s_below = np.sum(np.tril(kp, -1), axis=1)
+    return -pm * (np.append(speed, 0.0) * s_above + np.concatenate(([0.0], speed)) * s_below)
+
+
+def compact_state(rng, n, mass=1.0):
+    """n cells with gaps between the floor and 4x the mean, support O(mass/cap)."""
+    gaps = rng.uniform(mass / (MOB.cap * n), 4.0 * mass / n, size=n)
+    x = rng.uniform(-1.0, 1.0) + np.concatenate(([0.0], np.cumsum(gaps)))
+    return nl.ParticleState(time=0.0, positions=x, particle_mass=mass / n, cap=MOB.cap)
 
 
 def random_state(rng, n_max=20, mass=1.0):
@@ -120,6 +145,60 @@ def test_rhs_endpoint_velocities_shrink_support(seed):
     v = nl.rhs(s, KER, MOB)
     assert v[0] >= 0.0
     assert v[-1] <= 0.0
+
+
+# cell counts putting N+1 particles on both sides of one and two strip edges
+TILE_COUNTS = (1, 2, _TILE - 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 2 * _TILE + 1, 1000)
+
+
+@pytest.mark.parametrize("n", TILE_COUNTS)
+def test_rhs_matches_dense_reference_across_tiles(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        s = compact_state(rng, n)
+        got = nl.rhs(s, KER, MOB)
+        want = dense_rhs(s.positions, s.particle_mass, KER, MOB)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-14
+
+
+def test_dense_reference_matches_oracle_across_a_tile_edge():
+    s = compact_state(np.random.default_rng(1), _TILE + 1)
+    want = oracle_rhs(s.positions, s.particle_mass, KER, MOB)
+    for got in (dense_rhs(s.positions, s.particle_mass, KER, MOB), nl.rhs(s, KER, MOB)):
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-14
+
+
+def test_rhs_repeats_bitwise_over_several_tiles():
+    s = compact_state(np.random.default_rng(3), 4 * _TILE + 3)
+    first = nl.rhs(s, KER, MOB)
+    assert np.array_equal(first, nl.rhs(s, KER, MOB))
+
+
+def test_rhs_jam_state_is_stationary_over_several_tiles():
+    jam = nl.jam_state(0.1, 0.6, MOB, 5 * _TILE + 7)
+    assert np.max(np.abs(nl.rhs(jam, KER, MOB))) < 1e-14
+
+
+def test_rhs_endpoint_signs_over_several_tiles():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        s = compact_state(rng, int(rng.integers(2 * _TILE, 6 * _TILE)))
+        v = nl.rhs(s, KER, MOB)
+        assert v[0] >= 0.0
+        assert v[-1] <= 0.0
+
+
+def test_rhs_memory_stays_bounded_at_ten_thousand_cells():
+    # one dense (N+1)x(N+1) float matrix would take 800 MB
+    s = compact_state(np.random.default_rng(5), 10_000)
+    tracemalloc.start()
+    try:
+        v = _velocities(s.positions, s.particle_mass, KER, MOB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(v))
+    assert peak < 32e6
 
 
 def test_state_rejects_coincident_particles():
