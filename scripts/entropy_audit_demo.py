@@ -33,9 +33,7 @@ def main() -> None:
         print(f"split block: flagged at plateau horizon T={T:g} "
               f"(c=0.5, residual {report.residual:.4f}, resolution {report.resolution})")
 
-    data = builtin_scenario(args.scenario).to_dict()
-    data.update(t_end=2.0, output_times=None, out_dir=args.out)
-    cfg = ScenarioConfig.from_dict(data)
+    cfg = ScenarioConfig.from_dict({"scenario": args.scenario, "t_end": 2.0, "out_dir": args.out})
     reports = run_entropy_audit(cfg, c_list=np.linspace(0.0, cfg.cap, 11), method=args.method)
     flagged = [r for r in reports if r.violation]
     print(f"{args.scenario} via {args.method}: {len(reports)} residuals, {len(flagged)} flagged, "

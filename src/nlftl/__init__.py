@@ -12,7 +12,7 @@ from .entropy import (
 )
 from .errors import ConfigError, InvariantViolation
 from .godunov import FVState, GodunovRun, Grid, cell_averages, gd_run, gd_step, godunov_flux, state_profile
-from .metrics import l1_distance, total_mass, total_variation, wasserstein1
+from .metrics import l1_distance, total_variation, wasserstein1
 from .model import GAUSSIAN_AMPLITUDE, Kernel, Mobility
 from .particles import (
     ParticleState,
@@ -24,7 +24,7 @@ from .particles import (
     reconstruct_density,
     rhs,
 )
-from .profiles import AtomicMeasure, DensityProfile, sample_function, step_profile, uniform_profile
+from .profiles import AtomicMeasure, DensityProfile, step_profile, uniform_profile
 from .scenarios import (
     CompareResult,
     ConvergenceResult,

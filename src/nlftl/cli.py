@@ -16,7 +16,6 @@ from .scenarios import (
     ScenarioConfig,
     builtin_description,
     builtin_names,
-    default_test_function,
     emit_compare,
     emit_convergence,
     emit_entropy,
@@ -27,9 +26,6 @@ from .scenarios import (
     run_godunov,
     run_particles,
 )
-
-_SEEDLESS = "reserved"  # marker: the flag takes no value
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse error -> ConfigError, so bad flags share exit code 3."""
@@ -45,18 +41,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="particle cell count")
     p.add_argument("--cells", type=int, help="finite-volume cell count")
     p.add_argument("--t-end", type=float, dest="t_end", help="final time")
-    p.add_argument(
-        "--seedless",
-        nargs="?",
-        const=_SEEDLESS,
-        default=_SEEDLESS,
-        help="reserved; every run is deterministic and the flag rejects any value",
-    )
 
 
 def _load_config(args) -> ScenarioConfig:
-    if getattr(args, "seedless", _SEEDLESS) != _SEEDLESS:
-        raise ConfigError("--seedless takes no value: there is no RNG to seed, runs are deterministic")
     data: dict = {}
     if args.config is not None:
         try:
@@ -125,23 +112,21 @@ def _cmd_compare(args) -> int:
 def _cmd_converge(args) -> int:
     config = _load_config(args)
     n_list = _parse_ints(args.n_list, "--n-list")
-    result = run_convergence(config, n_list, args.j_ref)
+    result = run_convergence(config, n_list)
     d = emit_convergence(result)
     for k, n in enumerate(result.n_list):
         ratio = f" ratio_to_next={result.ratios[k]:.3f}" if k < len(result.ratios) else ""
         print(f"N={n}: e={result.errors[k]:.6g}{ratio}")
-    print(f"converge: j_ref={result.j_ref} -> {d}")
+    print(f"converge: n_ref={result.n_ref} -> {d}")
     return 0
 
 
 def _cmd_entropy_audit(args) -> int:
     config = _load_config(args)
     c_list = _parse_floats(args.c_list, "--c-list") if args.c_list else None
-    phi = (default_test_function(config, frozen=args.frozen, horizon=args.horizon),)
     reports = run_entropy_audit(
         config,
         c_list=c_list,
-        phi_specs=phi,
         method=args.method,
         frozen=args.frozen,
         n_space=args.n_space,
@@ -185,10 +170,9 @@ def main(argv=None) -> int:
     _add_run_flags(p)
     p.set_defaults(fn=_cmd_compare)
 
-    p = sub.add_parser("converge", help="particle-count sweep against a fine finite-volume reference")
+    p = sub.add_parser("converge", help="particle-count sweep against a particle run at 4*max(n)")
     _add_run_flags(p)
     p.add_argument("--n-list", default="75,150,300,600", help="comma-separated particle counts")
-    p.add_argument("--j-ref", type=int, default=None, help="reference cell count (default 4*max)")
     p.set_defaults(fn=_cmd_converge)
 
     p = sub.add_parser("entropy-audit", help="Kruzkov residual sweep over (c, test function)")

@@ -1,4 +1,4 @@
-"""Mass, total variation, L1 and 1-Wasserstein distances for profiles.
+"""Total variation, L1 and 1-Wasserstein distances for profiles.
 
 All distances are computed exactly on the merged breakpoint grid: between
 breakpoints both arguments are constant (L1) or their CDF difference is
@@ -12,10 +12,6 @@ import numpy as np
 from .profiles import AtomicMeasure, DensityProfile
 
 _MASS_MATCH = 1e-12
-
-
-def total_mass(profile: DensityProfile) -> float:
-    return profile.mass
 
 
 def total_variation(profile: DensityProfile) -> float:

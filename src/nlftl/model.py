@@ -32,15 +32,12 @@ class Mobility:
 
     cap: float = 1.0
     v_max: float = 1.0
-    kind: str = "truncated-linear"
 
     def __post_init__(self) -> None:
         if not (self.cap > 0.0 and math.isfinite(self.cap)):
             raise ValueError("cap must be positive and finite")
         if not (self.v_max > 0.0 and math.isfinite(self.v_max)):
             raise ValueError("v_max must be positive and finite")
-        if self.kind != "truncated-linear":
-            raise ValueError(f"unknown mobility kind: {self.kind!r}")
 
     def _check_density(self, rho: np.ndarray) -> None:
         if np.any(rho < 0.0) or np.any(np.isnan(rho)):
@@ -53,13 +50,6 @@ class Mobility:
         out = self.v_max * np.maximum(0.0, 1.0 - arr / self.cap)
         return _same_kind(out, rho)
 
-    def dv(self, rho):
-        """Left derivative of the mobility, zero past the cap."""
-        arr = np.asarray(rho, dtype=float)
-        self._check_density(arr)
-        out = np.where(arr < self.cap, -self.v_max / self.cap, 0.0)
-        return _same_kind(out, rho)
-
     def flux(self, rho):
         """f(rho) = rho * v(rho); vanishes exactly at rho = 0 and rho >= cap."""
         arr = np.asarray(rho, dtype=float)
@@ -67,13 +57,6 @@ class Mobility:
         self._check_density(arr)
         with np.errstate(invalid="ignore"):
             out = np.where(v > 0.0, arr * v, 0.0)
-        return _same_kind(out, rho)
-
-    def dflux(self, rho):
-        """f'(rho) = v_max (1 - 2 rho/cap) on [0, cap), zero past the cap."""
-        arr = np.asarray(rho, dtype=float)
-        self._check_density(arr)
-        out = np.where(arr < self.cap, self.v_max * (1.0 - 2.0 * arr / self.cap), 0.0)
         return _same_kind(out, rho)
 
     @property
@@ -102,24 +85,12 @@ class Kernel:
 
     amplitude: float = GAUSSIAN_AMPLITUDE
     inv_width: float = 0.5
-    kind: str = "gaussian"
 
     def __post_init__(self) -> None:
         if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
             raise ValueError("amplitude must be positive and finite")
         if not (self.inv_width > 0.0 and math.isfinite(self.inv_width)):
             raise ValueError("inv_width must be positive and finite")
-        if self.kind != "gaussian":
-            raise ValueError(f"unknown kernel kind: {self.kind!r}")
-
-    def __call__(self, x, order: int = 0):
-        if order == 0:
-            return self.value(x)
-        if order == 1:
-            return self.d1(x)
-        if order == 2:
-            return self.d2(x)
-        raise ValueError("order must be 0, 1 or 2")
 
     def value(self, x):
         arr = np.asarray(x, dtype=float)

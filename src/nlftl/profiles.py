@@ -153,17 +153,3 @@ def step_profile(segments) -> DensityProfile:
         vals.append(v)
     return DensityProfile(np.asarray(bp), np.asarray(vals))
 
-
-def sample_function(fn, left: float, right: float, cells: int = 10_000) -> DensityProfile:
-    """Midpoint-sample a continuous density onto a fine piecewise-constant grid.
-
-    Used to feed smooth initial data (e.g. a parabolic bump) to machinery
-    that wants breakpoints; 1e4 cells keep the quantile positions accurate
-    to O(1e-4) and the mass to O(1e-8).
-    """
-    if cells < 1:
-        raise ValueError("cells must be >= 1")
-    bp = np.linspace(left, right, cells + 1)
-    mid = 0.5 * (bp[:-1] + bp[1:])
-    vals = np.maximum(np.asarray(fn(mid), dtype=float), 0.0)
-    return DensityProfile(bp, vals)

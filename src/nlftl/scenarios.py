@@ -1,9 +1,10 @@
 """Builtin scenarios, comparison/convergence harnesses, and file emission.
 
-A scenario is a single JSON-compatible document; builtin names are overlays
-on a defaults block, explicit keys override both.  All emitted files are
-deterministic: floats are written with shortest round-trip repr, rows follow
-fixed orders, and nothing records wall-clock time.
+A scenario is a single JSON-compatible document; a builtin name supplies the
+initial profile, explicit keys override it, and the ``ScenarioConfig`` field
+defaults fill in the rest.  All emitted files are deterministic: floats are
+written with shortest round-trip repr, rows follow fixed orders, and nothing
+records wall-clock time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import metadata as _metadata
 from pathlib import Path
 
@@ -27,47 +28,28 @@ from .model import GAUSSIAN_AMPLITUDE, Kernel, Mobility
 from .particles import Trajectory, init_particles, integrate, reconstruct_density
 from .profiles import DensityProfile, step_profile, uniform_profile
 
-_DEFAULTS: dict = {
-    "scenario": "custom",
-    "profile": None,
-    "amplitude": GAUSSIAN_AMPLITUDE,
-    "inv_width": 0.5,
-    "cap": 1.0,
-    "v_max": 1.0,
-    "n_cells": 300,
-    "fv_cells": 1200,
-    "domain": [-2.5, 2.5],
-    "t_end": 1.0,
-    "output_times": None,
-    "rtol": 1e-8,
-    "cfl": 0.45,
-    "out_dir": "out",
-}
-
-_BUILTINS: dict[str, dict] = {
-    "single-step": {
-        "profile": {"kind": "uniform-step", "left": -1.0, "right": 1.0, "height": 0.3},
-    },
-    "parabola": {
-        "profile": {"kind": "parabola", "scale": 0.75, "left": -1.0, "right": 1.0, "cells": 10_000},
-    },
-    "two-step-0206": {
-        "profile": {"kind": "two-step", "segments": [[-0.5, 0.0, 0.2], [0.5, 1.0, 0.6]]},
-    },
-    "two-step-11": {
-        "profile": {"kind": "two-step", "segments": [[-0.5, 0.0, 1.0], [0.5, 1.0, 1.0]]},
-    },
-    "stationary-weak": {
-        "profile": {"kind": "two-step", "segments": [[-1.0, -0.5, 1.0], [0.5, 1.0, 1.0]]},
-    },
-}
-
-_BUILTIN_DOC = {
-    "single-step": "uniform 0.3 on [-1, 1], mass 0.6",
-    "parabola": "0.75*(1 - x^2) on [-1, 1], mass 1",
-    "two-step-0206": "0.2 on [-0.5, 0] and 0.6 on [0.5, 1], mass 0.4",
-    "two-step-11": "unit density on [-0.5, 0] and [0.5, 1], mass 1",
-    "stationary-weak": "unit density on [-1, -0.5] and [0.5, 1], mass 1 (weak steady state)",
+# name -> (description, initial profile spec)
+_BUILTINS: dict[str, tuple[str, dict]] = {
+    "single-step": (
+        "uniform 0.3 on [-1, 1], mass 0.6",
+        {"kind": "uniform-step", "left": -1.0, "right": 1.0, "height": 0.3},
+    ),
+    "parabola": (
+        "0.75*(1 - x^2) on [-1, 1], mass 1",
+        {"kind": "parabola", "scale": 0.75, "left": -1.0, "right": 1.0, "cells": 10_000},
+    ),
+    "two-step-0206": (
+        "0.2 on [-0.5, 0] and 0.6 on [0.5, 1], mass 0.4",
+        {"kind": "two-step", "segments": [[-0.5, 0.0, 0.2], [0.5, 1.0, 0.6]]},
+    ),
+    "two-step-11": (
+        "unit density on [-0.5, 0] and [0.5, 1], mass 1",
+        {"kind": "two-step", "segments": [[-0.5, 0.0, 1.0], [0.5, 1.0, 1.0]]},
+    ),
+    "stationary-weak": (
+        "unit density on [-1, -0.5] and [0.5, 1], mass 1 (weak steady state)",
+        {"kind": "two-step", "segments": [[-1.0, -0.5, 1.0], [0.5, 1.0, 1.0]]},
+    ),
 }
 
 
@@ -171,36 +153,19 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        merged = copy.deepcopy(_DEFAULTS)
-        name = data.get("scenario", merged["scenario"])
+        merged = copy.deepcopy(data)
+        name = merged.setdefault("scenario", "custom")
         if name in _BUILTINS:
-            merged.update(copy.deepcopy(_BUILTINS[name]))
-        merged.update(copy.deepcopy(data))
-        if merged["profile"] is None:
+            merged.setdefault("profile", copy.deepcopy(_BUILTINS[name][1]))
+        if merged.get("profile") is None:
             raise ConfigError(f"scenario {name!r} is not builtin and no profile was given; known: {', '.join(sorted(_BUILTINS))}")
         return cls(**merged)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "profile": copy.deepcopy(self.profile),
-            "amplitude": self.amplitude,
-            "inv_width": self.inv_width,
-            "cap": self.cap,
-            "v_max": self.v_max,
-            "n_cells": self.n_cells,
-            "fv_cells": self.fv_cells,
-            "domain": list(self.domain),
-            "t_end": self.t_end,
-            "output_times": list(self.output_times),
-            "rtol": self.rtol,
-            "cfl": self.cfl,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
 
 def builtin_scenario(name: str) -> ScenarioConfig:
@@ -214,7 +179,7 @@ def builtin_names() -> list[str]:
 
 
 def builtin_description(name: str) -> str:
-    return _BUILTIN_DOC[name]
+    return _BUILTINS[name][0]
 
 
 def build_profile(config: ScenarioConfig) -> DensityProfile:
@@ -261,12 +226,7 @@ class MethodRun:
     fv: GodunovRun | None = None
 
 
-def run_particles(
-    config: ScenarioConfig,
-    t_end: float | None = None,
-    settle_tol: float | None = None,
-    output_times=None,
-) -> MethodRun:
+def run_particles(config: ScenarioConfig, settle_tol: float | None = None, output_times=None) -> MethodRun:
     """Integrate the particle system and reconstruct forward densities."""
     kernel, mobility = build_kernel(config), build_mobility(config)
     state = init_particles(build_profile(config), config.n_cells, mobility)
@@ -274,7 +234,7 @@ def run_particles(
         state,
         kernel,
         mobility,
-        t_end if t_end is not None else config.t_end,
+        config.t_end,
         output_times=config.output_times if output_times is None else output_times,
         rtol=config.rtol,
         settle_tol=settle_tol,
@@ -284,7 +244,7 @@ def run_particles(
     return MethodRun(config, "particles", traj.times, profiles, rows, trajectory=traj)
 
 
-def run_godunov(config: ScenarioConfig, t_end: float | None = None, output_times=None) -> MethodRun:
+def run_godunov(config: ScenarioConfig, output_times=None) -> MethodRun:
     """March the finite-volume scheme on the configured grid."""
     kernel, mobility = build_kernel(config), build_mobility(config)
     grid = Grid(config.domain[0], config.domain[1], config.fv_cells)
@@ -293,7 +253,7 @@ def run_godunov(config: ScenarioConfig, t_end: float | None = None, output_times
         build_profile(config),
         kernel,
         mobility,
-        t_end if t_end is not None else config.t_end,
+        config.t_end,
         output_times=config.output_times if output_times is None else output_times,
         cfl=config.cfl,
     )
@@ -326,44 +286,35 @@ def run_compare(config: ScenarioConfig) -> CompareResult:
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    """Particle-to-fine-Godunov L1 errors over a particle-count sweep."""
+    """Particle L1 errors against a finer particle run over a count sweep."""
 
     config: ScenarioConfig
     n_list: tuple
-    j_ref: int
+    n_ref: int
     errors: tuple
     ratios: tuple  # errors[i] / errors[i+1]
 
 
-def run_convergence(config: ScenarioConfig, n_list, j_ref: int | None = None) -> ConvergenceResult:
-    """L1 error of particle runs against a fine Godunov reference at t_end.
+def run_convergence(config: ScenarioConfig, n_list) -> ConvergenceResult:
+    """L1 error at t_end of particle runs against one at n_ref = 4*max(n).
 
-    The finite-volume scheme is first order, so at the default
-    j_ref = 4*max(n) its own error at the shock edges exceeds the errors of
-    the particle runs it grades.  On single-step at t=1 it is about 1.5e-3 at
-    J=2400, while the run at N=600 lies within 5.6e-5 of one at N=2400.
-    Error ratios near 1 then measure the reference, not the particles.
+    The reference is a particle run, not the finite-volume scheme: that
+    scheme is first order, and at J = 4*max(n) its own error at the shock
+    edges (about 1.5e-3 on single-step at t=1, J=2400) exceeds the errors it
+    would grade, so the ratios would measure the reference.
     """
     ns = [int(n) for n in n_list]
     if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("n_list must be a strictly increasing list of positive counts")
-    if j_ref is None:
-        j_ref = 4 * max(ns)
-    j_ref = int(j_ref)
-    if j_ref < 4 * max(ns):
-        raise ConfigError(f"j_ref must be at least 4*max(n_list) = {4 * max(ns)}")
-    kernel, mobility = build_kernel(config), build_mobility(config)
-    profile0 = build_profile(config)
-    grid = Grid(config.domain[0], config.domain[1], j_ref)
-    reference = gd_run(grid, profile0, kernel, mobility, config.t_end, output_times=[config.t_end], cfl=config.cfl)
-    ref_profile = reference.profiles()[-1]
-    errors = []
-    for n in ns:
-        state = init_particles(profile0, n, mobility)
-        traj = integrate(state, kernel, mobility, config.t_end, output_times=[config.t_end], rtol=config.rtol)
-        errors.append(l1_distance(reconstruct_density(traj.final, "forward"), ref_profile))
+    n_ref = 4 * max(ns)
+
+    def final_profile(n: int) -> DensityProfile:
+        return run_particles(replace(config, n_cells=n), output_times=[config.t_end]).profiles[-1]
+
+    reference = final_profile(n_ref)
+    errors = [l1_distance(final_profile(n), reference) for n in ns]
     ratios = tuple(errors[i] / errors[i + 1] for i in range(len(errors) - 1))
-    return ConvergenceResult(config, tuple(ns), j_ref, tuple(errors), ratios)
+    return ConvergenceResult(config, tuple(ns), n_ref, tuple(errors), ratios)
 
 
 def default_test_function(config: ScenarioConfig, frozen: bool = False, horizon: float | None = None) -> TestFunction:
@@ -547,7 +498,7 @@ def emit_convergence(result: ConvergenceResult, out_root=None) -> Path:
         ratio = result.ratios[k] if k < len(result.ratios) else math.nan
         lines.append(f"{n},{_fmt(result.errors[k])},{_fmt(ratio)}")
     _write_lines(d / "convergence.csv", lines)
-    write_meta(d / "meta.json", result.config, {"method": "convergence", "j_ref": result.j_ref, "n_list": list(result.n_list)})
+    write_meta(d / "meta.json", result.config, {"method": "convergence", "n_ref": result.n_ref, "n_list": list(result.n_list)})
     return d
 
 

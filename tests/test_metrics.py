@@ -41,11 +41,11 @@ def refine(prof, extra):
 # -------------------------------------------------------------------- mass
 
 def test_total_mass_values():
-    assert nl.total_mass(nl.uniform_profile(-1.0, 1.0, 0.3)) == pytest.approx(0.6, abs=1e-15)
+    assert nl.uniform_profile(-1.0, 1.0, 0.3).mass == pytest.approx(0.6, abs=1e-15)
     vac = nl.DensityProfile(np.array([0.0, 1.0]), np.array([0.0]))
-    assert nl.total_mass(vac) == 0.0
+    assert vac.mass == 0.0
     parabola = nl.build_profile(nl.builtin_scenario("parabola"))
-    assert nl.total_mass(parabola) == pytest.approx(1.0, abs=1e-7)
+    assert parabola.mass == pytest.approx(1.0, abs=1e-7)
 
 
 # ---------------------------------------------------------------------- tv

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from nlftl.cli import main
 from nlftl.entropy import bump_pair
 from nlftl.errors import ConfigError, InvariantViolation
 from nlftl.godunov import Grid
+from nlftl.metrics import l1_distance
 from nlftl.scenarios import (
     ScenarioConfig,
     build_profile,
@@ -197,8 +201,8 @@ def test_jam_block_compare_distances_constant_in_time():
 
 def test_convergence_result_and_emission(tmp_path):
     cfg = small_config()
-    result = run_convergence(cfg, [8, 16], j_ref=64)
-    assert result.n_list == (8, 16) and result.j_ref == 64
+    result = run_convergence(cfg, [8, 16])
+    assert result.n_list == (8, 16) and result.n_ref == 64
     assert all(e > 0.0 for e in result.errors)
     assert len(result.ratios) == 1
 
@@ -209,15 +213,26 @@ def test_convergence_result_and_emission(tmp_path):
     assert float(rows[0][2]) == pytest.approx(result.ratios[0])
     assert math.isnan(float(rows[1][2]))
     meta = json.loads((d / "meta.json").read_text())
-    assert meta["j_ref"] == 64 and meta["n_list"] == [8, 16]
+    assert meta["n_ref"] == 64 and meta["n_list"] == [8, 16]
+
+
+def test_convergence_grades_against_particle_run_at_four_times_max_n():
+    cfg = small_config()
+    result = run_convergence(cfg, [8, 16])
+    assert result.n_ref == 64
+
+    def final(n):
+        return run_particles(ScenarioConfig.from_dict({**cfg.to_dict(), "n_cells": n}), output_times=[cfg.t_end]).profiles[-1]
+
+    reference = final(64)
+    for n, err in zip(result.n_list, result.errors):
+        assert abs(err - l1_distance(final(n), reference)) <= 1e-15
 
 
 def test_convergence_validation():
     cfg = small_config()
     with pytest.raises(ConfigError, match="strictly increasing"):
         run_convergence(cfg, [16, 8])
-    with pytest.raises(ConfigError, match="j_ref"):
-        run_convergence(cfg, [8, 16], j_ref=32)
 
 
 def test_entropy_audit_emission(tmp_path):
@@ -251,15 +266,6 @@ def test_cli_method_runs_exit_zero(tmp_path, capsys):
     assert "godunov: " in captured.out
     assert (tmp_path / "out" / "single-step" / "particles" / "density.csv").exists()
     assert (tmp_path / "out" / "single-step" / "godunov" / "density.csv").exists()
-
-
-def test_cli_seedless_flag_takes_no_value(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    rc = main(["particles", "--scenario", "single-step", "--n", "12", "--t-end", "0.1", "--out", out, "--seedless", "7"])
-    assert rc == 3
-    assert "config error:" in capsys.readouterr().err
-    rc = main(["particles", "--scenario", "single-step", "--n", "8", "--t-end", "0.05", "--out", out, "--seedless"])
-    assert rc == 0
 
 
 def test_cli_config_errors_exit_three(tmp_path, capsys):
@@ -328,3 +334,16 @@ def test_cli_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert first.keys() == tree_bytes(out).keys()
     assert first == tree_bytes(out)
+
+
+# --- scripts ----------------------------------------------------------------
+
+
+def test_entropy_audit_demo_flags_split_block_and_clears_solver_run(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "entropy_audit_demo.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("split block: flagged at plateau horizon T=")
+    assert lines[1].startswith("single-step via particles: 11 residuals, 0 flagged")
+    assert (tmp_path / "single-step" / "particles-audit" / "entropy.jsonl").exists()
