@@ -24,15 +24,18 @@ grid and shared by every constant of an audit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import Kernel, Mobility
 from .profiles import DensityProfile
 
 _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+_BLOCK = 2**15  # kernel evaluations per block of the jump sums
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,20 @@ class EntropyReport:
         }
 
 
+def check_audit_inputs(c_list, n_space) -> list[float]:
+    """The constants of an audit as floats; raises ConfigError (a ValueError)
+    unless there is at least one, each is finite and non-negative, and
+    n_space is an integer >= 1."""
+    cs = [float(c) for c in c_list]
+    if not cs:
+        raise ConfigError("need at least one constant c")
+    if not all(c >= 0.0 and math.isfinite(c) for c in cs):
+        raise ConfigError("c must be a finite non-negative constant")
+    if not (isinstance(n_space, numbers.Integral) and n_space >= 1):
+        raise ConfigError(f"n_space must be an integer >= 1, got {n_space!r}")
+    return cs
+
+
 def _quad_grid(profile: DensityProfile, lo: float, hi: float, n_space: int):
     """Gauss points/weights on profile breakpoints merged with a uniform refinement."""
     pts = profile.breakpoints
@@ -205,28 +222,26 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
     """(K' conv rho, K'' conv rho) at points x, exact per cell.
 
     sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into jump coefficients at the
-    breakpoints, one kernel evaluation per charged breakpoint.  K and K'
-    share one exponential; each product is formed in the operation order of
-    ``Kernel.value`` and ``Kernel.d1``, so the sums equal
+    breakpoints, one kernel evaluation per charged breakpoint.  The points
+    are walked in blocks of about ``_BLOCK`` kernel evaluations, so memory
+    stays bounded at any N; each row is summed whole, so the sums equal
     ``sum(coef * kernel.value(d))`` and ``sum(coef * kernel.d1(d))`` exactly.
     """
     jumps = np.diff(profile.values, prepend=0.0, append=0.0)
     keep = jumps != 0.0
     bp = profile.breakpoints[keep]
     coef = jumps[keep]
+    w1, w2 = np.zeros_like(x), np.zeros_like(x)
     if bp.size == 0:
-        return np.zeros_like(x), np.zeros_like(x)
-    d = x[:, None] - bp[None, :]
-    e = np.multiply(-kernel.inv_width, d)
-    e *= d
-    np.exp(e, out=e)
-    d *= 2.0 * kernel.amplitude * kernel.inv_width
-    d *= e
-    d *= coef
-    w2 = np.sum(d, axis=1)
-    e *= -kernel.amplitude
-    e *= coef
-    w1 = np.sum(e, axis=1)
+        return w1, w2
+    rows = max(1, _BLOCK // bp.size)
+    for start in range(0, x.size, rows):
+        block = slice(start, start + rows)
+        k, k1 = kernel.value_and_d1(x[block, None] - bp)
+        k *= coef
+        k1 *= coef
+        w1[block] = np.sum(k, axis=1)
+        w2[block] = np.sum(k1, axis=1)
     return w1, w2
 
 
@@ -293,11 +308,7 @@ def entropy_residuals(
     the other c-independent integrands are evaluated once per snapshot and
     grid, whatever the length of ``c_list``.
     """
-    cs = [float(c) for c in c_list]
-    if not cs:
-        raise ValueError("need at least one constant c")
-    if not all(c >= 0.0 and math.isfinite(c) for c in cs):
-        raise ValueError("c must be a finite non-negative constant")
+    cs = check_audit_inputs(c_list, n_space)
     snaps = [(float(t), p) for t, p in snapshots]
     if not snaps:
         raise ValueError("need at least one snapshot")

@@ -95,34 +95,21 @@ def state_profile(grid: Grid, state: FVState) -> DensityProfile:
     return DensityProfile(grid.edges, state.values)
 
 
-@dataclass(frozen=True)
-class KernelTables:
-    """K' sampled at the half offsets (k + 1/2) dx, k = 0..J-1, of a grid.
+@functools.lru_cache(maxsize=8)
+def _half_offset_d1(grid: Grid, kernel: Kernel) -> np.ndarray:
+    """K' >= 0 at the half offsets (k + 1/2) dx, k = 0..J-1, of a grid.
 
     These are the offsets from an interface to the cell centers on either
-    side of it; K' is odd, so the same table serves both sides.  The table
-    is read-only because :func:`_tables` hands one instance to every caller.
+    side of it; K' is odd, so the same table serves both sides.  It is built
+    once per (grid, kernel) pair, both frozen, and is read-only because every
+    caller shares it.
     """
-
-    d1: np.ndarray  # K'((k + 1/2) dx) >= 0
-    cells: int
-    dx: float
-
-    @classmethod
-    def build(cls, grid: Grid, kernel: Kernel) -> "KernelTables":
-        offsets = (np.arange(grid.cells) + 0.5) * grid.dx
-        d1 = kernel.d1(offsets)
-        d1.setflags(write=False)
-        return cls(d1=d1, cells=grid.cells, dx=grid.dx)
+    d1 = kernel.d1((np.arange(grid.cells) + 0.5) * grid.dx)
+    d1.setflags(write=False)
+    return d1
 
 
-@functools.lru_cache(maxsize=8)
-def _tables(grid: Grid, kernel: Kernel) -> KernelTables:
-    """The tables of a (grid, kernel) pair, built once; both are frozen."""
-    return KernelTables.build(grid, kernel)
-
-
-def compute_fields(rho: np.ndarray, tables: KernelTables):
+def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
     """(K+, K-) at the J+1 interfaces by midpoint-rule convolution.
 
     K+ at interface i sums K'(x_i - x_m) rho_m dx over the cells m < i left
@@ -131,10 +118,11 @@ def compute_fields(rho: np.ndarray, tables: KernelTables):
     right one.  Each side is one full convolution in a fixed order
     (np.convolve is a plain C loop).
     """
-    cells, dx = tables.cells, tables.dx
+    table = _half_offset_d1(grid, kernel)
+    cells, dx = grid.cells, grid.dx
     zero = np.zeros(1)
-    left = np.convolve(rho, tables.d1)[:cells]  # left[i-1] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m
-    right = np.convolve(rho[::-1], tables.d1)[cells - 1 :: -1]  # right[i] = sum_{m>=i} K'((m-i+1/2) dx) rho_m
+    left = np.convolve(rho, table)[:cells]  # left[i-1] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m
+    right = np.convolve(rho[::-1], table)[cells - 1 :: -1]  # right[i] = sum_{m>=i} K'((m-i+1/2) dx) rho_m
     return np.concatenate((zero, dx * left)), np.concatenate((-dx * right, zero))
 
 
@@ -197,7 +185,7 @@ def gd_step(grid: Grid, state: FVState, kernel: Kernel, mobility: Mobility, dt: 
     """
     rho = state.values
     if fields is None:
-        fields = compute_fields(rho, _tables(grid, kernel))
+        fields = compute_fields(rho, grid, kernel)
     g = interface_flux(rho, fields, mobility)
     raw = rho + dt * ((g[1:] - g[:-1]) / grid.dx)
     clipped = np.clip(raw, 0.0, mobility.cap)
@@ -246,7 +234,6 @@ def gd_run(
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    tables = _tables(grid, kernel)
     rho = cell_averages(profile, grid)
     requested = [] if output_times is None else output_times
     outputs = sorted({float(t) for t in requested if 0.0 < t <= t_end})
@@ -259,7 +246,7 @@ def gd_run(
     t = 0.0
     for t_next in outputs:
         while t < t_next:
-            fields = compute_fields(rho, tables)
+            fields = compute_fields(rho, grid, kernel)
             remaining = t_next - t
             dt = cfl_dt(grid, fields, mobility, cfl, cap_dt=remaining)
             stepped, step_clamp = gd_step(grid, FVState(t, rho, mobility.cap), kernel, mobility, dt, fields)

@@ -25,10 +25,6 @@ def total_variation(profile: DensityProfile) -> float:
     return float(v[0] + np.sum(np.abs(np.diff(v))) + v[-1])
 
 
-def _merged_points(a, b) -> np.ndarray:
-    return np.union1d(_breaks(a), _breaks(b))
-
-
 def _breaks(obj) -> np.ndarray:
     if isinstance(obj, DensityProfile):
         return obj.breakpoints
@@ -37,15 +33,9 @@ def _breaks(obj) -> np.ndarray:
     raise TypeError(f"unsupported measure type: {type(obj).__name__}")
 
 
-def _values_on(obj, points: np.ndarray) -> np.ndarray:
-    if isinstance(obj, DensityProfile):
-        return obj.value_at(points)
-    return np.zeros(points.size)
-
-
 def l1_distance(a: DensityProfile, b: DensityProfile) -> float:
     """Exact integral of |a - b| (profiles are 0 outside their breakpoints)."""
-    pts = _merged_points(a, b)
+    pts = np.union1d(_breaks(a), _breaks(b))
     if pts.size < 2:
         return 0.0
     mids = 0.5 * (pts[:-1] + pts[1:])
@@ -54,16 +44,11 @@ def l1_distance(a: DensityProfile, b: DensityProfile) -> float:
     return float(np.sum(np.abs(va - vb) * np.diff(pts)))
 
 
-def _cdf_right(obj, points: np.ndarray) -> np.ndarray:
+def _cdf(obj, points: np.ndarray, side: str) -> np.ndarray:
+    """CDF at points; ``side`` picks whether an atom sitting on a point counts."""
     if isinstance(obj, DensityProfile):
         return obj.cdf(points)
-    return obj.cdf(points, side="right")
-
-
-def _cdf_left(obj, points: np.ndarray) -> np.ndarray:
-    if isinstance(obj, DensityProfile):
-        return obj.cdf(points)
-    return obj.cdf(points, side="left")
+    return obj.cdf(points, side=side)
 
 
 def wasserstein1(a, b) -> float:
@@ -78,12 +63,12 @@ def wasserstein1(a, b) -> float:
     mass_b = b.mass
     if abs(mass_a - mass_b) > _MASS_MATCH:
         raise ValueError(f"mass mismatch: {mass_a} vs {mass_b}")
-    pts = _merged_points(a, b)
+    pts = np.union1d(_breaks(a), _breaks(b))
     if pts.size < 2:
         return 0.0
     p, q = pts[:-1], pts[1:]
-    g0 = _cdf_right(a, p) - _cdf_right(b, p)
-    g1 = _cdf_left(a, q) - _cdf_left(b, q)
+    g0 = _cdf(a, p, "right") - _cdf(b, p, "right")
+    g1 = _cdf(a, q, "left") - _cdf(b, q, "left")
     w = q - p
     same_sign = g0 * g1 >= 0.0
     span = np.abs(g0) + np.abs(g1)

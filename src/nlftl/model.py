@@ -92,22 +92,34 @@ class Kernel:
         if not (self.inv_width > 0.0 and math.isfinite(self.inv_width)):
             raise ValueError("inv_width must be positive and finite")
 
+    def _gauss(self, arr: np.ndarray) -> np.ndarray:
+        """exp(-B x^2) in one fresh array, also for 0-d input."""
+        e = np.multiply(-self.inv_width, arr, out=np.empty_like(arr))
+        e *= arr
+        return np.exp(e, out=e)
+
     def value(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = -self.amplitude * np.exp(-self.inv_width * arr * arr)
+        out = -self.amplitude * self._gauss(np.asarray(x, dtype=float))
         return _same_kind(out, x)
 
     def d1(self, x):
         """K'(x) = 2AB x exp(-B x^2); odd, positive for x > 0."""
         arr = np.asarray(x, dtype=float)
-        out = (2.0 * self.amplitude * self.inv_width) * arr * np.exp(-self.inv_width * arr * arr)
+        out = (2.0 * self.amplitude * self.inv_width) * arr * self._gauss(arr)
         return _same_kind(out, x)
+
+    def value_and_d1(self, x):
+        """(K(x), K'(x)) from one exponential, bitwise equal to value and d1."""
+        arr = np.asarray(x, dtype=float)
+        g = self._gauss(arr)
+        d1 = (2.0 * self.amplitude * self.inv_width) * arr * g
+        g *= -self.amplitude
+        return _same_kind(g, x), _same_kind(d1, x)
 
     def d2(self, x):
         """K''(x) = 2AB (1 - 2B x^2) exp(-B x^2)."""
         arr = np.asarray(x, dtype=float)
-        sq = arr * arr
-        out = (2.0 * self.amplitude * self.inv_width) * (1.0 - 2.0 * self.inv_width * sq) * np.exp(-self.inv_width * sq)
+        out = (2.0 * self.amplitude * self.inv_width) * (1.0 - 2.0 * self.inv_width * arr * arr) * self._gauss(arr)
         return _same_kind(out, x)
 
     def lipschitz_bound(self, interval: tuple[float, float]) -> float:

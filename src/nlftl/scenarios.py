@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .entropy import EntropyReport, TestFunction, bump_pair, entropy_residual, entropy_residuals, single_bump
+from .entropy import EntropyReport, TestFunction, bump_pair, check_audit_inputs, entropy_residual, entropy_residuals, single_bump
 from .errors import ConfigError
 from .godunov import GodunovRun, Grid, gd_run
 from .metrics import l1_distance, total_variation, wasserstein1
@@ -359,6 +359,7 @@ def run_entropy_audit(
     kernel, mobility = build_kernel(config), build_mobility(config)
     if c_list is None:
         c_list = tuple(float(c) for c in np.linspace(0.0, config.cap, 11))
+    check_audit_inputs(c_list, n_space)
     if phi_specs is None:
         phi_specs = (default_test_function(config, frozen=frozen, horizon=horizon),)
     profile0 = build_profile(config)

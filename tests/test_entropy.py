@@ -1,6 +1,7 @@
 """Test functions and the Kruzkov-style residual evaluator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,30 +239,71 @@ def test_one_pass_residuals_equal_the_direct_evaluation(case, particle_audit):
         assert (rep.residual_coarse, rep.residual, rep.est_error) == (coarse, fine, est)
 
 
+def perturbed_single_step(n_cells, seed=0):
+    """Particle profile of single-step at n_cells with every gap jittered by up
+    to +-20%, so each breakpoint carries a distinct jump; and its test function."""
+    cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": n_cells, "t_end": 2.0})
+    state = nl.init_particles(nl.build_profile(cfg), n_cells, MOB)
+    gaps = np.diff(state.positions) * np.random.default_rng(seed).uniform(0.8, 1.2, n_cells)
+    x = state.positions[0] + np.concatenate(([0.0], np.cumsum(gaps)))
+    return nl.DensityProfile(x, state.particle_mass / gaps), nl.default_test_function(cfg)
+
+
+def direct_kernel_sums(kernel, profile, x):
+    """The dense points x breakpoints jump sums through Kernel.value/d1."""
+    jumps = np.diff(profile.values, prepend=0.0, append=0.0)
+    keep = jumps != 0.0
+    coef = jumps[keep][None, :]
+    d = x[:, None] - profile.breakpoints[keep][None, :]
+    return np.sum(coef * kernel.value(d), axis=1), np.sum(coef * kernel.d1(d), axis=1)
+
+
 @pytest.mark.parametrize("kernel", [KER, nl.Kernel(amplitude=0.7, inv_width=2.0)])
 def test_convolutions_equal_direct_kernel_sums(kernel, particle_audit):
     snaps, tf, _, _ = particle_audit
     profile = snaps[-1][1]
     x, _ = entropy._quad_grid(profile, *tf.x_support, 64)
-    jumps = np.diff(profile.values, prepend=0.0, append=0.0)
-    keep = jumps != 0.0
-    coef = jumps[keep][None, :]
-    d = x[:, None] - profile.breakpoints[keep][None, :]
     w1, w2 = entropy._convolutions(kernel, profile, x)
-    assert np.array_equal(w1, np.sum(coef * kernel.value(d), axis=1))
-    assert np.array_equal(w2, np.sum(coef * kernel.d1(d), axis=1))
+    r1, r2 = direct_kernel_sums(kernel, profile, x)
+    assert np.array_equal(w1, r1) and np.array_equal(w2, r2)
+    # many blocks, the last one partial
+    many, _ = perturbed_single_step(1000)
+    rows = entropy._BLOCK // many.breakpoints.size
+    x = np.linspace(-3.0, 3.0, 9 * rows + 5)
+    w1, w2 = entropy._convolutions(kernel, many, x)
+    r1, r2 = direct_kernel_sums(kernel, many, x)
+    assert np.array_equal(w1, r1) and np.array_equal(w2, r2)
     vac = nl.DensityProfile(np.array([-1.0, 1.0]), np.array([0.0]))
     z1, z2 = entropy._convolutions(kernel, vac, x)
     assert z1.shape == z2.shape == x.shape
     assert not z1.any() and not z2.any()
 
 
-@pytest.mark.parametrize("c_list", [(), (0.5, -0.1), (0.5, float("nan")), (0.0, float("inf"))])
-def test_residuals_reject_bad_constants_before_spatial_work(c_list, monkeypatch):
+def test_convolutions_memory_stays_bounded_at_two_thousand_cells():
+    # the dense points x breakpoints matrices took 241 MB here
+    profile, tf = perturbed_single_step(2000)
+    x, _ = entropy._quad_grid(profile, *tf.x_support, 512)
+    tracemalloc.start()
+    try:
+        w1, w2 = entropy._convolutions(KER, profile, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize(
+    "c_list, n_space",
+    [((), 256), ((0.5, -0.1), 256), ((0.5, float("nan")), 256), ((0.0, float("inf")), 256),
+     ((0.5,), 0), ((0.5,), -5), ((0.5,), 2.5)],
+    ids=["c_list0", "c_list1", "c_list2", "c_list3", "n_space0", "n_space-5", "n_space2.5"],
+)
+def test_residuals_reject_bad_constants_before_spatial_work(c_list, n_space, monkeypatch):
     def no_spatial_work(*args):
         raise AssertionError("spatial work before the constants were checked")
 
     monkeypatch.setattr(entropy, "_snapshot_terms", no_spatial_work)
     snaps, tf, kernel, mobility = frozen_split_jam_audit()
     with pytest.raises(ValueError):
-        nl.entropy_residuals(snaps, kernel, mobility, tf, c_list)
+        nl.entropy_residuals(snaps, kernel, mobility, tf, c_list, n_space=n_space)

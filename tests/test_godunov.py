@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlftl as nl
-from nlftl.godunov import KernelTables, cfl_dt, compute_fields, interface_flux
+from nlftl import godunov
+from nlftl.godunov import cfl_dt, compute_fields, interface_flux
 
 MOB = nl.Mobility()
 KER = nl.Kernel()
@@ -92,7 +93,7 @@ def test_flux_matches_case_oracle(u_left, u_right):
 # ------------------------------------------------------ interface fields
 
 def fields_of(grid, vals):
-    return compute_fields(vals, KernelTables.build(grid, KER))
+    return compute_fields(vals, grid, KER)
 
 
 def test_fields_vacuum():
@@ -144,6 +145,21 @@ def test_fields_match_oracle_loops():
     op, om = oracle_fields(grid, vals, KER)
     assert kplus == pytest.approx(op, abs=1e-15)
     assert kminus == pytest.approx(om, abs=1e-15)
+
+
+def test_fields_share_one_read_only_table():
+    grid = nl.Grid(-1.75, 2.25, 37)  # a grid no other test uses
+    before = godunov._half_offset_d1.cache_info()
+    vals = np.linspace(0.0, 1.0, 37)
+    first, second = fields_of(grid, vals), fields_of(grid, vals[::-1])
+    after = godunov._half_offset_d1.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    assert np.array_equal(first[0], -second[1][::-1])  # mirrored data, mirrored fields
+    table = godunov._half_offset_d1(grid, KER)
+    assert table is godunov._half_offset_d1(grid, KER)
+    assert np.array_equal(table, KER.d1((np.arange(37) + 0.5) * grid.dx))
+    with pytest.raises(ValueError):
+        table[0] = 0.0
 
 
 def test_source_zero_at_vacuum_and_cap():

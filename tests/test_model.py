@@ -81,6 +81,20 @@ def test_kernel_evenness_exact():
         assert ker.d2(x) == ker.d2(-x)
 
 
+@pytest.mark.parametrize("ker", [nl.Kernel(), nl.Kernel(amplitude=0.7, inv_width=2.0)])
+def test_kernel_value_and_d1_bitwise_equal_value_and_d1(ker):
+    tiny = np.nextafter(0.0, 1.0)
+    xs = np.array([0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 0.3, -1.7, 27.0, -38.5, 40.0, -1e3, 1e150])
+    assert np.exp(-ker.inv_width * 40.0 * 40.0) == 0.0  # the largest arguments underflow
+    k, k1 = ker.value_and_d1(xs)
+    assert k.tobytes() == ker.value(xs).tobytes()
+    assert k1.tobytes() == ker.d1(xs).tobytes()
+    for x in xs:
+        pair = ker.value_and_d1(float(x))
+        assert type(pair[0]) is type(pair[1]) is float
+        assert np.array(pair).tobytes() == np.array((ker.value(float(x)), ker.d1(float(x)))).tobytes()
+
+
 def test_kernel_attractive_on_positive_axis():
     ker = nl.Kernel(amplitude=0.8, inv_width=1.3)
     xs = np.linspace(1e-6, 12.0, 500)

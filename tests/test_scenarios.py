@@ -268,15 +268,24 @@ def test_cli_method_runs_exit_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "single-step" / "godunov" / "density.csv").exists()
 
 
-def test_cli_config_errors_exit_three(tmp_path, capsys):
+def test_cli_config_errors_exit_three(tmp_path, capsys, monkeypatch):
     assert main(["particles"]) == 3
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": "single-step", "wheels": 4}))
     assert main(["particles", "--config", str(bad)]) == 3
     assert main(["particles", "--config", str(tmp_path / "missing.json")]) == 3
     assert main(["converge", "--scenario", "single-step", "--n-list", "a,b"]) == 3
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver ran before the audit inputs were checked")
+
+    monkeypatch.setattr("nlftl.scenarios.run_particles", no_solver)
+    audit = ["entropy-audit", "--scenario", "single-step", "--t-end", "2", "--out", str(tmp_path / "out")]
+    for extra in (["--c-list", "-1"], ["--c-list", "nan"], ["--n-space", "-5"], ["--n-space", "0"]):
+        assert main(audit + extra) == 3
+    assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
-    assert err.count("config error:") == 4
+    assert err.count("config error:") == 8
 
 
 def test_cli_invariant_violation_exit_two(monkeypatch, capsys):
