@@ -226,6 +226,8 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
     are walked in blocks of about ``_BLOCK`` kernel evaluations, so memory
     stays bounded at any N; each row is summed whole, so the sums equal
     ``sum(coef * kernel.value(d))`` and ``sum(coef * kernel.d1(d))`` exactly.
+    Every block is computed into the same three arrays: a fresh allocation
+    per block this size can take new pages from the OS each time.
     """
     jumps = np.diff(profile.values, prepend=0.0, append=0.0)
     keep = jumps != 0.0
@@ -234,14 +236,16 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
     w1, w2 = np.zeros_like(x), np.zeros_like(x)
     if bp.size == 0:
         return w1, w2
-    rows = max(1, _BLOCK // bp.size)
+    rows = max(1, min(x.size, _BLOCK // bp.size))
+    d, k, k1 = (np.empty((rows, bp.size)) for _ in range(3))
     for start in range(0, x.size, rows):
-        block = slice(start, start + rows)
-        k, k1 = kernel.value_and_d1(x[block, None] - bp)
-        k *= coef
-        k1 *= coef
-        w1[block] = np.sum(k, axis=1)
-        w2[block] = np.sum(k1, axis=1)
+        m = min(rows, x.size - start)
+        np.subtract(x[start : start + m, None], bp, out=d[:m])
+        kernel.value_and_d1(d[:m], out=(k[:m], k1[:m]))
+        k[:m] *= coef
+        k1[:m] *= coef
+        w1[start : start + m] = np.sum(k[:m], axis=1)
+        w2[start : start + m] = np.sum(k1[:m], axis=1)
     return w1, w2
 
 

@@ -50,6 +50,13 @@ class Mobility:
         out = self.v_max * np.maximum(0.0, 1.0 - arr / self.cap)
         return _same_kind(out, rho)
 
+    def d1(self, rho):
+        """v'(rho): -v_max/cap below the cap, 0 at and above it, where v is 0."""
+        arr = np.asarray(rho, dtype=float)
+        self._check_density(arr)
+        out = np.where(arr < self.cap, -self.v_max / self.cap, 0.0)
+        return _same_kind(out, rho)
+
     def flux(self, rho):
         """f(rho) = rho * v(rho); vanishes exactly at rho = 0 and rho >= cap."""
         arr = np.asarray(rho, dtype=float)
@@ -92,9 +99,9 @@ class Kernel:
         if not (self.inv_width > 0.0 and math.isfinite(self.inv_width)):
             raise ValueError("inv_width must be positive and finite")
 
-    def _gauss(self, arr: np.ndarray) -> np.ndarray:
-        """exp(-B x^2) in one fresh array, also for 0-d input."""
-        e = np.multiply(-self.inv_width, arr, out=np.empty_like(arr))
+    def _gauss(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-B x^2) in one array (fresh unless ``out`` is given), also for 0-d input."""
+        e = np.multiply(-self.inv_width, arr, out=np.empty_like(arr) if out is None else out)
         e *= arr
         return np.exp(e, out=e)
 
@@ -108,11 +115,17 @@ class Kernel:
         out = (2.0 * self.amplitude * self.inv_width) * arr * self._gauss(arr)
         return _same_kind(out, x)
 
-    def value_and_d1(self, x):
-        """(K(x), K'(x)) from one exponential, bitwise equal to value and d1."""
+    def value_and_d1(self, x, out=None):
+        """(K(x), K'(x)) from one exponential, bitwise equal to value and d1.
+
+        ``out``, a pair of float arrays shaped like ``x``, receives the two
+        results, so repeated calls allocate nothing.
+        """
         arr = np.asarray(x, dtype=float)
-        g = self._gauss(arr)
-        d1 = (2.0 * self.amplitude * self.inv_width) * arr * g
+        k, k1 = (None, None) if out is None else out
+        g = self._gauss(arr, k)
+        d1 = np.multiply(2.0 * self.amplitude * self.inv_width, arr, out=k1)
+        d1 *= g
         g *= -self.amplitude
         return _same_kind(g, x), _same_kind(d1, x)
 

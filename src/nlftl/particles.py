@@ -10,10 +10,13 @@ principle R_i <= cap, equivalently a gap floor m / (cap * N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import BDF
+from scipy.sparse import diags_array
 
 from .errors import InvariantViolation
 from .model import Kernel, Mobility
@@ -107,7 +110,48 @@ def jam_state(center: float, mass: float, mobility: Mobility, n_cells: int) -> P
     return ParticleState(time=0.0, positions=center + idx * gap, particle_mass=pm, cap=mobility.cap)
 
 
-_TILE = 64  # rows per strip of the pair sums: memory is O(_TILE * N)
+_TILE = 64  # most rows per strip of the pair sums
+_STRIP_BUDGET = 2**15  # kernel evaluations per strip, the budget of entropy._BLOCK
+
+
+def _densities(gaps: np.ndarray, pm: float) -> np.ndarray:
+    """R_i = pm / gap_i, and +inf where a gap is not positive.
+
+    Gaps <= 0 (transient trial states of the implicit integrator) thus count
+    as jammed: v and v' vanish there, the continuous extension of v(pm/gap)
+    as gap -> 0+.
+    """
+    with np.errstate(divide="ignore"):
+        return np.where(gaps > 0.0, pm / np.where(gaps > 0.0, gaps, 1.0), np.inf)
+
+
+def _pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided kernel sums (sum_{j>i} K'(x_i - x_j), sum_{j<i} K'(x_i - x_j)).
+
+    The sums walk row strips of ``max(8, min(_TILE, _STRIP_BUDGET // (N+1)))``
+    particles, so no temporary exceeds ``_STRIP_BUDGET`` entries up to
+    N+1 = 4096, nor 8*(N+1) beyond.  A strip evaluates K'(x_i - x_j)
+    once on its block of pairs j > i (the mirrored pairs inside the strip's
+    diagonal tile are evaluated too and masked to zero), adds the block's row
+    sums to the sums over j > i, and subtracts its column sums from the sums
+    over j < i: K' is odd, exactly so in floating point, so
+    K'(x_j - x_i) = -K'(x_i - x_j) bit for bit.  Strips are accumulated in a
+    fixed order with plain numpy reductions, no threads and no BLAS, so
+    results do not depend on thread count.
+    """
+    n = x.size
+    tile = max(8, min(_TILE, _STRIP_BUDGET // n))
+    s_above = np.zeros(n)
+    s_below = np.zeros(n)
+    mirrored = np.tri(tile, tile - 1, -1, dtype=bool)  # column j = lo+1+c is at or left of row i = lo+r
+    for lo in range(0, n - 1, tile):
+        hi = min(lo + tile, n)
+        kp = kernel.d1(x[lo:hi, None] - x[None, lo + 1 :])
+        rows = hi - lo
+        kp[:, : rows - 1][mirrored[:rows, : rows - 1]] = 0.0
+        s_above[lo:hi] = np.sum(kp, axis=1)
+        s_below[lo + 1 :] -= np.sum(kp, axis=0)
+    return s_above, s_below
 
 
 def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) -> np.ndarray:
@@ -116,38 +160,35 @@ def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) ->
     dx_i/dt = -v(R_i) * pm * sum_{j>i} K'(x_i - x_j)
               -v(R_{i-1}) * pm * sum_{j<i} K'(x_i - x_j)
     with R_i = pm / gap_i.  The first/last particle only sees the single
-    defined neighbour cell.  Gaps <= 0 (transient trial states of the
-    adaptive integrator) are treated as jammed: their mobility factor is 0,
-    the continuous extension of v(pm/gap) as gap -> 0+.
-
-    The pair sums walk row strips of ``_TILE`` particles.  A strip evaluates
-    K'(x_i - x_j) once on its block of pairs j > i (the mirrored pairs inside
-    the strip's diagonal tile are evaluated too and masked to zero), adds
-    the block's row sums to the sums over j > i, and subtracts its column
-    sums from the sums over j < i: K' is odd, exactly so in floating point,
-    so K'(x_j - x_i) = -K'(x_i - x_j) bit for bit.  Strips are accumulated
-    in a fixed order with plain numpy reductions, no threads and no BLAS, so
-    results do not depend on thread count; no temporary exceeds
-    ``_TILE * (N+1)`` entries.
+    defined neighbour cell.
     """
-    gaps = np.diff(x)
-    with np.errstate(divide="ignore"):
-        dens = np.where(gaps > 0.0, pm / np.where(gaps > 0.0, gaps, 1.0), np.inf)
-    speed = mobility(dens)  # v(R_i), zero where jammed or inverted
-    n = x.size
-    s_above = np.zeros(n)  # sum over j > i
-    s_below = np.zeros(n)  # sum over j < i
-    mirrored = np.tri(_TILE, _TILE - 1, -1, dtype=bool)  # column j = lo+1+c is at or left of row i = lo+r
-    for lo in range(0, n - 1, _TILE):
-        hi = min(lo + _TILE, n)
-        kp = kernel.d1(x[lo:hi, None] - x[None, lo + 1 :])
-        rows = hi - lo
-        kp[:, : rows - 1][mirrored[:rows, : rows - 1]] = 0.0
-        s_above[lo:hi] = np.sum(kp, axis=1)
-        s_below[lo + 1 :] -= np.sum(kp, axis=0)
+    speed = mobility(_densities(np.diff(x), pm))  # v(R_i), zero where jammed or inverted
+    s_above, s_below = _pair_sums(x, kernel)
     v_fwd = np.append(speed, 0.0)  # v(R_i); padding hits an empty sum
     v_bwd = np.concatenate(([0.0], speed))  # v(R_{i-1})
     return -pm * (v_fwd * s_above + v_bwd * s_below)
+
+
+def _jacobian(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
+    """Tridiagonal part of the Jacobian of :func:`_velocities`, as CSC.
+
+    It differentiates the mobility factors v(pm/gap) and holds the one-sided
+    pair sums fixed.  That part carries the stiffness, which grows as gaps
+    approach the floor; the dropped part, the pair sums' derivative, is a
+    dense K'' matrix bounded by pm * sup|K''| per entry, and a Newton matrix
+    needs only the stiff part (Hairer & Wanner, Solving ODEs II).  With
+    w_i = pm^2 v'(R_i) / gap_i^2 and (A_i, B_i) the sums above and below:
+    J[i, i+1] = A_i w_i, J[i, i-1] = -B_i w_{i-1}, and J[i, i] makes each
+    row sum to zero (the frozen-sum system sees only gaps).
+    """
+    gaps = np.diff(x)
+    s_above, s_below = _pair_sums(x, kernel)
+    safe = np.where(gaps > 0.0, gaps, 1.0)
+    w = pm * pm * mobility.d1(_densities(gaps, pm)) / (safe * safe)  # v' is 0 where jammed or inverted
+    upper = s_above[:-1] * w
+    lower = -s_below[1:] * w
+    main = -np.append(upper, 0.0) - np.concatenate(([0.0], lower))
+    return diags_array([lower, main, upper], offsets=(-1, 0, 1), format="csc")
 
 
 def rhs(state: ParticleState, kernel: Kernel, mobility: Mobility) -> np.ndarray:
@@ -157,18 +198,30 @@ def rhs(state: ParticleState, kernel: Kernel, mobility: Mobility) -> np.ndarray:
     return _velocities(state.positions, state.particle_mass, kernel, mobility)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Trajectory:
     """Snapshots of an integrated particle run plus running diagnostics.
 
     ``min_gap_seen`` is the minimum gap over every accepted integrator step,
     not just the stored snapshots; ``masses`` holds the per-snapshot mass of
-    the forward reconstruction.
+    the forward reconstruction.  The integrator counters are deterministic:
+    accepted ``steps`` and the smallest of them (``min_step``), right-hand
+    side evaluations inside the integrator (``rhs_evals``), Jacobian
+    evaluations and LU factorizations of its Newton matrix, and the extra
+    right-hand side evaluations of settle detection (``settle_checks``).
     """
+
+    integrator: ClassVar[str] = "BDF"
 
     states: tuple[ParticleState, ...]
     min_gap_seen: float
-    settled: bool = False
+    settled: bool
+    steps: int
+    min_step: float
+    rhs_evals: int
+    jac_evals: int
+    lu_decompositions: int
+    settle_checks: int
     masses: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -184,13 +237,28 @@ class Trajectory:
     def final(self) -> ParticleState:
         return self.states[-1]
 
+    @property
+    def min_gap_ratio(self) -> float:
+        """min_gap_seen over the gap floor m/(cap N); >= 1 is the maximum principle."""
+        return self.min_gap_seen / self.states[0].gap_floor
+
+    def diagnostics(self) -> dict:
+        """The run's deterministic diagnostics, as ``meta.json`` records them."""
+        return {
+            "integrator": self.integrator,
+            "settled": self.settled,
+            "steps": self.steps,
+            "min_step": self.min_step,
+            "rhs_evals": self.rhs_evals,
+            "jac_evals": self.jac_evals,
+            "lu_decompositions": self.lu_decompositions,
+            "settle_checks": self.settle_checks,
+            "min_gap_seen": self.min_gap_seen,
+            "min_gap_ratio": self.min_gap_ratio,
+        }
+
     def profiles(self, mode: str = "forward") -> list[DensityProfile]:
         return [reconstruct_density(s, mode) for s in self.states]
-
-
-def _finish_trajectory(states: list[ParticleState], min_gap_seen: float, settled: bool) -> Trajectory:
-    masses = np.asarray([reconstruct_density(s, "forward").mass for s in states])
-    return Trajectory(states=tuple(states), min_gap_seen=min_gap_seen, settled=settled, masses=masses)
 
 
 def integrate(
@@ -202,14 +270,18 @@ def integrate(
     rtol: float = 1e-8,
     settle_tol: float | None = None,
 ) -> Trajectory:
-    """Advance the particle system with an adaptive embedded RK 4(5) pair.
+    """Advance the particle system with scipy's variable-order BDF method.
 
+    The system is stiff: the mobility factors v(pm/gap) stiffen as gaps
+    approach the floor.  The Newton matrix gets the tridiagonal Jacobian of
+    :func:`_jacobian`, O(N) memory; the dense pair-sum part is never built.
     After every accepted step the ordering/gap-floor invariant is asserted
     with slack eps_gap = 10 * rtol * (initial support length); a violation
     beyond that slack raises :class:`InvariantViolation` since the analytic
     maximum principle forbids it.  Snapshots at ``output_times`` come from
-    the integrator's dense output.  If ``settle_tol`` is given the run stops
-    once max|dx/dt| drops below it and the final state is appended.
+    the integrator's dense output.  If ``settle_tol`` is given, max|dx/dt|
+    is evaluated after every accepted step and the run stops once it drops
+    below ``settle_tol``; the final state is appended.
     """
     if not t_end > state.time:
         raise ValueError("t_end must exceed the state time")
@@ -228,7 +300,10 @@ def integrate(
     def fun(t, y):
         return _velocities(y, pm, kernel, mobility)
 
-    solver = RK45(fun, state.time, x0, t_bound=t_end, rtol=rtol, atol=1e-10 * support0)
+    def jac(t, y):
+        return _jacobian(y, pm, kernel, mobility)
+
+    solver = BDF(fun, state.time, x0, t_bound=t_end, rtol=rtol, atol=1e-10 * support0, jac=jac)
 
     def check(y: np.ndarray, t: float) -> float:
         gaps = np.diff(y)
@@ -244,10 +319,14 @@ def integrate(
     min_gap_seen = check(x0, state.time)
     next_out = 0
     settled = False
+    steps = settle_checks = 0
+    min_step = math.inf
     while solver.status == "running":
         msg = solver.step()
         if solver.status == "failed":
             raise InvariantViolation(f"integrator failed at t={solver.t:.6g}: {msg}")
+        steps += 1
+        min_step = min(min_step, float(solver.step_size))
         mg = check(solver.y, solver.t)
         min_gap_seen = min(min_gap_seen, mg)
         dense = None
@@ -259,12 +338,25 @@ def integrate(
             min_gap_seen = min(min_gap_seen, check(y_out, t_out))
             states.append(ParticleState(t_out, y_out, pm, state.cap))
             next_out += 1
-        if settle_tol is not None and float(np.max(np.abs(solver.f))) < settle_tol:
-            settled = True
-            if states[-1].time < solver.t:
-                states.append(ParticleState(solver.t, solver.y, pm, state.cap))
-            break
-    return _finish_trajectory(states, min_gap_seen, settled)
+        if settle_tol is not None:
+            settle_checks += 1
+            if float(np.max(np.abs(_velocities(solver.y, pm, kernel, mobility)))) < settle_tol:
+                settled = True
+                if states[-1].time < solver.t:
+                    states.append(ParticleState(solver.t, solver.y, pm, state.cap))
+                break
+    return Trajectory(
+        states=tuple(states),
+        min_gap_seen=min_gap_seen,
+        settled=settled,
+        steps=steps,
+        min_step=min_step,
+        rhs_evals=solver.nfev,
+        jac_evals=solver.njev,
+        lu_decompositions=solver.nlu,
+        settle_checks=settle_checks,
+        masses=np.asarray([reconstruct_density(s, "forward").mass for s in states]),
+    )
 
 
 def reconstruct_density(state: ParticleState, mode: str = "forward") -> DensityProfile:

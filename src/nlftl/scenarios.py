@@ -408,36 +408,45 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_lines(path: Path, lines) -> None:
+def _write_blocks(path: Path, blocks) -> None:
+    """Write each block of lines in turn, every line ending in a newline.
+
+    The per-snapshot files pass one block per snapshot, so only one
+    snapshot's text is held in memory at a time.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        for block in blocks:
+            f.write("\n".join(block) + "\n")
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    lines = ["t,i,x"]
-    for s in traj.states:
-        t = _fmt(s.time)
-        lines.extend(f"{t},{i},{_fmt(x)}" for i, x in enumerate(s.positions))
-    _write_lines(path, lines)
+    def snapshots():
+        yield ["t,i,x"]
+        for s in traj.states:
+            t = _fmt(s.time)
+            yield [f"{t},{i},{_fmt(x)}" for i, x in enumerate(s.positions)]
+
+    _write_blocks(path, snapshots())
 
 
 def write_density_csv(path: Path, times, profiles) -> None:
-    lines = ["t,x_left,x_right,rho"]
-    for t, p in zip(times, profiles):
-        ts = _fmt(t)
-        bp, vals = p.breakpoints, p.values
-        lines.extend(f"{ts},{_fmt(bp[k])},{_fmt(bp[k + 1])},{_fmt(v)}" for k, v in enumerate(vals))
-    _write_lines(path, lines)
+    def snapshots():
+        yield ["t,x_left,x_right,rho"]
+        for t, p in zip(times, profiles):
+            ts = _fmt(t)
+            bp, vals = p.breakpoints, p.values
+            yield [f"{ts},{_fmt(bp[k])},{_fmt(bp[k + 1])},{_fmt(v)}" for k, v in enumerate(vals)]
+
+    _write_blocks(path, snapshots())
 
 
 def write_metrics_csv(path: Path, rows) -> None:
-    lines = ["t,mass,tv,min_gap,w1_to_reference"]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_lines(path, lines)
+    _write_blocks(path, [["t,mass,tv,min_gap,w1_to_reference"] + [",".join(_fmt(v) for v in row) for row in rows]])
 
 
 def write_entropy_jsonl(path: Path, reports) -> None:
-    _write_lines(path, [json.dumps(r.json_record()) for r in reports])
+    _write_blocks(path, [[json.dumps(r.json_record()) for r in reports]])
 
 
 def _versions() -> dict:
@@ -470,8 +479,7 @@ def emit_method_run(run: MethodRun, out_root=None) -> Path:
     extra: dict = {"method": run.method}
     if run.trajectory is not None:
         write_trajectory_csv(d / "trajectory.csv", run.trajectory)
-        extra["settled"] = run.trajectory.settled
-        extra["min_gap_seen"] = float(run.trajectory.min_gap_seen)
+        extra.update(run.trajectory.diagnostics())
     if run.fv is not None:
         extra["steps"] = run.fv.steps
         extra["clamped_mass"] = float(run.fv.clamped_mass)
@@ -486,7 +494,7 @@ def emit_compare(result: CompareResult, out_root=None) -> Path:
     emit_method_run(result.godunov, out_root)
     root = Path(out_root if out_root is not None else result.particles.config.out_dir)
     d = root / result.particles.config.scenario / "compare"
-    _write_lines(d / "distances.csv", ["t,l1,w1"] + [",".join(_fmt(v) for v in row) for row in result.rows])
+    _write_blocks(d / "distances.csv", [["t,l1,w1"] + [",".join(_fmt(v) for v in row) for row in result.rows]])
     write_meta(d / "meta.json", result.particles.config, {"method": "compare"})
     return d
 
@@ -498,7 +506,7 @@ def emit_convergence(result: ConvergenceResult, out_root=None) -> Path:
     for k, n in enumerate(result.n_list):
         ratio = result.ratios[k] if k < len(result.ratios) else math.nan
         lines.append(f"{n},{_fmt(result.errors[k])},{_fmt(ratio)}")
-    _write_lines(d / "convergence.csv", lines)
+    _write_blocks(d / "convergence.csv", [lines])
     write_meta(d / "meta.json", result.config, {"method": "convergence", "n_ref": result.n_ref, "n_list": list(result.n_list)})
     return d
 

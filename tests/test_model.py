@@ -52,6 +52,18 @@ def test_mobility_strictly_decreasing_up_to_cap():
     assert mob(0.8 + 1e-12) == 0.0
 
 
+def test_mobility_d1_matches_finite_difference_and_vanishes_when_jammed():
+    mob = nl.Mobility(cap=0.8, v_max=2.5)
+    rho = np.linspace(0.01, 0.79, 40)
+    h = 1e-6
+    fd = (mob(rho + h) - mob(rho - h)) / (2.0 * h)
+    assert np.max(np.abs(mob.d1(rho) - fd)) < 1e-9
+    assert mob.d1(0.3) == -2.5 / 0.8
+    assert np.array_equal(mob.d1(np.array([0.8, 1.0, np.inf])), np.zeros(3))
+    with pytest.raises(ValueError):
+        mob.d1(-0.1)
+
+
 def test_flux_vanishes_at_ends_positive_inside():
     mob = nl.Mobility(cap=1.3, v_max=0.7)
     assert mob.flux(0.0) == 0.0
@@ -89,6 +101,10 @@ def test_kernel_value_and_d1_bitwise_equal_value_and_d1(ker):
     k, k1 = ker.value_and_d1(xs)
     assert k.tobytes() == ker.value(xs).tobytes()
     assert k1.tobytes() == ker.d1(xs).tobytes()
+    bufs = (np.full_like(xs, np.nan), np.full_like(xs, np.nan))
+    got = ker.value_and_d1(xs, out=bufs)
+    assert got[0] is bufs[0] and got[1] is bufs[1]
+    assert bufs[0].tobytes() == k.tobytes() and bufs[1].tobytes() == k1.tobytes()
     for x in xs:
         pair = ker.value_and_d1(float(x))
         assert type(pair[0]) is type(pair[1]) is float

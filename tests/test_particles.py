@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlftl as nl
-from nlftl.particles import _TILE, _velocities
+from nlftl import particles
+from nlftl.particles import _TILE, _jacobian, _pair_sums, _velocities
 
 MOB = nl.Mobility()
 KER = nl.Kernel()
@@ -34,19 +36,32 @@ def oracle_rhs(x, pm, kernel, mobility):
     return out
 
 
-def dense_rhs(x, pm, kernel, mobility):
+def dense_rhs(x, pm, kernel, mobility, rows=256):
     """The velocity law on the full (N+1)x(N+1) matrix of K'(x_i - x_j).
 
     Reference for the tiled production path: every pair is evaluated in
-    both orders and each side is a row-wise reduction of a triangle.
+    both orders and each side is a row-wise reduction of a triangle.  The
+    matrix is formed ``rows`` rows at a time so large N stays small in
+    memory; each row's reductions are the same either way.
     """
     gaps = np.diff(x)
     with np.errstate(divide="ignore"):
         dens = np.where(gaps > 0.0, pm / np.where(gaps > 0.0, gaps, 1.0), np.inf)
     speed = mobility(dens)
-    kp = kernel.d1(x[:, None] - x[None, :])
-    s_above = np.sum(np.triu(kp, 1), axis=1)
-    s_below = np.sum(np.tril(kp, -1), axis=1)
+    n = x.size
+    s_above = np.empty(n)
+    s_below = np.empty(n)
+    for lo in range(0, n, rows):
+        kp = kernel.d1(x[lo : lo + rows, None] - x[None, :])
+        s_above[lo : lo + rows] = np.sum(np.triu(kp, lo + 1), axis=1)
+        s_below[lo : lo + rows] = np.sum(np.tril(kp, lo - 1), axis=1)
+    return -pm * (np.append(speed, 0.0) * s_above + np.concatenate(([0.0], speed)) * s_below)
+
+
+def frozen_sum_rhs(x, pm, sums, mobility):
+    """The velocity law with the one-sided pair sums held at ``sums``."""
+    s_above, s_below = sums
+    speed = mobility(pm / np.diff(x))
     return -pm * (np.append(speed, 0.0) * s_above + np.concatenate(([0.0], speed)) * s_below)
 
 
@@ -147,8 +162,10 @@ def test_rhs_endpoint_velocities_shrink_support(seed):
     assert v[-1] <= 0.0
 
 
-# cell counts putting N+1 particles on both sides of one and two strip edges
-TILE_COUNTS = (1, 2, _TILE - 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 2 * _TILE + 1, 1000)
+# cell counts putting N+1 particles on both sides of one and two strip edges;
+# strips are _TILE rows up to N+1 = 512, shrink from 63 rows at N+1 = 513,
+# and stop at 8 rows from N+1 = 4096
+TILE_COUNTS = (1, 2, _TILE - 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 2 * _TILE + 1, 510, 511, 512, 513, 1000, 4100)
 
 
 @pytest.mark.parametrize("n", TILE_COUNTS)
@@ -198,7 +215,35 @@ def test_rhs_memory_stays_bounded_at_ten_thousand_cells():
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(v))
-    assert peak < 32e6
+    assert peak < 8e6  # 8-row strips: about 2.8 MB; 64-row strips took 21 MB
+
+
+@pytest.mark.parametrize("n", (40, _TILE + 1))
+def test_jacobian_matches_finite_differences_with_pair_sums_fixed(n):
+    s = compact_state(np.random.default_rng(n), n)
+    x = s.positions.copy()
+    floor = s.gap_floor
+    x[n // 2 + 1 :] -= x[n // 2 + 1] - x[n // 2] - 0.5 * floor  # one jammed cell: v = v' = 0
+    pm = s.particle_mass
+    sums = _pair_sums(x, KER)
+    jac = _jacobian(x, pm, KER, MOB)
+    assert scipy.sparse.issparse(jac) and jac.nnz <= 3 * x.size - 2
+    got = jac.toarray()
+    assert np.array_equal(got, np.triu(np.tril(got, 1), -1))
+    assert got[n // 2, n // 2 + 1] == 0.0 and got[n // 2 + 1, n // 2] == 0.0
+    h = 1e-5 * floor  # truncation and rounding errors balance near here
+    want = np.empty_like(got)
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        want[:, j] = (frozen_sum_rhs(x + e, pm, sums, MOB) - frozen_sum_rhs(x - e, pm, sums, MOB)) / (2.0 * h)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-8
+
+
+def test_pair_sums_are_the_sums_the_rhs_uses():
+    s = compact_state(np.random.default_rng(2), 3 * _TILE + 5)
+    sums = _pair_sums(s.positions, KER)
+    assert np.array_equal(frozen_sum_rhs(s.positions, s.particle_mass, sums, MOB), nl.rhs(s, KER, MOB))
 
 
 def test_state_rejects_coincident_particles():
@@ -256,6 +301,42 @@ def test_integrate_support_shrinks_monotonically():
     right = np.array([st.positions[-1] for st in traj.states])
     assert np.all(np.diff(left) >= 0.0)
     assert np.all(np.diff(right) <= 0.0)
+
+
+@pytest.fixture(scope="module")
+def settled_run():
+    """The settle run at N=300 and the number of right-hand sides it evaluated."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _velocities(*args)
+
+    cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "t_end": 200.0})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(particles, "_velocities", counted)
+        traj = nl.run_particles(cfg, settle_tol=1e-6).trajectory
+    return traj, len(calls)
+
+
+def test_settle_run_never_dips_below_the_gap_floor(settled_run):
+    # no eps_gap slack: the maximum principle holds on every accepted step
+    traj, _ = settled_run
+    assert traj.settled
+    assert traj.min_gap_seen >= traj.states[0].gap_floor
+    assert traj.min_gap_ratio >= 1.0
+
+
+def test_settle_run_work_stays_implicit(settled_run):
+    # an explicit method needs about 4,900 evaluations on this run, and a
+    # finite-difference Jacobian N+1 per Jacobian, which the counters omit
+    traj, calls = settled_run
+    assert traj.integrator == "BDF"
+    assert traj.rhs_evals < 1000
+    assert calls == traj.rhs_evals + traj.settle_checks
+    assert traj.settle_checks == traj.steps > 0
+    assert 0 < traj.lu_decompositions and 0 < traj.jac_evals
+    assert 0.0 < traj.min_step <= traj.final.time / traj.steps
 
 
 def test_integrate_preserves_even_symmetry():

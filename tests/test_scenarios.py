@@ -148,6 +148,11 @@ def test_particle_emission_layout(tmp_path):
     assert {"nlftl", "numpy", "scipy", "python"} <= set(meta["versions"])
     assert meta["method"] == "particles"
     assert math.isfinite(meta["min_gap_seen"])
+    traj = run.trajectory
+    for key in ("integrator", "settled", "steps", "min_step", "rhs_evals", "jac_evals", "lu_decompositions",
+                "settle_checks", "min_gap_seen", "min_gap_ratio"):
+        assert meta[key] == getattr(traj, key), key
+    assert meta["integrator"] == "BDF" and meta["settle_checks"] == 0 and meta["steps"] > 0
 
 
 def test_godunov_emission_layout(tmp_path):
