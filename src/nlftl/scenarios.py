@@ -482,6 +482,10 @@ def emit_method_run(run: MethodRun, out_root=None) -> Path:
         extra.update(run.trajectory.diagnostics())
     if run.fv is not None:
         extra["steps"] = run.fv.steps
+        extra["min_dt"] = run.fv.min_dt
+        extra["max_dt"] = run.fv.max_dt
+        extra["cfl_limited_steps"] = run.fv.cfl_limited_steps
+        extra["output_limited_steps"] = run.fv.output_limited_steps
         extra["clamped_mass"] = float(run.fv.clamped_mass)
         extra["clamp_warnings"] = run.fv.clamp_warnings
         extra["mass_drift"] = float(run.fv.masses[-1] - run.fv.masses[0])

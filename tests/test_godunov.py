@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,20 @@ def oracle_fields(grid, rho, kernel):
             else:
                 kminus[i] += w
     return kplus, kminus
+
+
+def direct_fields(rho, grid, kernel):
+    """(K+, K-) by two O(J^2) np.convolve calls with the half-offset K' table.
+
+    The reference for the FFT path of :func:`compute_fields`: the same
+    midpoint sums in a fixed order, exactly 0 wherever one side holds no mass.
+    """
+    table = kernel.d1((np.arange(grid.cells) + 0.5) * grid.dx)
+    cells, dx = grid.cells, grid.dx
+    zero = np.zeros(1)
+    left = np.convolve(rho, table)[:cells]  # left[i-1] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m
+    right = np.convolve(rho[::-1], table)[cells - 1 :: -1]  # right[i] = sum_{m>=i} K'((m-i+1/2) dx) rho_m
+    return np.concatenate((zero, dx * left)), np.concatenate((-dx * right, zero))
 
 
 def oracle_godunov_flux(u_left, u_right, mob):
@@ -120,8 +135,11 @@ def test_fields_single_charged_cell():
         else:
             assert kminus[i] == pytest.approx(expect, abs=1e-16)
             assert kplus[i] == 0.0
-    # the cell pulls on its two faces with equal and opposite strength
-    assert kplus[3] == -kminus[2]
+    # the cell pulls on its two faces with equal and opposite strength: exactly
+    # in the direct sums, to rounding through the FFT
+    dplus, dminus = direct_fields(vals, grid, KER)
+    assert dplus[3] == -dminus[2]
+    assert kplus[3] == pytest.approx(-kminus[2], rel=1e-15)
     assert kplus[3] == pytest.approx(KER.d1(0.5 * grid.dx) * 0.8 * grid.dx, rel=1e-14)
 
 
@@ -145,21 +163,103 @@ def test_fields_match_oracle_loops():
     op, om = oracle_fields(grid, vals, KER)
     assert kplus == pytest.approx(op, abs=1e-15)
     assert kminus == pytest.approx(om, abs=1e-15)
+    dplus, dminus = direct_fields(vals, grid, KER)
+    assert dplus == pytest.approx(op, abs=1e-15)
+    assert dminus == pytest.approx(om, abs=1e-15)
+
+
+def assert_fields_match_direct(rho, grid):
+    """FFT fields against :func:`direct_fields`: tolerance, exact zeros, signs, mirror symmetry.
+
+    Both paths round: the direct sums by up to about 1e-15 max|K| against
+    long-double sums, the FFT convolution by an error that grows like
+    eps log2(n) in its length n.  Their difference is held to that FFT bound,
+    plus n times the smallest subnormal for what underflow loses on densities
+    near it.
+    """
+    kplus, kminus = compute_fields(rho, grid, KER)
+    dplus, dminus = direct_fields(rho, grid, KER)
+    size = godunov._d1_spectrum(grid, KER)[0]
+    scale = max(np.max(np.abs(dplus)), np.max(np.abs(dminus)))
+    tol = np.finfo(float).eps * np.log2(size) * scale + size * np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(kplus - dplus)) <= tol
+    assert np.max(np.abs(kminus - dminus)) <= tol
+    charged = np.flatnonzero(rho)
+    first, last = (charged[0], charged[-1]) if charged.size else (grid.cells, -1)
+    assert np.all(kplus[: first + 1] == 0.0)  # no mass left of these interfaces
+    assert np.all(kminus[last + 1 :] == 0.0)  # no mass right of these
+    assert np.all(kplus >= 0.0)
+    assert np.all(kminus <= 0.0)
+    mplus, mminus = compute_fields(rho[::-1], grid, KER)
+    assert np.array_equal(mplus, -kminus[::-1])
+    assert np.array_equal(mminus, -kplus[::-1])
+
+
+@st.composite
+def block_profiles(draw):
+    """A grid on [-L, L], L <= 20, J <= 2400, and up to 8 blocks of vacuum, cap or values between."""
+    cells = draw(st.integers(min_value=2, max_value=2400))
+    half = draw(st.floats(min_value=0.5, max_value=20.0))
+    value = st.one_of(st.just(0.0), st.just(MOB.cap), st.floats(min_value=0.0, max_value=MOB.cap))
+    blocks = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=10), value), min_size=1, max_size=8))
+    ends = np.cumsum([0] + [w for w, _ in blocks])
+    counts = np.diff(np.round(ends * cells / ends[-1]).astype(int))
+    return nl.Grid(-half, half, cells), np.repeat([v for _, v in blocks], counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_profiles())
+def test_fields_fft_matches_direct_sums(case):
+    grid, rho = case
+    assert_fields_match_direct(rho, grid)
+
+
+def test_fields_fft_matches_direct_sums_on_a_fine_wide_grid():
+    # two blocks with a vacuum gap at J=9600 on [-20, 20]: without the sign
+    # clamp the FFT gives hundreds of K+ < 0 and K- > 0 entries here
+    grid = nl.Grid(-20.0, 20.0, 9600)
+    x = grid.centers
+    rho = np.where((x > -6.0) & (x < -1.0), 0.6, 0.0) + np.where((x > 2.0) & (x < 4.0), MOB.cap, 0.0)
+    assert_fields_match_direct(rho, grid)
 
 
 def test_fields_share_one_read_only_table():
     grid = nl.Grid(-1.75, 2.25, 37)  # a grid no other test uses
-    before = godunov._half_offset_d1.cache_info()
+    before = godunov._d1_spectrum.cache_info()
     vals = np.linspace(0.0, 1.0, 37)
     first, second = fields_of(grid, vals), fields_of(grid, vals[::-1])
-    after = godunov._half_offset_d1.cache_info()
+    after = godunov._d1_spectrum.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
     assert np.array_equal(first[0], -second[1][::-1])  # mirrored data, mirrored fields
-    table = godunov._half_offset_d1(grid, KER)
-    assert table is godunov._half_offset_d1(grid, KER)
-    assert np.array_equal(table, KER.d1((np.arange(37) + 0.5) * grid.dx))
+    size, spectrum = godunov._d1_spectrum(grid, KER)
+    assert spectrum is godunov._d1_spectrum(grid, KER)[1]
+    assert size == scipy.fft.next_fast_len(2 * 37, real=True) >= 2 * 37 - 1
+    table = grid.dx * KER.d1((np.arange(37) + 0.5) * grid.dx)
+    assert np.array_equal(spectrum, scipy.fft.rfft(table, n=size))
     with pytest.raises(ValueError):
-        table[0] = 0.0
+        spectrum[0] = 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, MOB.cap, MOB.cap + 1e-10]), st.floats(min_value=0.0, max_value=MOB.cap + 1e-10)),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_interface_flux_equals_per_interface_godunov_fluxes(cells):
+    # one flux evaluation on the padded array gives bitwise the fluxes of the
+    # public Riemann solver, interface by interface
+    vals = np.array(cells)
+    grid = nl.Grid(-1.0, 1.0, vals.size)
+    kplus, kminus = fields_of(grid, vals)
+    ext = np.concatenate(([0.0], vals, [0.0]))
+    want = [
+        kplus[i] * nl.godunov_flux(ext[i + 1], ext[i], MOB) + kminus[i] * nl.godunov_flux(ext[i], ext[i + 1], MOB)
+        for i in range(vals.size + 1)
+    ]
+    assert np.array_equal(interface_flux(vals, (kplus, kminus), MOB), want)
 
 
 def test_source_zero_at_vacuum_and_cap():
@@ -294,6 +394,10 @@ def test_run_time_axis_and_mass_bookkeeping():
     assert len(run.masses) == len(run.states)
     assert run.clamped_mass == 0.0
     assert run.clamp_warnings == 0
+    # each output time is reached by exactly one shortened step; the rest are CFL-limited
+    assert run.output_limited_steps == 2
+    assert run.cfl_limited_steps == run.steps - 2 > 0
+    assert 0.0 < run.min_dt <= run.max_dt <= 0.1
 
 
 def test_run_mass_drift_shrinks_linearly_with_refinement():

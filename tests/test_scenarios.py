@@ -168,6 +168,9 @@ def test_godunov_emission_layout(tmp_path):
     meta = json.loads((d / "meta.json").read_text())
     assert meta["method"] == "godunov"
     assert meta["steps"] == run.fv.steps > 0
+    for key in ("min_dt", "max_dt", "cfl_limited_steps", "output_limited_steps"):
+        assert meta[key] == getattr(run.fv, key), key
+    assert meta["cfl_limited_steps"] + meta["output_limited_steps"] == meta["steps"]
     assert meta["clamped_mass"] == 0.0
     assert meta["clamp_warnings"] == 0
     assert meta["mass_drift"] == pytest.approx(run.fv.masses[-1] - run.fv.masses[0], abs=0.0)
