@@ -20,6 +20,7 @@ from .scenarios import (
     emit_convergence,
     emit_entropy,
     emit_method_run,
+    min_margins,
     run_compare,
     run_convergence,
     run_entropy_audit,
@@ -140,9 +141,8 @@ def _cmd_entropy_audit(args) -> int:
         print(
             f"  VIOLATION c={r.c:g} residual={r.residual:.6g} est_error={r.est_error:.3g} guard={r.guard:.3g} phi={r.phi}"
         )
-    # a report is flagged when residual + guard < 0
-    tight = min(reports, key=lambda r: r.residual + r.guard)
-    print(f"  smallest margin residual+guard={tight.residual + tight.guard:.6g} at c={tight.c:g} phi={tight.phi}")
+    phi, tight = min(min_margins(reports).items(), key=lambda item: item[1]["margin"])
+    print(f"  smallest margin residual+guard={tight['margin']:.6g} at c={tight['c']:g} phi={phi}")
     return 0
 
 

@@ -99,20 +99,20 @@ class Kernel:
         if not (self.inv_width > 0.0 and math.isfinite(self.inv_width)):
             raise ValueError("inv_width must be positive and finite")
 
-    def _gauss(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def gauss(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """exp(-B x^2) in one array (fresh unless ``out`` is given), also for 0-d input."""
         e = np.multiply(-self.inv_width, arr, out=np.empty_like(arr) if out is None else out)
         e *= arr
         return np.exp(e, out=e)
 
     def value(self, x):
-        out = -self.amplitude * self._gauss(np.asarray(x, dtype=float))
+        out = -self.amplitude * self.gauss(np.asarray(x, dtype=float))
         return _same_kind(out, x)
 
     def d1(self, x):
         """K'(x) = 2AB x exp(-B x^2); odd, positive for x > 0."""
         arr = np.asarray(x, dtype=float)
-        out = (2.0 * self.amplitude * self.inv_width) * arr * self._gauss(arr)
+        out = (2.0 * self.amplitude * self.inv_width) * arr * self.gauss(arr)
         return _same_kind(out, x)
 
     def value_and_d1(self, x, out=None):
@@ -123,7 +123,7 @@ class Kernel:
         """
         arr = np.asarray(x, dtype=float)
         k, k1 = (None, None) if out is None else out
-        g = self._gauss(arr, k)
+        g = self.gauss(arr, k)
         d1 = np.multiply(2.0 * self.amplitude * self.inv_width, arr, out=k1)
         d1 *= g
         g *= -self.amplitude
@@ -132,7 +132,7 @@ class Kernel:
     def d2(self, x):
         """K''(x) = 2AB (1 - 2B x^2) exp(-B x^2)."""
         arr = np.asarray(x, dtype=float)
-        out = (2.0 * self.amplitude * self.inv_width) * (1.0 - 2.0 * self.inv_width * arr * arr) * self._gauss(arr)
+        out = (2.0 * self.amplitude * self.inv_width) * (1.0 - 2.0 * self.inv_width * arr * arr) * self.gauss(arr)
         return _same_kind(out, x)
 
     def lipschitz_bound(self, interval: tuple[float, float]) -> float:

@@ -70,26 +70,29 @@ class DensityProfile:
         out = np.interp(arr, self.breakpoints, self._cum)
         return float(out) if np.ndim(x) == 0 else out
 
-    def quantile(self, target: float) -> float:
+    def quantile(self, target):
         """Rightmost point whose cumulative mass does not exceed ``target``.
 
         When the CDF hits ``target`` exactly at the start of a vacuum plateau
         the returned point is the right end of the plateau, so consecutive
         quantiles step across interior vacuum gaps instead of piling up on
         their left edge.  target = 0 and target = mass return the support
-        endpoints.
+        endpoints.  Accepts a scalar (returns a float) or an array of targets.
         """
-        t = float(target)
-        if not 0.0 <= t <= self.mass:
-            raise ValueError(f"target {t} outside [0, {self.mass}]")
+        t = np.asarray(target, dtype=float)
+        inside = (t >= 0.0) & (t <= self.mass)
+        if not np.all(inside):
+            raise ValueError(f"target {float(t[~inside][0])} outside [0, {self.mass}]")
         cum, bp = self._cum, self.breakpoints
-        if t >= self.mass:
-            # right edge of the last charged cell, not of trailing vacuum
-            return float(bp[np.searchsorted(cum, self.mass, side="left")])
-        k = int(np.searchsorted(cum, t, side="right")) - 1
-        if cum[k] == t:
-            return float(bp[k])
-        return float(bp[k] + (t - cum[k]) / self.values[k])
+        top = t >= self.mass
+        k = np.minimum(np.searchsorted(cum, t, side="right") - 1, self.values.size - 1)
+        hit = cum[k] == t
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where hit or top selects another branch
+            inner = bp[k] + (t - cum[k]) / self.values[k]
+        # right edge of the last charged cell, not of trailing vacuum
+        last = bp[np.searchsorted(cum, self.mass, side="left")]
+        out = np.where(top, last, np.where(hit, bp[k], inner))
+        return float(out) if np.ndim(target) == 0 else out
 
 
 @dataclass(frozen=True)

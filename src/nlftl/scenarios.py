@@ -515,9 +515,24 @@ def emit_convergence(result: ConvergenceResult, out_root=None) -> Path:
     return d
 
 
+def min_margins(reports) -> dict:
+    """Per test function, the smallest margin residual + guard and its constant.
+
+    A report is flagged when its margin is negative.  Maps each ``phi`` label
+    to ``{"c": ..., "margin": ...}``; ties keep the first report.
+    """
+    margins: dict = {}
+    for r in reports:
+        margin = r.residual + r.guard
+        if r.phi not in margins or margin < margins[r.phi]["margin"]:
+            margins[r.phi] = {"c": r.c, "margin": margin}
+    return margins
+
+
 def emit_entropy(config: ScenarioConfig, reports, method_label: str, out_root=None) -> Path:
     root = Path(out_root if out_root is not None else config.out_dir)
     d = root / config.scenario / method_label
     write_entropy_jsonl(d / "entropy.jsonl", reports)
-    write_meta(d / "meta.json", config, {"method": method_label, "flags": sum(1 for r in reports if r.violation)})
+    extra = {"method": method_label, "flags": sum(1 for r in reports if r.violation), "min_margin": min_margins(reports)}
+    write_meta(d / "meta.json", config, extra)
     return d

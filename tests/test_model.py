@@ -195,6 +195,19 @@ def test_quantile_rejects_out_of_range_targets():
         prof.quantile(1.1)
 
 
+def test_quantile_of_an_array_is_the_quantile_of_each_target():
+    prof = nl.step_profile([(-1.0, -0.5, 1.0), (0.0, 0.25, 0.4), (0.5, 1.0, 1.0)])
+    targets = np.array([[0.0, 0.2, 0.5], [0.55, 0.6, prof.mass]])  # ends, exact plateau hits, interior points
+    got = prof.quantile(targets)
+    assert got.shape == targets.shape
+    assert np.array_equal(got, [[prof.quantile(float(t)) for t in row] for row in targets])
+    assert got[0, 2] == 0.0 and got[1, 1] == 0.5 and got[1, 2] == 1.0
+    assert isinstance(prof.quantile(0.2), float)
+    for bad in ([0.1, -0.1], [0.1, prof.mass + 0.1], [np.nan]):
+        with pytest.raises(ValueError):
+            prof.quantile(np.array(bad))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_quantile_inverts_cdf_on_charged_cells(data):

@@ -1,5 +1,6 @@
 """Particle scheme: quantile init, velocity law, integration invariants."""
 
+import math
 import time
 import tracemalloc
 
@@ -11,7 +12,16 @@ from hypothesis import strategies as st
 
 import nlftl as nl
 from nlftl import particles
-from nlftl.particles import _TILE, _jacobian, _pair_sums, _velocities
+from nlftl.particles import (
+    _EXPANSION_MAX_TERMS,
+    _EXPANSION_MIN_N,
+    _TILE,
+    _jacobian,
+    _pair_sum_terms,
+    _pair_sums,
+    _tiled_pair_sums,
+    _velocities,
+)
 
 MOB = nl.Mobility()
 KER = nl.Kernel()
@@ -56,6 +66,18 @@ def dense_rhs(x, pm, kernel, mobility, rows=256):
         s_above[lo : lo + rows] = np.sum(np.triu(kp, lo + 1), axis=1)
         s_below[lo : lo + rows] = np.sum(np.tril(kp, lo - 1), axis=1)
     return -pm * (np.append(speed, 0.0) * s_above + np.concatenate(([0.0], speed)) * s_below)
+
+
+def direct_pair_sums(x, kernel, rows):
+    """Both one-sided sums at particles ``rows``, each a numpy sum of its own row of K'.
+
+    Reference for the expansion at large N, where the dense matrix is too
+    slow: numpy's pairwise summation keeps each row's rounding near
+    eps * log2(N).
+    """
+    above = np.array([np.sum(kernel.d1(x[i] - x[i + 1 :])) for i in rows])
+    below = np.array([np.sum(kernel.d1(x[i] - x[:i])) for i in rows])
+    return above, below
 
 
 def frozen_sum_rhs(x, pm, sums, mobility):
@@ -106,6 +128,30 @@ def test_init_cells_carry_equal_mass():
     assert np.max(np.abs(cell_masses - pm)) < 1e-12
     assert s.positions[0] == prof.support()[0]
     assert s.positions[-1] == prof.support()[1]
+
+
+def loop_quantile(profile, t):
+    """One quantile the way the per-particle initialisation loop computed it."""
+    cum, bp = profile._cum, profile.breakpoints
+    if t >= profile.mass:
+        return float(bp[np.searchsorted(cum, profile.mass, side="left")])
+    k = int(np.searchsorted(cum, t, side="right")) - 1
+    if cum[k] == t:
+        return float(bp[k])
+    return float(bp[k] + (t - cum[k]) / profile.values[k])
+
+
+@pytest.mark.parametrize("n", (1, 2, 300, 2400))
+@pytest.mark.parametrize("name", nl.builtin_names())
+def test_init_positions_equal_the_scalar_quantile_loop(name, n):
+    prof = nl.build_profile(nl.builtin_scenario(name))
+    s = nl.init_particles(prof, n, MOB)
+    left, right = prof.support()
+    pm = prof.mass / n
+    want = [left] + [loop_quantile(prof, i * pm) for i in range(1, n)] + [right]
+    assert np.array_equal(s.positions, want)
+    if name in ("two-step-11", "stationary-weak") and n % 2 == 0:
+        assert 0.5 in s.positions  # half the mass sits left of the gap: its particle is on the gap's right end
 
 
 def test_init_rejects_degenerate_inputs():
@@ -216,6 +262,104 @@ def test_rhs_memory_stays_bounded_at_ten_thousand_cells():
         tracemalloc.stop()
     assert np.all(np.isfinite(v))
     assert peak < 8e6  # 8-row strips: about 2.8 MB; 64-row strips took 21 MB
+
+
+@pytest.mark.parametrize("n", [n for n in TILE_COUNTS if n >= _EXPANSION_MIN_N])
+def test_tiled_sums_match_dense_reference_across_tiles(n):
+    # above the crossover _pair_sums runs the strips only past the term cap,
+    # so the strips' tile edges at these counts are checked here directly
+    rng = np.random.default_rng(n)
+    s = compact_state(rng, n)
+    got = frozen_sum_rhs(s.positions, s.particle_mass, _tiled_pair_sums(s.positions, KER), MOB)
+    want = dense_rhs(s.positions, s.particle_mass, KER, MOB)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-14
+
+
+# -------------------------------------------------------- pair-sum expansion
+
+EXPANSION_COUNTS = (_EXPANSION_MIN_N - 1, _EXPANSION_MIN_N, _EXPANSION_MIN_N + 1, 2400, 10_000, 19_200, 40_000)
+
+
+def expansion_inputs(n):
+    """Particles of the three builtins the expansion is graded on, and a compact random state."""
+    for name in ("single-step", "two-step-11", "stationary-weak"):
+        yield name, nl.init_particles(nl.build_profile(nl.builtin_scenario(name)), n, MOB).positions
+    yield "compact", compact_state(np.random.default_rng(n), n).positions
+
+
+@pytest.mark.parametrize("n", EXPANSION_COUNTS)
+def test_expanded_sums_match_direct_row_sums(n):
+    # every row up to N = 2400, beyond that 1025 rows plus both ends, where one
+    # unblocked running sum over all particles drifts furthest (it reached
+    # 1.2e-14 at N = 40,000; the blocked sums stay near 2e-15)
+    rows = np.arange(n + 1) if n <= 2400 else np.unique(np.r_[0:16, np.linspace(0, n, 1025).astype(int), n - 15 : n + 1])
+    for name, x in expansion_inputs(n):
+        assert (_pair_sum_terms(x, KER) > 0) == (n >= _EXPANSION_MIN_N), name
+        for got, want in zip(_pair_sums(x, KER), direct_pair_sums(x, KER, rows)):
+            assert np.max(np.abs(got[rows] - want)) / np.max(np.abs(want)) <= 1e-14, name
+
+
+def test_expansion_order_is_the_smallest_with_a_small_first_omitted_term():
+    n = _EXPANSION_MIN_N
+    seen = set()
+    for half in np.linspace(0.05, 3.0, 60):
+        x = np.linspace(-half, half, n + 1)
+        r = 2.0 * KER.inv_width * half * half
+        p = next(k for k in range(1, 200) if r**k / math.factorial(k) <= 2.0**-56)
+        assert _pair_sum_terms(x, KER) == (p if p <= _EXPANSION_MAX_TERMS else 0)
+        seen.add(p <= _EXPANSION_MAX_TERMS)
+    assert seen == {True, False}
+    assert _pair_sum_terms(np.linspace(-1.0, 1.0, n), KER) == 0  # n - 1 cells: below the crossover
+
+
+@pytest.mark.parametrize(
+    "x, kernel",
+    [
+        (np.linspace(-1.0, 1.0, 2401), nl.Kernel(inv_width=50.0)),  # narrow kernel, R = 100
+        (np.linspace(-2.5, 2.5, 2401), KER),  # wide span, R = 6.25
+    ],
+    ids=["narrow-kernel", "wide-span"],
+)
+def test_states_above_the_term_cap_take_the_strips_bitwise(x, kernel):
+    assert _pair_sum_terms(x, kernel) == 0
+    got = _pair_sums(x, kernel)
+    want = _tiled_pair_sums(x, kernel)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_expanded_sums_repeat_bitwise():
+    x = compact_state(np.random.default_rng(17), 40_000).positions
+    first = _pair_sums(x, KER)
+    assert _pair_sum_terms(x, KER) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(first, _pair_sums(x, KER)))
+    assert all(np.array_equal(a, b) for a, b in zip(first, _pair_sums(x.copy(), KER)))
+
+
+def test_expanded_sums_have_the_signs_of_one_sided_sums():
+    # K' > 0 on (0, inf): every pair to the right pulls right, to the left pulls left
+    rng = np.random.default_rng(23)
+    for n in (*rng.integers(_EXPANSION_MIN_N, 3 * _EXPANSION_MIN_N, size=17), 2400, 10_000, 40_000):
+        s = compact_state(rng, int(n))
+        s_above, s_below = _pair_sums(s.positions, KER)
+        assert _pair_sum_terms(s.positions, KER) > 0
+        assert s_above[-1] == 0.0 and s_below[0] == 0.0
+        assert np.all(s_above[:-1] < 0.0) and np.all(s_below[1:] > 0.0)
+        v = nl.rhs(s, KER, MOB)
+        assert v[0] >= 0.0
+        assert v[-1] <= 0.0
+
+
+def test_expanded_rhs_memory_stays_bounded_at_forty_thousand_cells():
+    s = compact_state(np.random.default_rng(29), 40_000)
+    assert _pair_sum_terms(s.positions, KER) > 0
+    tracemalloc.start()
+    try:
+        v = _velocities(s.positions, s.particle_mass, KER, MOB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(v))
+    assert peak < 8e6  # about 3.4 MB: a few arrays of N entries and three blocks of 2^15
 
 
 @pytest.mark.parametrize("n", (40, _TILE + 1))
@@ -337,6 +481,13 @@ def test_settle_run_work_stays_implicit(settled_run):
     assert traj.settle_checks == traj.steps > 0
     assert 0 < traj.lu_decompositions and 0 < traj.jac_evals
     assert 0.0 < traj.min_step <= traj.final.time / traj.steps
+
+
+def test_settle_run_records_the_expansion_order(settled_run):
+    # single-step spans [-1, 1]: R = 2B h^2 = 1 needs 19 terms at N = 300
+    traj, _ = settled_run
+    assert traj.pair_sum_terms == _pair_sum_terms(traj.states[0].positions, KER) == 19
+    assert traj.diagnostics()["pair_sum_terms"] == 19
 
 
 def test_integrate_preserves_even_symmetry():

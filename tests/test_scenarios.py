@@ -6,6 +6,7 @@ import json
 import math
 import runpy
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from nlftl.scenarios import (
     emit_convergence,
     emit_entropy,
     emit_method_run,
+    min_margins,
     run_compare,
     run_convergence,
     run_entropy_audit,
@@ -150,9 +152,10 @@ def test_particle_emission_layout(tmp_path):
     assert math.isfinite(meta["min_gap_seen"])
     traj = run.trajectory
     for key in ("integrator", "settled", "steps", "min_step", "rhs_evals", "jac_evals", "lu_decompositions",
-                "settle_checks", "min_gap_seen", "min_gap_ratio"):
+                "settle_checks", "pair_sum_terms", "min_gap_seen", "min_gap_ratio"):
         assert meta[key] == getattr(traj, key), key
     assert meta["integrator"] == "BDF" and meta["settle_checks"] == 0 and meta["steps"] > 0
+    assert meta["pair_sum_terms"] == 0  # 12 cells: below the crossover, pair by pair
 
 
 def test_godunov_emission_layout(tmp_path):
@@ -237,6 +240,18 @@ def test_convergence_grades_against_particle_run_at_four_times_max_n():
         assert abs(err - l1_distance(final(n), reference)) <= 1e-15
 
 
+def test_convergence_at_large_n_decays_at_first_order():
+    # the reference runs at N_ref = 19,200: pair by pair this sweep takes
+    # minutes, with the expansion of the pair sums a few seconds
+    t0 = time.perf_counter()
+    result = run_convergence(builtin_scenario("single-step"), (600, 1200, 2400, 4800))
+    elapsed = time.perf_counter() - t0
+    assert result.n_ref == 19_200
+    assert all(a > b for a, b in zip(result.errors, result.errors[1:]))
+    assert all(r >= 1.2 for r in result.ratios)
+    assert elapsed <= 120.0
+
+
 def test_convergence_validation():
     cfg = small_config()
     with pytest.raises(ConfigError, match="strictly increasing"):
@@ -260,6 +275,21 @@ def test_entropy_audit_emission(tmp_path):
     meta = json.loads((d / "meta.json").read_text())
     assert meta["method"] == "particles-frozen"
     assert meta["flags"] == sum(1 for r in reports if r.violation)
+    tight = min(reports, key=lambda r: r.residual + r.guard)
+    assert meta["min_margin"] == {tight.phi: {"c": tight.c, "margin": tight.residual + tight.guard}}
+
+
+def test_min_margins_per_test_function():
+    cfg = builtin_scenario("stationary-weak")
+    phis = (bump_pair(1.0), bump_pair(2.0))
+    reports = run_entropy_audit(cfg, c_list=(0.0, 0.5, 1.0), phi_specs=phis, frozen=True, n_space=32)
+    margins = min_margins(reports)
+    assert list(margins) == [r.phi for r in reports[::3]] and len(margins) == 2
+    for phi, entry in margins.items():
+        own = [r for r in reports if r.phi == phi]
+        tight = min(own, key=lambda r: r.residual + r.guard)
+        assert entry == {"c": tight.c, "margin": tight.residual + tight.guard}
+        assert (entry["margin"] < 0.0) == any(r.violation for r in own)
 
 
 # --- command line -----------------------------------------------------------
@@ -340,6 +370,9 @@ def test_cli_entropy_audit_explains_flags(tmp_path, capsys):
     assert f"est_error={flagged[0]['est_error']:.3g} guard={flagged[0]['guard']:.3g}" in violation
     margin = min(r["residual"] + r["guard"] for r in records)
     assert lines[-1].startswith(f"  smallest margin residual+guard={margin:.6g} at c=0.5 ")
+    meta = json.loads((path.parent / "meta.json").read_text())
+    ((phi, entry),) = meta["min_margin"].items()
+    assert lines[-1] == f"  smallest margin residual+guard={entry['margin']:.6g} at c={entry['c']:g} phi={phi}"
 
 
 def test_cli_rerun_is_byte_identical(tmp_path, capsys):
