@@ -11,7 +11,7 @@ from .entropy import (
     single_bump,
 )
 from .errors import ConfigError, InvariantViolation
-from .godunov import FVState, GodunovRun, Grid, cell_averages, gd_run, gd_step, godunov_flux, state_profile
+from .godunov import FVState, GodunovRun, Grid, cell_averages, gd_run, gd_step, state_profile
 from .metrics import l1_distance, total_variation, wasserstein1
 from .model import GAUSSIAN_AMPLITUDE, Kernel, Mobility
 from .particles import (

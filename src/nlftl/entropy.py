@@ -36,6 +36,7 @@ from .profiles import DensityProfile
 _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 _BLOCK = 2**15  # kernel evaluations per block of the jump sums
+_GUARD_FLOOR = 1e-6  # smallest guard band below zero before a residual is flagged
 
 
 @dataclass(frozen=True)
@@ -148,17 +149,19 @@ class TestFunction:
         return -6.0 * s * (1.0 - s)
 
 
-def bump_pair(horizon: float, centers: tuple[float, float] = (-0.5, 0.5), width: float = 0.5) -> TestFunction:
-    """Two mollifier bumps, one per interior jump of the split-jam profile."""
-    bumps = tuple(SpatialBump("mollifier", c, width) for c in sorted(centers))
-    return TestFunction(bumps, horizon, f"mollifier-pair:c={centers[0]:g},{centers[1]:g};w={width:g};T={horizon:g}")
+def bump_pair(horizon: float) -> TestFunction:
+    """Two mollifier bumps of width 0.5 at -0.5 and 0.5, one per interior jump
+    of the split-jam profile."""
+    bumps = (SpatialBump("mollifier", -0.5, 0.5), SpatialBump("mollifier", 0.5, 0.5))
+    return TestFunction(bumps, horizon, f"mollifier-pair:c=-0.5,0.5;w=0.5;T={horizon:g}")
 
 
-def single_bump(horizon: float, center: float = 0.0, width: float = 1.0, kind: str = "cos2") -> TestFunction:
+def single_bump(horizon: float, center: float = 0.0, width: float = 1.0) -> TestFunction:
+    """One cosine-squared bump."""
     return TestFunction(
-        (SpatialBump(kind, center, width),),
+        (SpatialBump("cos2", center, width),),
         horizon,
-        f"{kind}:c={center:g};w={width:g};T={horizon:g}",
+        f"cos2:c={center:g};w={width:g};T={horizon:g}",
     )
 
 
@@ -167,7 +170,7 @@ class EntropyReport:
     """Residual of one (test function, constant) pair at a known resolution.
 
     ``violation`` is ``residual < -guard``, where the guard band is
-    max(guard_floor, 10 * est_error).
+    max(_GUARD_FLOOR, 10 * est_error).
     """
 
     c: float
@@ -297,7 +300,6 @@ def entropy_residuals(
     test_fn: TestFunction,
     c_list,
     n_space: int = 256,
-    guard_floor: float = 1e-6,
 ) -> list[EntropyReport]:
     """Residuals of a trajectory against one test function, one per constant.
 
@@ -306,7 +308,7 @@ def entropy_residuals(
     test function.  Each residual is evaluated at ``n_space`` and 2*n_space
     spatial cells; the difference, plus the change from halving the snapshot
     density, estimates the quadrature error, and the violation flag fires
-    only below -max(guard_floor, 10 * estimate).
+    only below -max(_GUARD_FLOOR, 10 * estimate).
 
     All constants share one pass over the snapshots: the kernel sums and
     the other c-independent integrands are evaluated once per snapshot and
@@ -344,7 +346,7 @@ def entropy_residuals(
     resolution = f"space={2 * n_space}x3gauss;snapshots={len(snaps)}"
     reports = []
     for c, res, res_coarse, err in zip(cs, fine.tolist(), coarse.tolist(), est.tolist()):
-        guard = max(guard_floor, 10.0 * err)
+        guard = max(_GUARD_FLOOR, 10.0 * err)
         reports.append(EntropyReport(c, test_fn.label, res, resolution, res_coarse, err, guard, res < -guard))
     return reports
 
@@ -356,8 +358,7 @@ def entropy_residual(
     test_fn: TestFunction,
     c: float,
     n_space: int = 256,
-    guard_floor: float = 1e-6,
 ) -> EntropyReport:
     """Residual of a trajectory against one (test function, constant) pair:
     the one-constant form of :func:`entropy_residuals`."""
-    return entropy_residuals(snapshots, kernel, mobility, test_fn, (c,), n_space, guard_floor)[0]
+    return entropy_residuals(snapshots, kernel, mobility, test_fn, (c,), n_space)[0]

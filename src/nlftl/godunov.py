@@ -24,6 +24,7 @@ from .model import Kernel, Mobility
 from .profiles import DensityProfile
 
 _OVERSHOOT = 1e-10  # constructor tolerance above the cap
+_CFL = 0.45  # Courant number of gd_run; cfl_dt keeps values in [0, cap] only below 1/2
 
 
 @dataclass(frozen=True)
@@ -144,25 +145,16 @@ def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
 
 
 def _upwind(a, b, fa, fb, sigma: float, peak: float):
-    """Godunov flux from clamped states a, b, their fluxes fa, fb and peak = f(sigma) at the maximiser."""
+    """Exact Godunov flux of the unimodal f from clamped states a, b, their fluxes fa, fb and peak = f(sigma).
+
+    For a <= b the minimum of f over [a, b] sits at an endpoint; for a > b the
+    maximum is the peak when a, b straddle sigma, else the larger endpoint.
+    """
     return np.where(
         a <= b,
         np.minimum(fa, fb),
         np.where((b <= sigma) & (sigma <= a), peak, np.maximum(fa, fb)),
     )
-
-
-def godunov_flux(u_left, u_right, mobility: Mobility):
-    """Exact Godunov flux of the unimodal f across a Riemann interface.
-
-    Arguments are clamped to [0, cap].  For u_left <= u_right the minimum of
-    f over the interval sits at an endpoint; for u_left > u_right the maximum
-    is f(argmax) when the maximiser is straddled, else the larger endpoint.
-    """
-    a = np.clip(np.asarray(u_left, dtype=float), 0.0, mobility.cap)
-    b = np.clip(np.asarray(u_right, dtype=float), 0.0, mobility.cap)
-    out = _upwind(a, b, mobility.flux(a), mobility.flux(b), mobility.flux_argmax, mobility.flux_max)
-    return float(out) if np.ndim(u_left) == 0 and np.ndim(u_right) == 0 else out
 
 
 def cfl_dt(grid: Grid, fields, mobility: Mobility, cfl: float, cap_dt: float) -> float:
@@ -184,12 +176,11 @@ def cfl_dt(grid: Grid, fields, mobility: Mobility, cfl: float, cap_dt: float) ->
 def interface_flux(rho: np.ndarray, fields, mobility: Mobility) -> np.ndarray:
     """G_i = K+_i F+_i + K-_i F-_i at the J+1 interfaces.
 
-    F+ is the Godunov flux in mirrored argument order (leftward transport
-    upwinds from the right), F- in natural order; the domain is padded with
-    vacuum and clamped to [0, cap], and f is evaluated once on it, so both
-    fluxes equal :func:`godunov_flux` bitwise.  G vanishes between two vacuum
-    cells or two cells at the cap, where both Godunov fluxes are
-    f(0) = f(cap) = 0.
+    F+ is the Godunov flux of :func:`_upwind` in mirrored argument order
+    (leftward transport upwinds from the right), F- in natural order; the
+    domain is padded with vacuum and clamped to [0, cap], and f is evaluated
+    once on it.  G vanishes between two vacuum cells or two cells at the
+    cap, where both Godunov fluxes are f(0) = f(cap) = 0.
     """
     kplus, kminus = fields
     ext = np.clip(np.concatenate(([0.0], rho, [0.0])), 0.0, mobility.cap)
@@ -257,9 +248,8 @@ def gd_run(
     mobility: Mobility,
     t_end: float,
     output_times=None,
-    cfl: float = 0.45,
 ) -> GodunovRun:
-    """March the scheme to ``t_end`` with CFL-limited steps.
+    """March the scheme to ``t_end`` with steps limited at Courant number ``_CFL``.
 
     Steps are shortened to land exactly on every requested output time, so
     snapshot times are hit without interpolation and reruns are bit
@@ -284,7 +274,7 @@ def gd_run(
         while t < t_next:
             fields = compute_fields(rho, grid, kernel)
             remaining = t_next - t
-            dt = cfl_dt(grid, fields, mobility, cfl, cap_dt=remaining)
+            dt = cfl_dt(grid, fields, mobility, _CFL, cap_dt=remaining)
             stepped, step_clamp = gd_step(grid, FVState(t, rho, mobility.cap), kernel, mobility, dt, fields)
             rho = stepped.values
             clamped += step_clamp

@@ -355,8 +355,14 @@ class Trajectory:
             "min_gap_ratio": self.min_gap_ratio,
         }
 
-    def profiles(self, mode: str = "forward") -> list[DensityProfile]:
-        return [reconstruct_density(s, mode) for s in self.states]
+    def profiles(self) -> list[DensityProfile]:
+        """The forward reconstruction of every snapshot."""
+        return [reconstruct_density(s) for s in self.states]
+
+
+# Relative tolerance of the BDF steps.  It also sets the slack of the gap-floor
+# check, so it is fixed here and no caller can loosen that check.
+_RTOL = 1e-8
 
 
 def integrate(
@@ -365,7 +371,6 @@ def integrate(
     mobility: Mobility,
     t_end: float,
     output_times=None,
-    rtol: float = 1e-8,
     settle_tol: float | None = None,
 ) -> Trajectory:
     """Advance the particle system with scipy's variable-order BDF method.
@@ -374,7 +379,7 @@ def integrate(
     approach the floor.  The Newton matrix gets the tridiagonal Jacobian of
     :func:`_jacobian`, O(N) memory; the dense pair-sum part is never built.
     After every accepted step the ordering/gap-floor invariant is asserted
-    with slack eps_gap = 10 * rtol * (initial support length); a violation
+    with slack eps_gap = 10 * _RTOL * (initial support length); a violation
     beyond that slack raises :class:`InvariantViolation` since the analytic
     maximum principle forbids it.  Snapshots at ``output_times`` come from
     the integrator's dense output.  If ``settle_tol`` is given, max|dx/dt|
@@ -386,7 +391,7 @@ def integrate(
     x0 = state.positions
     pm = state.particle_mass
     support0 = float(x0[-1] - x0[0])
-    eps_gap = 10.0 * rtol * support0
+    eps_gap = 10.0 * _RTOL * support0
     floor = state.gap_floor
 
     if output_times is None:
@@ -401,7 +406,7 @@ def integrate(
     def jac(t, y):
         return _jacobian(y, pm, kernel, mobility)
 
-    solver = BDF(fun, state.time, x0, t_bound=t_end, rtol=rtol, atol=1e-10 * support0, jac=jac)
+    solver = BDF(fun, state.time, x0, t_bound=t_end, rtol=_RTOL, atol=1e-10 * support0, jac=jac)
 
     def check(y: np.ndarray, t: float) -> float:
         gaps = np.diff(y)

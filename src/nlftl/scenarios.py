@@ -103,21 +103,18 @@ class ScenarioConfig:
     domain: tuple = (-2.5, 2.5)
     t_end: float = 1.0
     output_times: tuple | None = None
-    rtol: float = 1e-8
-    cfl: float = 0.45
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
         err = ConfigError
-        if not isinstance(self.scenario, str) or not self.scenario:
-            raise err("scenario must be a non-empty name")
-        for name in ("amplitude", "inv_width", "cap", "v_max", "t_end", "rtol", "cfl"):
+        scenario = self.scenario  # names one directory of the output tree
+        if not isinstance(scenario, str) or scenario in ("", ".", "..") or any(ch in scenario for ch in "/\\\0"):
+            raise err(f"scenario must be a single path component, got {scenario!r}")
+        for name in ("amplitude", "inv_width", "cap", "v_max", "t_end"):
             value = float(getattr(self, name))
             if not (math.isfinite(value) and value > 0.0):
                 raise err(f"{name} must be a positive finite number")
             object.__setattr__(self, name, value)
-        if self.cfl > 1.0:
-            raise err("cfl must lie in (0, 1]")
         for name in ("n_cells", "fv_cells"):
             value = getattr(self, name)
             if int(value) != value or int(value) < 1:
@@ -236,10 +233,9 @@ def run_particles(config: ScenarioConfig, settle_tol: float | None = None, outpu
         mobility,
         config.t_end,
         output_times=config.output_times if output_times is None else output_times,
-        rtol=config.rtol,
         settle_tol=settle_tol,
     )
-    profiles = traj.profiles("forward")
+    profiles = traj.profiles()
     rows = _metric_rows(traj.times, profiles, [s.min_gap for s in traj.states])
     return MethodRun(config, "particles", traj.times, profiles, rows, trajectory=traj)
 
@@ -255,7 +251,6 @@ def run_godunov(config: ScenarioConfig, output_times=None) -> MethodRun:
         mobility,
         config.t_end,
         output_times=config.output_times if output_times is None else output_times,
-        cfl=config.cfl,
     )
     profiles = run.profiles()
     rows = _metric_rows(run.times, profiles)

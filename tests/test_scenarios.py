@@ -105,12 +105,15 @@ def test_builtin_overlay_keeps_profile_and_applies_overrides():
         {"scenario": "x", "profile": {"kind": "uniform-step", "left": -4, "right": -3, "height": 0.3}},
         {"scenario": "single-step", "output_times": [0.0, 2.0]},
         {"scenario": "single-step", "cfl": 1.5},
+        {"scenario": "single-step", "rtol": 1e-8},
         {"scenario": "single-step", "fv_cells": 1},
         {"scenario": "single-step", "n_cells": 0},
         {"scenario": "single-step", "t_end": -1.0},
         {"scenario": "x", "profile": {"kind": "two-step", "segments": [[0, 1, 0.1], [2, 3, 0.1], [4, 5, 0.1]]}},
         {"scenario": "x", "profile": {"left": -1, "right": 1}},
         {"scenario": "x", "profile": {"kind": "pyramid"}},
+        *({"scenario": name, "profile": {"kind": "uniform-step", "left": -1, "right": 1, "height": 0.3}}
+          for name in ("../../escaped", "a/b", "a\\b", "a\0b", ".", "..")),
     ],
 )
 def test_invalid_configs_rejected(data):
@@ -324,6 +327,26 @@ def test_cli_config_errors_exit_three(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert err.count("config error:") == 8
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"scenario": "two-step-11", "rtol": 0.01},
+        {"scenario": "single-step", "cfl": 0.45},
+        {"scenario": "../../escaped", "profile": {"kind": "uniform-step", "left": -1, "right": 1, "height": 0.3}},
+    ],
+)
+def test_cli_rejected_documents_write_nothing(tmp_path, capsys, doc):
+    # tolerances are not config keys, and a scenario name is one directory:
+    # "../../escaped" under --out tmp_path/out would write beside tmp_path
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for command in ("particles", "godunov", "compare"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    assert not (tmp_path.parent / "escaped").exists()
+    assert capsys.readouterr().err.count("config error:") == 3
 
 
 def test_cli_invariant_violation_exit_two(monkeypatch, capsys):
