@@ -14,7 +14,9 @@ a residual below the negative guard band certifies a violation.
 Spatial convolutions of the Gaussian kernel against a piecewise-constant
 profile are exact: integrating K' (resp. K'') over a cell telescopes to K
 (resp. K') at the cell edges, so K' conv rho collapses to one kernel
-evaluation per breakpoint weighted by the density jump.  The space integral
+evaluation per breakpoint weighted by the density jump; above a crossover
+these jump sums come from the Gauss-Taylor expansion of
+:mod:`nlftl.gauss_sums`.  The space integral
 uses 3-point Gauss-Legendre on the merged cell grid and the time integral
 is trapezoidal over the snapshots.  The c-independent integrands (density,
 flux, both convolutions, phi and phi') are evaluated once per snapshot and
@@ -29,13 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gauss_sums
 from .errors import ConfigError
 from .model import Kernel, Mobility
 from .profiles import DensityProfile
 
 _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-_BLOCK = 2**15  # kernel evaluations per block of the jump sums
+_BLOCK = 2**15  # array entries per block of the jump sums
+# Crossover and term cap of the Gauss-Taylor jump sums, measured on a 2-vCPU
+# Xeon VM (medians of 7 x 40 calls, 2,439 points on [-6, 6]): the direct
+# blocks take 1.43 times the expansion's time at 24 breakpoints with 40 terms
+# (the audit's order) and 1.03 times with 63 terms; 0.97 and 0.60 at 12.
+_EXPANSION_MIN_BREAKPOINTS = 24
+_EXPANSION_MAX_TERMS = 64
 _GUARD_FLOOR = 1e-6  # smallest guard band below zero before a residual is flagged
 
 
@@ -108,8 +117,8 @@ class TestFunction:
     def __post_init__(self) -> None:
         if not self.bumps:
             raise ValueError("need at least one bump")
-        if self.horizon < 0.0:
-            raise ValueError("horizon must be >= 0")
+        if not (self.horizon >= 0.0 and math.isfinite(self.horizon)):
+            raise ConfigError(f"horizon must be finite and >= 0, got {self.horizon!r}")
 
     @property
     def x_support(self) -> tuple[float, float]:
@@ -170,7 +179,9 @@ class EntropyReport:
     """Residual of one (test function, constant) pair at a known resolution.
 
     ``violation`` is ``residual < -guard``, where the guard band is
-    max(_GUARD_FLOOR, 10 * est_error).
+    max(_GUARD_FLOOR, 10 * est_error).  ``jump_sum_terms`` is the largest
+    expansion order of the jump sums over every snapshot and both grids, 0
+    where all of them ran direct; it goes to ``meta.json``, not to the record.
     """
 
     c: float
@@ -181,6 +192,7 @@ class EntropyReport:
     est_error: float
     guard: float
     violation: bool
+    jump_sum_terms: int
 
     def json_record(self) -> dict:
         return {
@@ -221,24 +233,33 @@ def _quad_grid(profile: DensityProfile, lo: float, hi: float, n_space: int):
     return x, w
 
 
-def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
-    """(K' conv rho, K'' conv rho) at points x, exact per cell.
+def _jump_sum_terms(kernel: Kernel, bp: np.ndarray, x: np.ndarray) -> int:
+    """Order p of the Gauss-Taylor expansion :func:`_convolutions` uses, 0 for the direct blocks.
 
-    sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into jump coefficients at the
-    breakpoints, one kernel evaluation per charged breakpoint.  The points
-    are walked in blocks of about ``_BLOCK`` kernel evaluations, so memory
-    stays bounded at any N; each row is summed whole, so the sums equal
-    ``sum(coef * kernel.value(d))`` and ``sum(coef * kernel.d1(d))`` exactly.
-    Every block is computed into the same three arrays: a fresh allocation
-    per block this size can take new pages from the OS each time.
+    p is the smallest order whose first omitted term R^p / p! is at most
+    2^-56, with R = 2B h_b h_x: h_b is the half-span of the charged
+    breakpoints ``bp`` (sorted) and h_x the distance of the farthest point
+    from their middle.  The direct blocks run below the crossover of
+    ``_EXPANSION_MIN_BREAKPOINTS`` and when p exceeds ``_EXPANSION_MAX_TERMS``.
     """
-    jumps = np.diff(profile.values, prepend=0.0, append=0.0)
-    keep = jumps != 0.0
-    bp = profile.breakpoints[keep]
-    coef = jumps[keep]
+    if bp.size < _EXPANSION_MIN_BREAKPOINTS:
+        return 0
+    c = 0.5 * (bp[0] + bp[-1])
+    h_x = max(abs(float(np.min(x)) - c), abs(float(np.max(x)) - c))
+    r = 2.0 * kernel.inv_width * (0.5 * (bp[-1] - bp[0])) * h_x
+    return gauss_sums.terms(r, _EXPANSION_MAX_TERMS)
+
+
+def _direct_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray):
+    """The jump sums of :func:`_convolutions`, one kernel evaluation per (point, breakpoint).
+
+    The points are walked in blocks of about ``_BLOCK`` kernel evaluations,
+    so memory stays bounded at any N; each row is summed whole, so the sums
+    equal ``sum(coef * kernel.value(d))`` and ``sum(coef * kernel.d1(d))``
+    exactly.  Every block is computed into the same three arrays: a fresh
+    allocation per block this size can take new pages from the OS each time.
+    """
     w1, w2 = np.zeros_like(x), np.zeros_like(x)
-    if bp.size == 0:
-        return w1, w2
     rows = max(1, min(x.size, _BLOCK // bp.size))
     d, k, k1 = (np.empty((rows, bp.size)) for _ in range(3))
     for start in range(0, x.size, rows):
@@ -252,19 +273,86 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
     return w1, w2
 
 
+def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray, p: int):
+    """The jump sums of :func:`_convolutions` by a p-term expansion about the middle c of ``bp``.
+
+    With u = . - c and e, a_n as in :mod:`nlftl.gauss_sums`, the p+1 global
+    moments M_n = sum_j coef_j e_j a_n(u_j) give
+    W1 = -A e_x sum_{n<p} a_n(u_x) M_n and, by the twin identity,
+    W2 = 2AB e_x sum_{n<p} a_n(u_x) (u_x M_n - sqrt((n+1)/(2B)) M_{n+1}).
+    The moments add up over blocks of ``_BLOCK // (p+1)`` breakpoints, all
+    orders at once.  Since a_n(u) = a_n(1) u^n, each sum over n is a
+    polynomial in u_x, evaluated by Horner's rule on all points at once:
+    O(points) memory, 2p passes.
+    """
+    c = 0.5 * (bp[0] + bp[-1])
+    step, twin = gauss_sums.factors(p, kernel.inv_width)
+    cols = max(1, _BLOCK // (p + 1))
+    a_buf = np.empty((p + 1, min(cols, bp.size)))
+    moments = np.zeros(p + 1)
+    for lo in range(0, bp.size, cols):
+        u = bp[lo : lo + cols] - c
+        a = gauss_sums.basis(step[:, None], u, a_buf[:, : u.size])
+        a *= coef[lo : lo + cols] * kernel.gauss(u)
+        moments += np.sum(a, axis=1)
+    scale = gauss_sums.basis(step[: p - 1], 1.0, np.empty(p))  # a_n(1)
+    g1 = moments[:p] * scale
+    g2 = twin * moments[1:] * scale
+    u = x - c
+    s1, s2 = np.full_like(u, g1[-1]), np.full_like(u, g2[-1])
+    for n in range(p - 2, -1, -1):
+        s1 *= u
+        s1 += g1[n]
+        s2 *= u
+        s2 += g2[n]
+    e = kernel.gauss(u)
+    s2 -= u * s1  # -(u_x S1 - S2)
+    s2 *= e
+    s2 *= -2.0 * kernel.amplitude * kernel.inv_width
+    s1 *= e
+    s1 *= -kernel.amplitude
+    return s1, s2
+
+
+def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
+    """(K' conv rho, K'' conv rho) at points x, exact per cell, and the expansion order used.
+
+    sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into jump coefficients at the
+    breakpoints: W1(x) = sum_j coef_j K(x - b_j), W2(x) = sum_j coef_j K'(x - b_j).
+    Above the crossover, and while the expansion needs at most the term cap
+    (see :func:`_jump_sum_terms`), the sums come from the Gauss-Taylor
+    expansion of :func:`_expanded_jump_sums`, O((points + breakpoints) p)
+    work; otherwise from :func:`_direct_jump_sums`, O(points x breakpoints).
+    Both use O(points + breakpoints) memory and plain numpy reductions in a
+    fixed order, so results repeat bitwise.  Returns (W1, W2, p), p = 0 on
+    the direct path.
+    """
+    jumps = np.diff(profile.values, prepend=0.0, append=0.0)
+    keep = jumps != 0.0
+    bp = profile.breakpoints[keep]
+    coef = jumps[keep]
+    if bp.size == 0:
+        return np.zeros_like(x), np.zeros_like(x), 0
+    p = _jump_sum_terms(kernel, bp, x)
+    if p == 0:
+        return (*_direct_jump_sums(kernel, bp, coef, x), 0)
+    return (*_expanded_jump_sums(kernel, bp, coef, x, p), p)
+
+
 def _snapshot_terms(profile, kernel, mobility, test_fn, cs, n_space):
     """Spatial integrals feeding the time quadrature at one snapshot, per constant.
 
     Returns arrays (S_abs, S_flux) indexed like ``cs``, with
       S_abs  = int |rho - c| phi dx
-      S_flux = int sign(rho - c) [ (f(rho) - f(c)) W1 phi' - f(c) W2 phi ] dx.
+      S_flux = int sign(rho - c) [ (f(rho) - f(c)) W1 phi' - f(c) W2 phi ] dx,
+    and the expansion order of the jump sums (0 when they ran direct).
     Everything that does not depend on c is evaluated once.
     """
     lo, hi = test_fn.x_support
     x, w = _quad_grid(profile, lo, hi, n_space)
     rho = profile.value_at(x)
     f_rho = mobility.flux(rho)
-    w1, w2 = _convolutions(kernel, profile, x)
+    w1, w2, terms = _convolutions(kernel, profile, x)
     phi = test_fn.phi(x)
     dphi = test_fn.dphi(x)
     s_abs = np.empty(len(cs))
@@ -274,7 +362,7 @@ def _snapshot_terms(profile, kernel, mobility, test_fn, cs, n_space):
         fc = mobility.flux(c)
         s_abs[j] = np.sum(w * np.abs(dev) * phi)
         s_flux[j] = np.sum(w * np.sign(dev) * ((f_rho - fc) * w1 * dphi - fc * w2 * phi))
-    return s_abs, s_flux
+    return s_abs, s_flux, terms
 
 
 def _time_quadrature(times, s_abs, s_flux, test_fn) -> np.ndarray:
@@ -327,9 +415,11 @@ def entropy_residuals(
         )
     # per-snapshot scalars only: rows are snapshots, columns constants
     coarse_abs, coarse_flux, fine_abs, fine_flux = (np.empty((len(snaps), len(cs))) for _ in range(4))
+    terms = 0
     for k, (_, profile) in enumerate(snaps):
-        coarse_abs[k], coarse_flux[k] = _snapshot_terms(profile, kernel, mobility, test_fn, cs, n_space)
-        fine_abs[k], fine_flux[k] = _snapshot_terms(profile, kernel, mobility, test_fn, cs, 2 * n_space)
+        coarse_abs[k], coarse_flux[k], p_coarse = _snapshot_terms(profile, kernel, mobility, test_fn, cs, n_space)
+        fine_abs[k], fine_flux[k], p_fine = _snapshot_terms(profile, kernel, mobility, test_fn, cs, 2 * n_space)
+        terms = max(terms, p_coarse, p_fine)
     coarse = _time_quadrature(times, coarse_abs, coarse_flux, test_fn)
     fine = _time_quadrature(times, fine_abs, fine_flux, test_fn)
     if not np.all(np.isfinite(fine)):
@@ -347,7 +437,7 @@ def entropy_residuals(
     reports = []
     for c, res, res_coarse, err in zip(cs, fine.tolist(), coarse.tolist(), est.tolist()):
         guard = max(_GUARD_FLOOR, 10.0 * err)
-        reports.append(EntropyReport(c, test_fn.label, res, resolution, res_coarse, err, guard, res < -guard))
+        reports.append(EntropyReport(c, test_fn.label, res, resolution, res_coarse, err, guard, res < -guard, terms))
     return reports
 
 

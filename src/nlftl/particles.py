@@ -18,6 +18,7 @@ import numpy as np
 from scipy.integrate import BDF
 from scipy.sparse import diags_array
 
+from . import gauss_sums
 from .errors import InvariantViolation
 from .model import Kernel, Mobility
 from .profiles import AtomicMeasure, DensityProfile
@@ -117,7 +118,6 @@ _STRIP_BUDGET = 2**15  # array entries per strip or block, the budget of entropy
 # with 19 terms (every builtin) 0.58 at N = 224; with 40 terms 1.06 at N = 224.
 _EXPANSION_MIN_N = 224  # cells
 _EXPANSION_MAX_TERMS = 32
-_EXPANSION_TAIL = 2.0**-56  # bound on the first omitted term R^p / p!
 
 
 def _densities(gaps: np.ndarray, pm: float) -> np.ndarray:
@@ -142,14 +142,7 @@ def _pair_sum_terms(x: np.ndarray, kernel: Kernel) -> int:
     if x.size - 1 < _EXPANSION_MIN_N:
         return 0
     half = 0.5 * float(np.max(x) - np.min(x))  # trial states of the integrator may be out of order
-    r = 2.0 * kernel.inv_width * half * half
-    p, term = 0, 1.0
-    while term > _EXPANSION_TAIL:
-        p += 1
-        if p > _EXPANSION_MAX_TERMS:
-            return 0
-        term *= r / p
-    return p
+    return gauss_sums.terms(2.0 * kernel.inv_width * half * half, _EXPANSION_MAX_TERMS)
 
 
 def _tiled_pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +175,9 @@ def _tiled_pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndar
 def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The one-sided sums of :func:`_pair_sums` by a p-term expansion about the middle c of the span.
 
-    With u = x - c, e_j = exp(-B u_j^2) and a_n(u) = (sqrt(2B) u)^n / sqrt(n!),
-    exp(-B (u_i - u_j)^2) = e_i e_j sum_n a_n(u_i) a_n(u_j).  Let P_n(i) be
-    the sum over j < i of the source weight e_j a_n(u_j); its u_j-weighted
-    twin is sqrt((n+1)/(2B)) P_{n+1}(i), so
+    With u = x - c and e_j, a_n as in :mod:`nlftl.gauss_sums`, let P_n(i) be
+    the sum over j < i of the source weight e_j a_n(u_j); by the twin
+    identity its u_j-weighted twin is sqrt((n+1)/(2B)) P_{n+1}(i), so
     sum_{j<i} K'(u_i - u_j) = 2AB e_i sum_{n<p} a_n(u_i) (u_i P_n(i) - sqrt((n+1)/(2B)) P_{n+1}(i)).
     The sums over j > i are the same sums on the reversed particles; both
     orders go through together.  Particles go in blocks of
@@ -197,10 +189,7 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarr
     u = np.stack((u, u[::-1]))  # row 0 gives the sums over j < i, row 1 over j > i, reversed
     n = x.size
     block = min(n, max(1, _STRIP_BUDGET // (2 * (p + 1))))
-    root_2b = math.sqrt(2.0 * kernel.inv_width)
-    orders = np.arange(1.0, p + 1)[:, None, None]
-    step = root_2b / np.sqrt(orders)  # a_{n+1}(u) / a_n(u) = step[n] * u
-    twin = np.sqrt(orders) / root_2b  # sqrt((n+1)/(2B))
+    step, twin = (f[:, None, None] for f in gauss_sums.factors(p, kernel.inv_width))
     e = kernel.gauss(u)
     total = np.zeros((p + 1, 2, 1))
     out = np.empty((2, n))
@@ -209,10 +198,7 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarr
         hi = min(lo + block, n)
         ub = u[:, lo:hi]
         a, w, pre = a_buf[..., : hi - lo], w_buf[..., : hi - lo], pre_buf[..., : hi - lo]
-        a[0] = 1.0
-        np.multiply(step, ub, out=a[1:])
-        for k in range(1, p + 1):
-            a[k] *= a[k - 1]
+        gauss_sums.basis(step, ub, a)
         np.multiply(a, e[:, lo:hi], out=w)
         pre[..., :1] = total  # pre[n, :, i] = P_n(lo + i): the running totals plus this block's sums
         np.cumsum(w[..., :-1], axis=2, out=pre[..., 1:])

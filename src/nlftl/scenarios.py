@@ -318,6 +318,8 @@ def default_test_function(config: ScenarioConfig, frozen: bool = False, horizon:
     if horizon is None:
         horizon = 10.0 if frozen else config.t_end - 1.0
     horizon = float(horizon)
+    if not math.isfinite(horizon):
+        raise ConfigError(f"the plateau horizon must be finite, got {horizon!r}")
     if horizon < 0.0:
         raise ConfigError("entropy audit needs t_end >= 1 (temporal plateau horizon = t_end - 1)")
     if frozen and config.scenario == "stationary-weak":
@@ -524,10 +526,23 @@ def min_margins(reports) -> dict:
     return margins
 
 
+def jump_sum_terms(reports) -> dict:
+    """Per test function, the largest expansion order of its jump sums (0 where all ran direct)."""
+    terms: dict = {}
+    for r in reports:
+        terms[r.phi] = max(terms.get(r.phi, 0), r.jump_sum_terms)
+    return terms
+
+
 def emit_entropy(config: ScenarioConfig, reports, method_label: str, out_root=None) -> Path:
     root = Path(out_root if out_root is not None else config.out_dir)
     d = root / config.scenario / method_label
     write_entropy_jsonl(d / "entropy.jsonl", reports)
-    extra = {"method": method_label, "flags": sum(1 for r in reports if r.violation), "min_margin": min_margins(reports)}
+    extra = {
+        "method": method_label,
+        "flags": sum(1 for r in reports if r.violation),
+        "min_margin": min_margins(reports),
+        "jump_sum_terms": jump_sum_terms(reports),
+    }
     write_meta(d / "meta.json", config, extra)
     return d

@@ -77,6 +77,15 @@ def test_bump_rejects_bad_parameters():
         nl.TestFunction((), 1.0, "empty")
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_horizon_is_a_config_error(horizon):
+    with pytest.raises(nl.ConfigError, match="horizon"):
+        nl.TestFunction((nl.SpatialBump("cos2", 0.0, 1.0),), horizon, "bad")
+    for name, frozen in (("single-step", False), ("stationary-weak", True)):
+        with pytest.raises(nl.ConfigError):
+            nl.default_test_function(nl.builtin_scenario(name), frozen=frozen, horizon=horizon)
+
+
 # ---------------------------------------------------------------- residual
 
 def test_vacuum_residual_is_exactly_zero_for_c_zero():
@@ -232,11 +241,21 @@ def test_one_pass_over_constants_equals_one_constant_at_a_time(case, particle_au
 
 @pytest.mark.parametrize("case", ["particles", "frozen-split-jam"])
 def test_one_pass_residuals_equal_the_direct_evaluation(case, particle_audit):
+    # the particle profiles have about 100 charged breakpoints, so their jump
+    # sums take the expansion and agree to rounding (3.2e-13 relative at
+    # most, against guard bands of 1.1e-2 and more); the split jam's 4
+    # breakpoints take the direct blocks, bit for bit
     snaps, tf, kernel, mobility = particle_audit if case == "particles" else frozen_split_jam_audit()
     cs = (0.0, 0.3, 1.0)
     for rep, c in zip(nl.entropy_residuals(snaps, kernel, mobility, tf, cs, n_space=64), cs):
-        coarse, fine, est = _reference_residual(snaps, kernel, mobility, tf, c, 64)
-        assert (rep.residual_coarse, rep.residual, rep.est_error) == (coarse, fine, est)
+        want = _reference_residual(snaps, kernel, mobility, tf, c, 64)
+        got = (rep.residual_coarse, rep.residual, rep.est_error)
+        if case == "particles":
+            assert rep.jump_sum_terms > 0
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            assert rep.jump_sum_terms == 0
+            assert got == want
 
 
 def perturbed_single_step(n_cells, seed=0):
@@ -249,46 +268,150 @@ def perturbed_single_step(n_cells, seed=0):
     return nl.DensityProfile(x, state.particle_mass / gaps), nl.default_test_function(cfg)
 
 
-def direct_kernel_sums(kernel, profile, x):
-    """The dense points x breakpoints jump sums through Kernel.value/d1."""
+def charged_breakpoints(profile):
+    """The breakpoints with a non-zero jump and their jumps, as _convolutions takes them."""
     jumps = np.diff(profile.values, prepend=0.0, append=0.0)
-    keep = jumps != 0.0
-    coef = jumps[keep][None, :]
-    d = x[:, None] - profile.breakpoints[keep][None, :]
+    return profile.breakpoints[jumps != 0.0], jumps[jumps != 0.0]
+
+
+def direct_kernel_sums(kernel, profile, x, extended=False):
+    """The dense points x breakpoints jump sums through Kernel.value/d1.
+
+    With ``extended`` the same sums are written out in np.longdouble (80-bit
+    on x86-64) and rounded once at the end: a reference with little rounding
+    of its own.  On the perturbed profiles every double evaluation drifts
+    with N; at N = 4e4 the plain row sums lie up to 1.0e-14 (max-norm
+    relative) from the extended ones.
+    """
+    bp, coef = charged_breakpoints(profile)
+    if extended:
+        ld = np.longdouble
+        d = x.astype(ld)[:, None] - bp.astype(ld)[None, :]
+        g = coef.astype(ld) * np.exp(-ld(kernel.inv_width) * d * d)
+        w1 = -ld(kernel.amplitude) * np.sum(g, axis=1)
+        w2 = 2 * ld(kernel.amplitude) * ld(kernel.inv_width) * np.sum(d * g, axis=1)
+        return w1.astype(float), w2.astype(float)
+    d = x[:, None] - bp[None, :]
     return np.sum(coef * kernel.value(d), axis=1), np.sum(coef * kernel.d1(d), axis=1)
 
 
-@pytest.mark.parametrize("kernel", [KER, nl.Kernel(amplitude=0.7, inv_width=2.0)])
+def max_rel_error(got, want):
+    """Max-norm relative error of the pair (W1, W2) against a reference pair."""
+    return max(float(np.max(np.abs(g - w)) / np.max(np.abs(w))) for g, w in zip(got, want))
+
+
+SECOND_KERNEL = nl.Kernel(amplitude=0.7, inv_width=2.0)
+
+
+@pytest.mark.parametrize("kernel", [KER, SECOND_KERNEL])
 def test_convolutions_equal_direct_kernel_sums(kernel, particle_audit):
     snaps, tf, _, _ = particle_audit
     profile = snaps[-1][1]
     x, _ = entropy._quad_grid(profile, *tf.x_support, 64)
-    w1, w2 = entropy._convolutions(kernel, profile, x)
-    r1, r2 = direct_kernel_sums(kernel, profile, x)
-    assert np.array_equal(w1, r1) and np.array_equal(w2, r2)
-    # many blocks, the last one partial
+    *got, _ = entropy._convolutions(kernel, profile, x)
+    assert max_rel_error(got, direct_kernel_sums(kernel, profile, x)) <= 1e-14
+    # the direct blocks: many of them, the last one partial, bit for bit
     many, _ = perturbed_single_step(1000)
-    rows = entropy._BLOCK // many.breakpoints.size
+    bp, coef = charged_breakpoints(many)
+    rows = entropy._BLOCK // bp.size
     x = np.linspace(-3.0, 3.0, 9 * rows + 5)
-    w1, w2 = entropy._convolutions(kernel, many, x)
-    r1, r2 = direct_kernel_sums(kernel, many, x)
-    assert np.array_equal(w1, r1) and np.array_equal(w2, r2)
+    want = direct_kernel_sums(kernel, many, x)
+    assert all(np.array_equal(g, w) for g, w in zip(entropy._direct_jump_sums(kernel, bp, coef, x), want))
+    *got, terms = entropy._convolutions(kernel, many, x)
+    assert terms > 0
+    assert max_rel_error(got, want) <= 1e-14
     vac = nl.DensityProfile(np.array([-1.0, 1.0]), np.array([0.0]))
-    z1, z2 = entropy._convolutions(kernel, vac, x)
+    z1, z2, terms = entropy._convolutions(kernel, vac, x)
     assert z1.shape == z2.shape == x.shape
-    assert not z1.any() and not z2.any()
+    assert not z1.any() and not z2.any() and terms == 0
+
+
+@pytest.mark.parametrize("kernel", [KER, SECOND_KERNEL])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_jump_sums_across_the_crossover(kernel, offset):
+    # n cells give n + 1 charged breakpoints; points on [-3, 3] keep the
+    # second kernel's order under the cap (R = 2B h_b h_x = 12)
+    n_bp = entropy._EXPANSION_MIN_BREAKPOINTS + offset
+    profile, _ = perturbed_single_step(n_bp - 1)
+    assert charged_breakpoints(profile)[0].size == n_bp
+    x, _ = entropy._quad_grid(profile, -3.0, 3.0, 256)
+    w1, w2, terms = entropy._convolutions(kernel, profile, x)
+    want = direct_kernel_sums(kernel, profile, x)
+    if offset < 0:
+        assert terms == 0
+        assert np.array_equal(w1, want[0]) and np.array_equal(w2, want[1])
+    else:
+        assert 0 < terms <= entropy._EXPANSION_MAX_TERMS
+        assert max_rel_error((w1, w2), want) <= 1e-14
+
+
+def strided_direct_sums(kernel, profile, x, rows=16):
+    """Extended-precision direct_kernel_sums a few rows at a time, so the reference stays small at any N."""
+    parts = [direct_kernel_sums(kernel, profile, x[lo : lo + rows], extended=True) for lo in range(0, x.size, rows)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+@pytest.mark.parametrize("kernel, window", [(KER, None), (SECOND_KERNEL, (-3.0, 3.0))], ids=["kernel0", "kernel1"])
+@pytest.mark.parametrize("n_cells", [300, 2400, 10_000, 40_000])
+def test_expanded_jump_sums_match_direct_sums_up_to_forty_thousand_cells(kernel, window, n_cells):
+    # the expansion runs on the whole grid; about 100 points, both ends
+    # included, are checked against the dense reference in extended precision
+    profile, tf = perturbed_single_step(n_cells)
+    x, _ = entropy._quad_grid(profile, *(window or tf.x_support), 512)
+    w1, w2, terms = entropy._convolutions(kernel, profile, x)
+    assert 0 < terms <= entropy._EXPANSION_MAX_TERMS
+    rows = np.unique(np.r_[np.linspace(0, x.size - 1, 100).astype(int), x.size - 1])
+    want = strided_direct_sums(kernel, profile, x[rows])
+    assert max_rel_error((w1[rows], w2[rows]), want) <= 1e-14
+
+
+def test_expanded_jump_sums_repeat_bitwise():
+    profile, tf = perturbed_single_step(10_000, seed=3)
+    x, _ = entropy._quad_grid(profile, *tf.x_support, 512)
+    first = entropy._convolutions(KER, profile, x)
+    assert first[2] > 0
+    for again in (entropy._convolutions(KER, profile, x), entropy._convolutions(KER, profile, x.copy())):
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def test_jump_sums_above_the_term_cap_take_the_direct_blocks_bitwise():
+    # the t_end = 10 test function spans [-22, 22]: R = 2B h_b h_x is about 22
+    cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "t_end": 10.0})
+    profile, _ = perturbed_single_step(300)
+    x, _ = entropy._quad_grid(profile, *nl.default_test_function(cfg).x_support, 64)
+    bp, coef = charged_breakpoints(profile)
+    assert bp.size >= entropy._EXPANSION_MIN_BREAKPOINTS
+    w1, w2, terms = entropy._convolutions(KER, profile, x)
+    assert terms == 0
+    want = entropy._direct_jump_sums(KER, bp, coef, x)
+    assert np.array_equal(w1, want[0]) and np.array_equal(w2, want[1])
+    assert all(np.array_equal(g, w) for g, w in zip(want, direct_kernel_sums(KER, profile, x)))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_convolutions_memory_stays_bounded_at_two_thousand_cells():
     # the dense points x breakpoints matrices took 241 MB here
     profile, tf = perturbed_single_step(2000)
     x, _ = entropy._quad_grid(profile, *tf.x_support, 512)
-    tracemalloc.start()
-    try:
-        w1, w2 = entropy._convolutions(KER, profile, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (w1, w2, terms), peak = traced_peak(entropy._convolutions, KER, profile, x)
+    assert terms > 0
+    assert np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))
+    assert peak < 8e6
+
+
+def test_direct_jump_sums_memory_stays_bounded_at_two_thousand_cells():
+    profile, tf = perturbed_single_step(2000)
+    x, _ = entropy._quad_grid(profile, *tf.x_support, 512)
+    (w1, w2), peak = traced_peak(entropy._direct_jump_sums, KER, *charged_breakpoints(profile), x)
     assert np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))
     assert peak < 8e6
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlftl import entropy
 from nlftl.cli import main
 from nlftl.entropy import bump_pair
 from nlftl.errors import ConfigError, InvariantViolation
@@ -19,10 +20,12 @@ from nlftl.godunov import Grid
 from nlftl.metrics import l1_distance
 from nlftl.scenarios import (
     ScenarioConfig,
+    build_kernel,
     build_profile,
     builtin_description,
     builtin_names,
     builtin_scenario,
+    default_test_function,
     emit_compare,
     emit_convergence,
     emit_entropy,
@@ -280,6 +283,24 @@ def test_entropy_audit_emission(tmp_path):
     assert meta["flags"] == sum(1 for r in reports if r.violation)
     tight = min(reports, key=lambda r: r.residual + r.guard)
     assert meta["min_margin"] == {tight.phi: {"c": tight.c, "margin": tight.residual + tight.guard}}
+    assert meta["jump_sum_terms"] == {tight.phi: 0}  # 4 breakpoints: below the crossover, direct
+
+
+def test_entropy_audit_meta_records_the_largest_jump_sum_order(tmp_path):
+    cfg = ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": 100, "t_end": 2.0})
+    reports = run_entropy_audit(cfg, c_list=(0.0, 0.5), n_space=16)
+    meta = json.loads((emit_entropy(cfg, reports, "particles", tmp_path) / "meta.json").read_text())
+    run = run_particles(cfg, output_times=np.linspace(0.0, cfg.t_end, 81))
+    tf = default_test_function(cfg)
+    kernel = build_kernel(cfg)
+    orders = []
+    for profile in run.profiles:
+        for n in (16, 32):
+            x, _ = entropy._quad_grid(profile, *tf.x_support, n)
+            orders.append(entropy._convolutions(kernel, profile, x)[2])
+    assert meta["jump_sum_terms"] == {tf.label: max(orders)}
+    assert 0 < max(orders) <= entropy._EXPANSION_MAX_TERMS
+    assert all(r.jump_sum_terms == max(orders) for r in reports)
 
 
 def test_min_margins_per_test_function():
@@ -347,6 +368,22 @@ def test_cli_rejected_documents_write_nothing(tmp_path, capsys, doc):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
     assert not (tmp_path.parent / "escaped").exists()
     assert capsys.readouterr().err.count("config error:") == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "stationary-weak", "--frozen", "--horizon", "nan"],
+        ["--scenario", "stationary-weak", "--frozen", "--horizon", "inf"],
+        ["--scenario", "single-step", "--t-end", "2", "--horizon", "nan"],
+    ],
+    ids=["frozen-nan", "frozen-inf", "solver-nan"],
+)
+def test_cli_non_finite_horizon_exits_three_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["entropy-audit", *argv, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "horizon" in capsys.readouterr().err
 
 
 def test_cli_invariant_violation_exit_two(monkeypatch, capsys):
