@@ -45,9 +45,13 @@ class Grid:
     def dx(self) -> float:
         return (self.right - self.left) / self.cells
 
-    @property
+    @functools.cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(self.left, self.right, self.cells + 1)
+        """The cells + 1 cell edges, built once per grid and read-only because
+        every snapshot profile of a run shares them."""
+        edges = np.linspace(self.left, self.right, self.cells + 1)
+        edges.setflags(write=False)
+        return edges
 
     @property
     def centers(self) -> np.ndarray:

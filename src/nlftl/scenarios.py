@@ -9,7 +9,9 @@ records wall-clock time.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import itertools
 import json
 import math
 import sys
@@ -405,45 +407,78 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_blocks(path: Path, blocks) -> None:
-    """Write each block of lines in turn, every line ending in a newline.
+def _fmt_all(a: np.ndarray) -> list[str]:
+    """``_fmt`` of every entry of a float array: ``tolist`` hands ``repr`` Python floats."""
+    return list(map(repr, a.tolist()))
+
+
+def _rows(prefix: str, *columns) -> str:
+    """Lines ``prefix,a,b,...`` over the zipped string ``columns``, joined by newlines."""
+    head = prefix + ","
+    return head + ("\n" + head).join(map(",".join, zip(*columns)))
+
+
+def _write_blocks(paths, blocks) -> None:
+    """Write each block to ``paths``, one text per path, each text followed by a newline.
 
     The per-snapshot files pass one block per snapshot, so only one
     snapshot's text is held in memory at a time.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
+    with contextlib.ExitStack() as stack:
+        files = []
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            files.append(stack.enter_context(path.open("w")))
         for block in blocks:
-            f.write("\n".join(block) + "\n")
+            for f, text in zip(files, block, strict=True):
+                f.write(text)
+                f.write("\n")
+            del block, text  # the next snapshot's text replaces this one instead of joining it
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    def snapshots():
-        yield ["t,i,x"]
-        for s in traj.states:
-            t = _fmt(s.time)
-            yield [f"{t},{i},{_fmt(x)}" for i, x in enumerate(s.positions)]
-
-    _write_blocks(path, snapshots())
+def _write_lines(path: Path, lines) -> None:
+    _write_blocks((path,), [("\n".join(lines),)])
 
 
-def write_density_csv(path: Path, times, profiles) -> None:
-    def snapshots():
-        yield ["t,x_left,x_right,rho"]
-        for t, p in zip(times, profiles):
-            ts = _fmt(t)
-            bp, vals = p.breakpoints, p.values
-            yield [f"{ts},{_fmt(bp[k])},{_fmt(bp[k + 1])},{_fmt(v)}" for k, v in enumerate(vals)]
+def _snapshot_blocks(run: MethodRun):
+    """density.csv text, plus trajectory.csv text for particle runs, per snapshot.
 
-    _write_blocks(path, snapshots())
+    Every array is formatted once.  A forward reconstruction's breakpoints
+    are its snapshot's positions (the same array), so one list of strings
+    serves both files; a breakpoint array shared by consecutive snapshots,
+    such as the finite-volume grid edges, is formatted once for all of them;
+    and the particle indices are formatted once per run.
+    """
+    if run.trajectory is None:
+        yield ("t,x_left,x_right,rho",)
+        states = [None] * len(run.profiles)
+    else:
+        yield ("t,x_left,x_right,rho", "t,i,x")
+        states = run.trajectory.states
+    breakpoints = bs = None  # the last breakpoint array and its strings
+    index: list[str] = []
+    for t, p, s in zip(run.times, run.profiles, states, strict=True):
+        if p.breakpoints is not breakpoints:
+            breakpoints, bs = p.breakpoints, None
+        xs = None if s is None else _fmt_all(s.positions)
+        if bs is None:
+            bs = xs if s is not None and breakpoints is s.positions else _fmt_all(breakpoints)
+        density = _rows(_fmt(t), bs, itertools.islice(bs, 1, None), _fmt_all(p.values))
+        if s is None:
+            yield (density,)
+        else:
+            if len(index) < len(xs):
+                index = list(map(str, range(len(xs))))
+            yield density, _rows(_fmt(s.time), index, xs)
+        del density, xs  # free this snapshot's text before formatting the next
 
 
 def write_metrics_csv(path: Path, rows) -> None:
-    _write_blocks(path, [["t,mass,tv,min_gap,w1_to_reference"] + [",".join(_fmt(v) for v in row) for row in rows]])
+    _write_lines(path, ["t,mass,tv,min_gap,w1_to_reference"] + [",".join(_fmt(v) for v in row) for row in rows])
 
 
 def write_entropy_jsonl(path: Path, reports) -> None:
-    _write_blocks(path, [[json.dumps(r.json_record()) for r in reports]])
+    _write_lines(path, [json.dumps(r.json_record()) for r in reports])
 
 
 def _versions() -> dict:
@@ -471,11 +506,11 @@ def emit_method_run(run: MethodRun, out_root=None) -> Path:
     """Write density/metrics/meta (and particle trajectory) for one run."""
     root = Path(out_root if out_root is not None else run.config.out_dir)
     d = root / run.config.scenario / run.method
-    write_density_csv(d / "density.csv", run.times, run.profiles)
+    per_snapshot = [d / "density.csv"] if run.trajectory is None else [d / "density.csv", d / "trajectory.csv"]
+    _write_blocks(per_snapshot, _snapshot_blocks(run))
     write_metrics_csv(d / "metrics.csv", run.metric_rows)
     extra: dict = {"method": run.method}
     if run.trajectory is not None:
-        write_trajectory_csv(d / "trajectory.csv", run.trajectory)
         extra.update(run.trajectory.diagnostics())
     if run.fv is not None:
         extra["steps"] = run.fv.steps
@@ -495,7 +530,7 @@ def emit_compare(result: CompareResult, out_root=None) -> Path:
     emit_method_run(result.godunov, out_root)
     root = Path(out_root if out_root is not None else result.particles.config.out_dir)
     d = root / result.particles.config.scenario / "compare"
-    _write_blocks(d / "distances.csv", [["t,l1,w1"] + [",".join(_fmt(v) for v in row) for row in result.rows]])
+    _write_lines(d / "distances.csv", ["t,l1,w1"] + [",".join(_fmt(v) for v in row) for row in result.rows])
     write_meta(d / "meta.json", result.particles.config, {"method": "compare"})
     return d
 
@@ -507,7 +542,7 @@ def emit_convergence(result: ConvergenceResult, out_root=None) -> Path:
     for k, n in enumerate(result.n_list):
         ratio = result.ratios[k] if k < len(result.ratios) else math.nan
         lines.append(f"{n},{_fmt(result.errors[k])},{_fmt(ratio)}")
-    _write_blocks(d / "convergence.csv", [lines])
+    _write_lines(d / "convergence.csv", lines)
     write_meta(d / "meta.json", result.config, {"method": "convergence", "n_ref": result.n_ref, "n_list": list(result.n_list)})
     return d
 

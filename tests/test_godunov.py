@@ -250,6 +250,33 @@ def test_fields_share_one_read_only_table():
         spectrum[0] = 0.0
 
 
+def test_grid_edges_built_once_read_only_and_exact():
+    grid = nl.Grid(-1.25, 2.75, 41)  # a grid no other test uses
+    key = hash(grid)
+    edges = grid.edges
+    assert edges is grid.edges
+    assert not edges.flags.writeable
+    with pytest.raises(ValueError):
+        edges[0] = 0.0
+    expect = np.linspace(-1.25, 2.75, 42)
+    assert edges.dtype == expect.dtype and np.array_equal(edges.view(np.uint64), expect.view(np.uint64))
+    # the cached edges take no part in equality, hashing or repr
+    twin = nl.Grid(-1.25, 2.75, 41)
+    assert hash(grid) == key == hash(twin)
+    assert grid == twin and repr(grid) == repr(twin) == "Grid(left=-1.25, right=2.75, cells=41)"
+    assert grid != nl.Grid(-1.25, 2.75, 40)
+    # so an equal grid that never built its edges still hits the spectrum cache
+    before = godunov._d1_spectrum.cache_info()
+    spectrum = godunov._d1_spectrum(grid, KER)
+    assert godunov._d1_spectrum(twin, KER) is spectrum
+    after = godunov._d1_spectrum.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    # every snapshot profile of a run shares the one edge array
+    prof = nl.DensityProfile(np.array([-0.5, 0.5]), np.array([0.5]))
+    run = nl.gd_run(grid, prof, KER, MOB, 0.2, output_times=[0.1])
+    assert all(p.breakpoints is edges for p in run.profiles())
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(

@@ -7,6 +7,8 @@ import math
 import runpy
 import sys
 import time
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ from nlftl.entropy import bump_pair
 from nlftl.errors import ConfigError, InvariantViolation
 from nlftl.godunov import Grid
 from nlftl.metrics import l1_distance
+from nlftl.particles import ParticleState, reconstruct_density
+from nlftl.profiles import DensityProfile
 from nlftl.scenarios import (
     ScenarioConfig,
     build_kernel,
@@ -183,6 +187,125 @@ def test_godunov_emission_layout(tmp_path):
     assert meta["clamped_mass"] == 0.0
     assert meta["clamp_warnings"] == 0
     assert meta["mass_drift"] == pytest.approx(run.fv.masses[-1] - run.fv.masses[0], abs=0.0)
+
+
+# Reference writers: one repr per value, row by row.  Emission formats each
+# array once and shares the strings between rows and files; these are what
+# it must reproduce byte for byte.
+
+
+def direct_density_csv(path, times, profiles):
+    lines = ["t,x_left,x_right,rho"]
+    for t, p in zip(times, profiles):
+        bp = p.breakpoints
+        lines += [f"{float(t)!r},{float(bp[k])!r},{float(bp[k + 1])!r},{float(v)!r}" for k, v in enumerate(p.values)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def direct_trajectory_csv(path, traj):
+    lines = ["t,i,x"]
+    for s in traj.states:
+        lines += [f"{float(s.time)!r},{i},{float(x)!r}" for i, x in enumerate(s.positions)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def centered_run():
+    """A particle run whose profiles do not share the snapshot positions."""
+    run = run_particles(small_config())
+    return replace(run, profiles=[reconstruct_density(s, "centered") for s in run.trajectory.states])
+
+
+def vacuum_run():
+    """Finite-volume cells in the vacuum gap between two blocks."""
+    run = run_godunov(small_config(scenario="two-step-0206"))
+    assert all(np.count_nonzero(p.values == 0.0) > 0 for p in run.profiles)
+    return run
+
+
+def extreme_values_run():
+    """Times, positions and values at -0.0, the smallest subnormal and 1e300;
+    each profile's breakpoints are its snapshot's positions."""
+    base = run_particles(small_config(n_cells=3))
+    times = np.array([-0.0, 5e-324, 1e300])
+    # 1e300 never sits on the cell of width 1e300, so the profile masses stay finite
+    values = ([1e300, -0.0, 5e-324], [-0.0, 1e300, 5e-324], [1e300, 5e-324, -0.0])
+    states, profiles = [], []
+    for k, (t, vals) in enumerate(zip(times, values)):
+        x = np.array([-1.0 - k, -0.0, 5e-324, 1e300])
+        states.append(ParticleState(float(t), x, 0.5, 1.0))
+        profiles.append(DensityProfile(x, np.array(vals)))
+    traj = replace(base.trajectory, states=tuple(states))
+    return replace(base, times=times, profiles=profiles, trajectory=traj)
+
+
+EMISSION_CASES = {
+    "particles": lambda: run_particles(small_config()),
+    "godunov": lambda: run_godunov(small_config()),
+    "centered": centered_run,
+    "one-cell": lambda: run_particles(small_config(n_cells=1)),
+    "vacuum": vacuum_run,
+    "extreme-values": extreme_values_run,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMISSION_CASES))
+def test_emission_matches_direct_writers_byte_for_byte(tmp_path, case):
+    run = EMISSION_CASES[case]()
+    d = emit_method_run(run, tmp_path / "emitted")
+    direct_density_csv(tmp_path / "density.csv", run.times, run.profiles)
+    assert (d / "density.csv").read_bytes() == (tmp_path / "density.csv").read_bytes()
+    if run.trajectory is None:
+        assert not (d / "trajectory.csv").exists()
+        return
+    direct_trajectory_csv(tmp_path / "trajectory.csv", run.trajectory)
+    assert (d / "trajectory.csv").read_bytes() == (tmp_path / "trajectory.csv").read_bytes()
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["particles", "godunov", "extreme-values"])
+def test_emitted_floats_parse_back_to_the_run_bitwise(tmp_path, case):
+    run = EMISSION_CASES[case]()
+    d = emit_method_run(run, tmp_path)
+    _, rows = read_csv(d / "density.csv")
+    parsed = np.array([[float(v) for v in row] for row in rows])
+    sizes = [p.values.size for p in run.profiles]
+    assert np.array_equal(bits(parsed[:, 0]), bits(np.repeat(run.times, sizes)))
+    assert np.array_equal(bits(parsed[:, 1]), bits(np.concatenate([p.breakpoints[:-1] for p in run.profiles])))
+    assert np.array_equal(bits(parsed[:, 2]), bits(np.concatenate([p.breakpoints[1:] for p in run.profiles])))
+    assert np.array_equal(bits(parsed[:, 3]), bits(np.concatenate([p.values for p in run.profiles])))
+    if run.trajectory is None:
+        return
+    _, rows = read_csv(d / "trajectory.csv")
+    states = run.trajectory.states
+    assert [int(row[1]) for row in rows] == [i for s in states for i in range(s.positions.size)]
+    times = np.array([float(row[0]) for row in rows])
+    assert np.array_equal(bits(times), bits(np.repeat([s.time for s in states], [s.positions.size for s in states])))
+    positions = np.array([float(row[2]) for row in rows])
+    assert np.array_equal(bits(positions), bits(np.concatenate([s.positions for s in states])))
+
+
+def test_emission_holds_one_snapshot_of_text_at_a_time(tmp_path):
+    # the wide benchmark run: N = 2400, 11 snapshots
+    run = run_particles(ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": 2400}))
+    first = replace(run, times=run.times[:1], profiles=run.profiles[:1],
+                    trajectory=replace(run.trajectory, states=run.trajectory.states[:1]))
+
+    def emit_peak(r):
+        tracemalloc.start()
+        try:
+            emit_method_run(r, tmp_path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, whole = emit_peak(first), emit_peak(run)
+    # measured: 0.79 MB for one snapshot, 0.99 MB for all eleven (the particle
+    # indices stay formatted for the whole run); a writer that keeps every
+    # snapshot's text until the end peaks at 3.4 MB
+    assert whole < 1.5 * one
 
 
 def test_compare_emission_layout(tmp_path):
