@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .model import Kernel, Mobility
 from .profiles import DensityProfile
@@ -101,37 +101,70 @@ def state_profile(grid: Grid, state: FVState) -> DensityProfile:
     return DensityProfile(grid.edges, state.values)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, the lengths pocketfft's real transforms take fastest."""
+    best = 1 << (n - 1).bit_length()  # the power of two at or above n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+class _FieldWork(NamedTuple):
+    """Per-(grid, kernel) state of :func:`compute_fields`: transform length, spectrum, work buffers."""
+
+    size: int
+    spectrum: np.ndarray  # rfft of the half-offset table, read-only
+    product: np.ndarray  # complex (size//2 + 1,): one transformed row, then its product with the spectrum
+    sums: np.ndarray  # real (2, size): the convolution sums of rho and of reversed rho
+
+
 @functools.lru_cache(maxsize=8)
-def _d1_spectrum(grid: Grid, kernel: Kernel) -> tuple[int, np.ndarray]:
-    """(n, rfft of dx K' at the half offsets (k + 1/2) dx, zero-padded to n).
+def _d1_spectrum(grid: Grid, kernel: Kernel) -> _FieldWork:
+    """The rfft of dx K' at the half offsets (k + 1/2) dx, zero-padded to n, and two work buffers.
 
     The half offsets, k = 0..J-1, run from an interface to the cell centers
     on either side of it; K' is odd, so one table serves both sides.  The
-    length n = next_fast_len(2J) >= 2J - 1 keeps the circular convolution
-    free of wrap-around in its first J entries.  The spectrum is built once
-    per (grid, kernel) pair, both frozen, and is read-only because every
-    caller shares it.
+    length n = _next_fast_len(2J) >= 2J - 1 keeps the circular convolution
+    free of wrap-around in its first J entries.  The entry is built once per
+    (grid, kernel) pair, both frozen.  The spectrum is read-only because
+    every caller shares it; the buffers are overwritten by every
+    :func:`compute_fields` call on the grid, so a step allocates no FFT
+    work array.  At J = 4800 the sums take 154 KB, above glibc's 128 KB
+    mmap threshold: allocated per call, such an array's pages go back to
+    the OS when it is freed and fault in again on the next step.
     """
-    size = scipy.fft.next_fast_len(2 * grid.cells, real=True)
+    size = _next_fast_len(2 * grid.cells)
     table = grid.dx * kernel.d1((np.arange(grid.cells) + 0.5) * grid.dx)
-    spectrum = scipy.fft.rfft(table, n=size)
+    spectrum = np.fft.rfft(table, n=size)
     spectrum.setflags(write=False)
-    return size, spectrum
+    return _FieldWork(size, spectrum, np.empty(size // 2 + 1, dtype=complex), np.empty((2, size)))
 
 
 def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
     """(K+, K-) at the J+1 interfaces by midpoint-rule convolution.
 
     K+ at interface i sums K'(x_i - x_m) rho_m dx over the cells m < i left
-    of it; K- sums the cells m >= i right of it.  Both sides are one batched
-    real-FFT convolution of (rho, reversed rho) with the cached spectrum of
-    the half-offset table, O(J log J).  The FFT leaves rounding noise of
-    order eps max|K| everywhere, also where the direct sums are exactly 0 or
-    sign-definite, so two guards restore what the direct sums give:
-    one-sided sums over vacuum are exactly 0 (K+ up to the first charged
-    cell, including the left domain edge; K- after the last one, including
-    the right edge), and K+ >= 0, K- <= 0 are enforced by clamping.  The
-    first guard keeps a saturated block bitwise steady.
+    of it; K- sums the cells m >= i right of it.  Both sides are real-FFT
+    convolutions, of rho and of reversed rho, with the cached spectrum of
+    the half-offset table, O(J log J), in the grid's cached work buffers;
+    K+ and K- are fresh arrays.  The two rows go through numpy's FFT one at
+    a time: a call on both rows takes a scratch area twice a row's size
+    inside pocketfft, which at J = 4800 is mapped and unmapped on every call
+    (43 minor page faults per call; row by row, none).  The FFT leaves
+    rounding noise of order eps max|K| everywhere, also where the direct
+    sums are exactly 0 or sign-definite, so two guards restore what the
+    direct sums give: one-sided sums over vacuum are exactly 0 (K+ up to the
+    first charged cell, including the left domain edge; K- after the last
+    one, including the right edge), and K+ >= 0, K- <= 0 are enforced by
+    clamping.  The first guard keeps a saturated block bitwise steady.
     """
     cells = grid.cells
     kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
@@ -139,8 +172,11 @@ def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
     if charged.size == 0:
         return kplus, kminus
     first, last = charged[0], charged[-1]
-    size, spectrum = _d1_spectrum(grid, kernel)
-    sums = scipy.fft.irfft(scipy.fft.rfft(np.stack((rho, rho[::-1])), n=size) * spectrum, n=size)
+    size, spectrum, product, sums = _d1_spectrum(grid, kernel)
+    for row, side in enumerate((rho, rho[::-1])):
+        np.fft.rfft(side, n=size, out=product)
+        np.multiply(product, spectrum, out=product)
+        np.fft.irfft(product, n=size, out=sums[row])
     # sums[0, i-1] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m dx
     np.maximum(sums[0, first:cells], 0.0, out=kplus[first + 1 :])
     # sums[1, cells-1-i] = sum_{m>=i} K'((m-i+1/2) dx) rho_m dx

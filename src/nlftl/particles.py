@@ -10,13 +10,12 @@ principle R_i <= cap, equivalently a gap floor m / (cap * N).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import BDF
-from scipy.sparse import diags_array
 
 from . import gauss_sums
 from .errors import InvariantViolation
@@ -74,6 +73,23 @@ class ParticleState:
         return self.particle_mass / self.cap
 
 
+@functools.cache
+def _stiff_solver():
+    """scipy's ``BDF`` and ``diags_array``, imported on the first call.
+
+    They are the particle integrator's heaviest imports (0.2-0.5 s on a
+    2-vCPU Xeon VM), which a finite-volume run, ``nlftl scenario list`` or a
+    rejected config never needs.  :func:`init_particles` calls this, so a
+    particle run loads them while it builds its initial state;
+    :func:`integrate` and :func:`_jacobian` call it too, for states built
+    otherwise.
+    """
+    from scipy.integrate import BDF
+    from scipy.sparse import diags_array
+
+    return BDF, diags_array
+
+
 def init_particles(profile: DensityProfile, n_cells: int, mobility: Mobility) -> ParticleState:
     """Quantile initialisation: N+1 particles splitting the mass into N equal cells.
 
@@ -86,6 +102,7 @@ def init_particles(profile: DensityProfile, n_cells: int, mobility: Mobility) ->
     m = profile.mass
     if not m > 0.0:
         raise ValueError("initial profile must carry positive mass")
+    _stiff_solver()
     left, right = profile.support()
     pm = m / n_cells
     x = np.empty(n_cells + 1)
@@ -267,6 +284,7 @@ def _jacobian(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
     upper = s_above[:-1] * w
     lower = -s_below[1:] * w
     main = -np.append(upper, 0.0) - np.concatenate(([0.0], lower))
+    diags_array = _stiff_solver()[1]
     return diags_array([lower, main, upper], offsets=(-1, 0, 1), format="csc")
 
 
@@ -392,6 +410,7 @@ def integrate(
     def jac(t, y):
         return _jacobian(y, pm, kernel, mobility)
 
+    BDF = _stiff_solver()[0]
     solver = BDF(fun, state.time, x0, t_bound=t_end, rtol=_RTOL, atol=1e-10 * support0, jac=jac)
 
     def check(y: np.ndarray, t: float) -> float:

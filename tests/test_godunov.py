@@ -1,5 +1,12 @@
 """Finite-volume scheme: fluxes, field splitting, stepping, refinement."""
 
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -42,6 +49,27 @@ def direct_fields(rho, grid, kernel):
     left = np.convolve(rho, table)[:cells]  # left[i-1] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m
     right = np.convolve(rho[::-1], table)[cells - 1 :: -1]  # right[i] = sum_{m>=i} K'((m-i+1/2) dx) rho_m
     return np.concatenate((zero, dx * left)), np.concatenate((-dx * right, zero))
+
+
+def scipy_fields(rho, grid, kernel):
+    """(K+, K-) by the batched ``scipy.fft`` convolution that :func:`compute_fields` ran before it moved to
+    ``np.fft`` and cached work buffers: the bitwise reference for that move.
+
+    The same transform length, the same spectrum, fresh arrays everywhere and
+    the same two guards (exact zeros over vacuum, sign clamps).
+    """
+    cells, dx = grid.cells, grid.dx
+    kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
+    charged = np.flatnonzero(rho)
+    if charged.size == 0:
+        return kplus, kminus
+    first, last = charged[0], charged[-1]
+    size = scipy.fft.next_fast_len(2 * cells, real=True)
+    spectrum = scipy.fft.rfft(dx * kernel.d1((np.arange(cells) + 0.5) * dx), n=size)
+    sums = scipy.fft.irfft(scipy.fft.rfft(np.stack((rho, rho[::-1])), n=size) * spectrum, n=size)
+    np.maximum(sums[0, first:cells], 0.0, out=kplus[first + 1 :])
+    np.minimum(np.negative(sums[1, cells - 1 - last : cells][::-1]), 0.0, out=kminus[: last + 1])
+    return kplus, kminus
 
 
 def godunov_flux(u_left, u_right, mobility):
@@ -241,13 +269,100 @@ def test_fields_share_one_read_only_table():
     after = godunov._d1_spectrum.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
     assert np.array_equal(first[0], -second[1][::-1])  # mirrored data, mirrored fields
-    size, spectrum = godunov._d1_spectrum(grid, KER)
-    assert spectrum is godunov._d1_spectrum(grid, KER)[1]
+    work = godunov._d1_spectrum(grid, KER)
+    assert work is godunov._d1_spectrum(grid, KER)
+    size, spectrum, product, sums = work
     assert size == scipy.fft.next_fast_len(2 * 37, real=True) >= 2 * 37 - 1
     table = grid.dx * KER.d1((np.arange(37) + 0.5) * grid.dx)
     assert np.array_equal(spectrum, scipy.fft.rfft(table, n=size))
     with pytest.raises(ValueError):
         spectrum[0] = 0.0
+    # the work buffers: one transformed row, and the sums, one row per side
+    assert product.shape == (size // 2 + 1,) and product.dtype == np.complex128
+    assert sums.shape == (2, size) and sums.dtype == np.float64
+    assert product.flags.writeable and sums.flags.writeable
+
+
+@pytest.mark.parametrize("cells", [2, 3, 37, 1200, 4800])
+def test_fields_equal_the_scipy_fft_reference_bitwise_call_after_call(cells):
+    # several states on one grid, so every call after the first reuses the
+    # cached buffers; each result must equal the reference bit for bit and
+    # must not change when a later call overwrites the buffers
+    grid = nl.Grid(-2.5, 2.5, cells)
+    x = grid.centers
+    rng = np.random.default_rng(cells)
+    states = [
+        np.where((x > -1.0) & (x < 1.0), 0.3, 0.0),
+        np.zeros(cells),  # all vacuum: returns before touching the buffers
+        rng.uniform(0.0, MOB.cap, cells),
+        np.where(x > 0.0, MOB.cap, 0.0),
+        np.where(np.abs(x) < 0.4, 0.0, 0.7),  # a vacuum gap inside
+        np.zeros(cells),
+        rng.uniform(0.0, MOB.cap, cells) * (rng.random(cells) < 0.3),
+    ]
+    results = []
+    for rho in states:
+        got = compute_fields(rho, grid, KER)
+        want = scipy_fields(rho, grid, KER)
+        assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
+        results.append((got, tuple(a.copy() for a in got)))
+    _, _, product, sums = godunov._d1_spectrum(grid, KER)
+    for (kplus, kminus), (kplus_then, kminus_then) in results:
+        assert np.array_equal(kplus, kplus_then) and np.array_equal(kminus, kminus_then)
+        for a in (kplus, kminus):
+            assert not np.shares_memory(a, product) and not np.shares_memory(a, sums)
+
+
+def test_next_fast_len_matches_scipy_up_to_2_to_the_15():
+    got = [godunov._next_fast_len(n) for n in range(1, 2**15 + 1)]
+    assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 2**15 + 1)]
+
+
+def test_fields_allocate_no_fft_work_array_per_call():
+    # the fv-march grid and state: after one warm-up call builds the cached
+    # entry, a call allocates K+, K- and J-sized index and sign temporaries
+    # (a 112 KB peak at J = 4800), and no longer the two 154 KB FFT work
+    # arrays it allocated per call before they were cached (a 470 KB peak)
+    cfg = nl.builtin_scenario("two-step-0206")
+    grid = nl.Grid(cfg.domain[0], cfg.domain[1], 4800)
+    rho, kernel = nl.cell_averages(nl.build_profile(cfg), grid), nl.build_kernel(cfg)
+    compute_fields(rho, grid, kernel)
+    tracemalloc.start()
+    try:
+        compute_fields(rho, grid, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
+FAULTS_PER_CALL = """
+import resource
+import nlftl as nl
+from nlftl.godunov import compute_fields
+cfg = nl.builtin_scenario("two-step-0206")
+grid = nl.Grid(cfg.domain[0], cfg.domain[1], 4800)
+rho, kernel = nl.cell_averages(nl.build_profile(cfg), grid), nl.build_kernel(cfg)
+compute_fields(rho, grid, kernel)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    compute_fields(rho, grid, kernel)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's mmap threshold")
+def test_fields_take_no_page_faults_per_call():
+    # what tracemalloc cannot see: a transform of both rows in one call makes
+    # numpy's pocketfft allocate scratch above the mmap threshold, mapped and
+    # unmapped every call (76 minor faults per call here); row by row, none.
+    # A fresh interpreter with the threshold pinned at glibc's default keeps
+    # the count independent of what the process freed before.
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 5.0
 
 
 def test_grid_edges_built_once_read_only_and_exact():
