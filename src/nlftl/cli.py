@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from .entropy import N_SPACE
 from .errors import ConfigError, InvariantViolation
 from .scenarios import (
     ScenarioConfig,
@@ -96,7 +97,7 @@ def _cmd_godunov(args) -> int:
     config = _load_config(args)
     run = run_godunov(config)
     d = emit_method_run(run)
-    drift = run.fv.masses[-1] - run.fv.masses[0]
+    drift = run.fv.diagnostics()["mass_drift"]
     print(f"godunov: t={run.times[-1]:g} steps={run.fv.steps} mass_drift={drift:.3e} -> {d}")
     return 0
 
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
     p.add_argument("--frozen", action="store_true", help="evaluate on the time-constant initial profile")
     p.add_argument("--c-list", default=None, help="comma-separated constants (default 0..cap in 11 steps)")
     p.add_argument("--horizon", type=float, default=None, help="temporal plateau length T")
-    p.add_argument("--n-space", type=int, default=256, help="spatial quadrature cells")
+    p.add_argument("--n-space", type=int, default=N_SPACE, help="spatial quadrature cells")
     p.set_defaults(fn=_cmd_entropy_audit)
 
     p = sub.add_parser("scenario", help="inspect builtin scenarios")

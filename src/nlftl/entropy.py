@@ -38,7 +38,6 @@ from .profiles import DensityProfile
 
 _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-_BLOCK = 2**15  # array entries per block of the jump sums
 # Crossover and term cap of the Gauss-Taylor jump sums, measured on a 2-vCPU
 # Xeon VM (medians of 7 x 40 calls, 2,439 points on [-6, 6]): the direct
 # blocks take 1.43 times the expansion's time at 24 breakpoints with 40 terms
@@ -46,6 +45,8 @@ _BLOCK = 2**15  # array entries per block of the jump sums
 _EXPANSION_MIN_BREAKPOINTS = 24
 _EXPANSION_MAX_TERMS = 64
 _GUARD_FLOOR = 1e-6  # smallest guard band below zero before a residual is flagged
+N_SPACE = 256  # default spatial quadrature cells of the coarse pass; the fine pass takes twice as many
+MAX_HORIZON = 1e4  # longest plateau: a frozen audit takes a snapshot per unit of it, 1.3 ms each on a 2-vCPU Xeon VM
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,8 @@ class TestFunction:
     def __post_init__(self) -> None:
         if not self.bumps:
             raise ValueError("need at least one bump")
-        if not (self.horizon >= 0.0 and math.isfinite(self.horizon)):
-            raise ConfigError(f"horizon must be finite and >= 0, got {self.horizon!r}")
+        if not 0.0 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must lie in [0, {MAX_HORIZON:g}], got {self.horizon!r}")
 
     @property
     def x_support(self) -> tuple[float, float]:
@@ -253,14 +254,15 @@ def _jump_sum_terms(kernel: Kernel, bp: np.ndarray, x: np.ndarray) -> int:
 def _direct_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray):
     """The jump sums of :func:`_convolutions`, one kernel evaluation per (point, breakpoint).
 
-    The points are walked in blocks of about ``_BLOCK`` kernel evaluations,
-    so memory stays bounded at any N; each row is summed whole, so the sums
-    equal ``sum(coef * kernel.value(d))`` and ``sum(coef * kernel.d1(d))``
-    exactly.  Every block is computed into the same three arrays: a fresh
-    allocation per block this size can take new pages from the OS each time.
+    The points are walked in blocks of about ``gauss_sums.BLOCK`` kernel
+    evaluations, so memory stays bounded at any N; each row is summed whole,
+    so the sums equal ``sum(coef * kernel.value(d))`` and
+    ``sum(coef * kernel.d1(d))`` exactly.  Every block is computed into the
+    same three arrays: a fresh allocation per block this size can take new
+    pages from the OS each time.
     """
     w1, w2 = np.zeros_like(x), np.zeros_like(x)
-    rows = max(1, min(x.size, _BLOCK // bp.size))
+    rows = max(1, min(x.size, gauss_sums.BLOCK // bp.size))
     d, k, k1 = (np.empty((rows, bp.size)) for _ in range(3))
     for start in range(0, x.size, rows):
         m = min(rows, x.size - start)
@@ -280,14 +282,14 @@ def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.
     moments M_n = sum_j coef_j e_j a_n(u_j) give
     W1 = -A e_x sum_{n<p} a_n(u_x) M_n and, by the twin identity,
     W2 = 2AB e_x sum_{n<p} a_n(u_x) (u_x M_n - sqrt((n+1)/(2B)) M_{n+1}).
-    The moments add up over blocks of ``_BLOCK // (p+1)`` breakpoints, all
-    orders at once.  Since a_n(u) = a_n(1) u^n, each sum over n is a
-    polynomial in u_x, evaluated by Horner's rule on all points at once:
-    O(points) memory, 2p passes.
+    The moments add up over blocks of ``gauss_sums.BLOCK // (p+1)``
+    breakpoints, all orders at once.  Since a_n(u) = a_n(1) u^n, each sum
+    over n is a polynomial in u_x, evaluated by Horner's rule on all points
+    at once: O(points) memory, 2p passes.
     """
     c = 0.5 * (bp[0] + bp[-1])
     step, twin = gauss_sums.factors(p, kernel.inv_width)
-    cols = max(1, _BLOCK // (p + 1))
+    cols = max(1, gauss_sums.BLOCK // (p + 1))
     a_buf = np.empty((p + 1, min(cols, bp.size)))
     moments = np.zeros(p + 1)
     for lo in range(0, bp.size, cols):
@@ -387,7 +389,7 @@ def entropy_residuals(
     mobility: Mobility,
     test_fn: TestFunction,
     c_list,
-    n_space: int = 256,
+    n_space: int = N_SPACE,
 ) -> list[EntropyReport]:
     """Residuals of a trajectory against one test function, one per constant.
 
@@ -447,7 +449,7 @@ def entropy_residual(
     mobility: Mobility,
     test_fn: TestFunction,
     c: float,
-    n_space: int = 256,
+    n_space: int = N_SPACE,
 ) -> EntropyReport:
     """Residual of a trajectory against one (test function, constant) pair:
     the one-constant form of :func:`entropy_residuals`."""

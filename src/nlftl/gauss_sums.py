@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 _TAIL = 2.0**-56  # bound on the first omitted term R^p / p!
+BLOCK = 2**15  # array entries per block or strip of the pair sums and the jump sums
 
 
 def terms(r: float, max_terms: int) -> int:

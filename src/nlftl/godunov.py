@@ -24,7 +24,7 @@ from .model import Kernel, Mobility
 from .profiles import DensityProfile
 
 _OVERSHOOT = 1e-10  # constructor tolerance above the cap
-_CFL = 0.45  # Courant number of gd_run; cfl_dt keeps values in [0, cap] only below 1/2
+_CFL = 0.45  # Courant number of cfl_dt, which keeps values in [0, cap] only below 1/2
 
 
 @dataclass(frozen=True)
@@ -197,19 +197,19 @@ def _upwind(a, b, fa, fb, sigma: float, peak: float):
     )
 
 
-def cfl_dt(grid: Grid, fields, mobility: Mobility, cfl: float, cap_dt: float) -> float:
+def cfl_dt(grid: Grid, fields, mobility: Mobility, cap_dt: float) -> float:
     """Stable step from the transport speeds, or ``cap_dt`` when the fields vanish.
 
-    dt <= cfl * dx / (max_i (|K+_i| + |K-_i|) * max|f'|).  Since
+    dt <= _CFL * dx / (max_i (|K+_i| + |K-_i|) * max|f'|).  Since
     f(rho) <= v_max * min(rho, cap - rho), a cell loses at most
-    2 * cfl * rho and gains at most 2 * cfl * (cap - rho) in one step, so for
-    cfl < 1/2 this bound alone keeps the values in [0, cap].
+    2 * _CFL * rho and gains at most 2 * _CFL * (cap - rho) in one step, so
+    with _CFL < 1/2 this bound alone keeps the values in [0, cap].
     """
     kplus, kminus = fields
     dt = float(cap_dt)
     speed = float(np.max(np.abs(kplus) + np.abs(kminus))) * mobility.dflux_bound
     if speed > 0.0:
-        dt = min(dt, cfl * grid.dx / speed)
+        dt = min(dt, _CFL * grid.dx / speed)
     return dt
 
 
@@ -280,6 +280,19 @@ class GodunovRun:
     def profiles(self) -> list[DensityProfile]:
         return [state_profile(self.grid, s) for s in self.states]
 
+    def diagnostics(self) -> dict:
+        """The run's deterministic diagnostics, as ``meta.json`` records them."""
+        return {
+            "steps": self.steps,
+            "min_dt": self.min_dt,
+            "max_dt": self.max_dt,
+            "cfl_limited_steps": self.cfl_limited_steps,
+            "output_limited_steps": self.output_limited_steps,
+            "clamped_mass": float(self.clamped_mass),
+            "clamp_warnings": self.clamp_warnings,
+            "mass_drift": float(self.masses[-1] - self.masses[0]),
+        }
+
 
 def gd_run(
     grid: Grid,
@@ -314,7 +327,7 @@ def gd_run(
         while t < t_next:
             fields = compute_fields(rho, grid, kernel)
             remaining = t_next - t
-            dt = cfl_dt(grid, fields, mobility, _CFL, cap_dt=remaining)
+            dt = cfl_dt(grid, fields, mobility, cap_dt=remaining)
             stepped, step_clamp = gd_step(grid, FVState(t, rho, mobility.cap), kernel, mobility, dt, fields)
             rho = stepped.values
             clamped += step_clamp

@@ -128,7 +128,6 @@ def jam_state(center: float, mass: float, mobility: Mobility, n_cells: int) -> P
 
 
 _TILE = 64  # most rows per strip of the pair sums
-_STRIP_BUDGET = 2**15  # array entries per strip or block, the budget of entropy._BLOCK
 # Crossover and term cap of the Gauss-Taylor pair sums, measured on a 2-vCPU
 # Xeon VM (medians of 3 x 30 calls on equispaced particles): with 32 terms the
 # expansion takes 0.87 of the strips' time at N = 224 and 1.12 at N = 192;
@@ -165,8 +164,8 @@ def _pair_sum_terms(x: np.ndarray, kernel: Kernel) -> int:
 def _tiled_pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """The one-sided sums of :func:`_pair_sums`, pair by pair in row strips.
 
-    The sums walk row strips of ``max(8, min(_TILE, _STRIP_BUDGET // (N+1)))``
-    particles, so no temporary exceeds ``_STRIP_BUDGET`` entries up to
+    The sums walk row strips of ``max(8, min(_TILE, gauss_sums.BLOCK // (N+1)))``
+    particles, so no temporary exceeds ``gauss_sums.BLOCK`` entries up to
     N+1 = 4096, nor 8*(N+1) beyond.  A strip evaluates K'(x_i - x_j)
     once on its block of pairs j > i (the mirrored pairs inside the strip's
     diagonal tile are evaluated too and masked to zero), adds the block's row
@@ -175,7 +174,7 @@ def _tiled_pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndar
     K'(x_j - x_i) = -K'(x_i - x_j) bit for bit.
     """
     n = x.size
-    tile = max(8, min(_TILE, _STRIP_BUDGET // n))
+    tile = max(8, min(_TILE, gauss_sums.BLOCK // n))
     s_above = np.zeros(n)
     s_below = np.zeros(n)
     mirrored = np.tri(tile, tile - 1, -1, dtype=bool)  # column j = lo+1+c is at or left of row i = lo+r
@@ -198,14 +197,14 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarr
     sum_{j<i} K'(u_i - u_j) = 2AB e_i sum_{n<p} a_n(u_i) (u_i P_n(i) - sqrt((n+1)/(2B)) P_{n+1}(i)).
     The sums over j > i are the same sums on the reversed particles; both
     orders go through together.  Particles go in blocks of
-    ``_STRIP_BUDGET // (2 (p+1))``, all p+1 weights at once; a block's
+    ``gauss_sums.BLOCK // (2 (p+1))``, all p+1 weights at once; a block's
     exclusive prefix sums start from the running totals of the blocks before
     it, so no running sum is longer than one block.
     """
     u = x - 0.5 * (np.min(x) + np.max(x))
     u = np.stack((u, u[::-1]))  # row 0 gives the sums over j < i, row 1 over j > i, reversed
     n = x.size
-    block = min(n, max(1, _STRIP_BUDGET // (2 * (p + 1))))
+    block = min(n, max(1, gauss_sums.BLOCK // (2 * (p + 1))))
     step, twin = (f[:, None, None] for f in gauss_sums.factors(p, kernel.inv_width))
     e = kernel.gauss(u)
     total = np.zeros((p + 1, 2, 1))

@@ -14,6 +14,7 @@ import copy
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import metadata as _metadata
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .entropy import EntropyReport, TestFunction, bump_pair, check_audit_inputs, entropy_residual, entropy_residuals, single_bump
+from .entropy import N_SPACE, EntropyReport, TestFunction, bump_pair, check_audit_inputs, entropy_residual, entropy_residuals, single_bump
 from .errors import ConfigError
 from .godunov import GodunovRun, Grid, gd_run
 from .metrics import l1_distance, total_variation, wasserstein1
@@ -90,6 +91,20 @@ def _profile_from_spec(spec) -> DensityProfile:
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
+def _number(name: str, value, integer: bool = False) -> float | int:
+    """A config scalar as a finite float, or an int when ``integer``; ConfigError
+    for anything else: strings, null, booleans, NaN and infinities."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer too large for a float
+        x = math.inf
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
+    return int(value) if integer else x
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved run configuration; every field is JSON-representable."""
@@ -113,32 +128,36 @@ class ScenarioConfig:
         if not isinstance(scenario, str) or scenario in ("", ".", "..") or any(ch in scenario for ch in "/\\\0"):
             raise err(f"scenario must be a single path component, got {scenario!r}")
         for name in ("amplitude", "inv_width", "cap", "v_max", "t_end"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise err(f"{name} must be a positive finite number")
+            value = _number(name, getattr(self, name))
+            if not value > 0.0:
+                raise err(f"{name} must be positive")
             object.__setattr__(self, name, value)
         for name in ("n_cells", "fv_cells"):
-            value = getattr(self, name)
-            if int(value) != value or int(value) < 1:
+            value = _number(name, getattr(self, name), integer=True)
+            if value < 1:
                 raise err(f"{name} must be a positive integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         if self.fv_cells < 2:
             raise err("fv_cells must be at least 2")
         try:
-            lo, hi = (float(v) for v in self.domain)
+            lo, hi = self.domain
         except (TypeError, ValueError) as exc:
             raise err(f"domain must be a pair of numbers: {exc}") from exc
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        lo, hi = _number("domain", lo), _number("domain", hi)
+        if not lo < hi:
             raise err("domain must satisfy left < right")
         object.__setattr__(self, "domain", (lo, hi))
         if self.output_times is None:
             times = tuple(float(t) for t in np.linspace(0.0, self.t_end, 11))
         else:
-            times = tuple(float(t) for t in self.output_times)
+            try:
+                times = tuple(_number("output time", t) for t in self.output_times)
+            except TypeError as exc:
+                raise err(f"output_times must be a list of times: {exc}") from exc
             if not times:
                 raise err("output_times must not be empty")
             for t in times:
-                if not (math.isfinite(t) and 0.0 <= t <= self.t_end):
+                if not 0.0 <= t <= self.t_end:
                     raise err(f"output time {t!r} outside [0, t_end]")
         object.__setattr__(self, "output_times", times)
         initial = _profile_from_spec(self.profile)
@@ -225,35 +244,21 @@ class MethodRun:
     fv: GodunovRun | None = None
 
 
-def run_particles(config: ScenarioConfig, settle_tol: float | None = None, output_times=None) -> MethodRun:
+def run_particles(config: ScenarioConfig, settle_tol: float | None = None) -> MethodRun:
     """Integrate the particle system and reconstruct forward densities."""
     kernel, mobility = build_kernel(config), build_mobility(config)
     state = init_particles(build_profile(config), config.n_cells, mobility)
-    traj = integrate(
-        state,
-        kernel,
-        mobility,
-        config.t_end,
-        output_times=config.output_times if output_times is None else output_times,
-        settle_tol=settle_tol,
-    )
+    traj = integrate(state, kernel, mobility, config.t_end, output_times=config.output_times, settle_tol=settle_tol)
     profiles = traj.profiles()
     rows = _metric_rows(traj.times, profiles, [s.min_gap for s in traj.states])
     return MethodRun(config, "particles", traj.times, profiles, rows, trajectory=traj)
 
 
-def run_godunov(config: ScenarioConfig, output_times=None) -> MethodRun:
+def run_godunov(config: ScenarioConfig) -> MethodRun:
     """March the finite-volume scheme on the configured grid."""
     kernel, mobility = build_kernel(config), build_mobility(config)
     grid = Grid(config.domain[0], config.domain[1], config.fv_cells)
-    run = gd_run(
-        grid,
-        build_profile(config),
-        kernel,
-        mobility,
-        config.t_end,
-        output_times=config.output_times if output_times is None else output_times,
-    )
+    run = gd_run(grid, build_profile(config), kernel, mobility, config.t_end, output_times=config.output_times)
     profiles = run.profiles()
     rows = _metric_rows(run.times, profiles)
     return MethodRun(config, "godunov", run.times, profiles, rows, fv=run)
@@ -306,7 +311,7 @@ def run_convergence(config: ScenarioConfig, n_list) -> ConvergenceResult:
     n_ref = 4 * max(ns)
 
     def final_profile(n: int) -> DensityProfile:
-        return run_particles(replace(config, n_cells=n), output_times=[config.t_end]).profiles[-1]
+        return run_particles(replace(config, n_cells=n, output_times=(config.t_end,))).profiles[-1]
 
     reference = final_profile(n_ref)
     errors = [l1_distance(final_profile(n), reference) for n in ns]
@@ -343,49 +348,37 @@ def frozen_snapshots(profile: DensityProfile, test_fn: TestFunction):
 def run_entropy_audit(
     config: ScenarioConfig,
     c_list=None,
-    phi_specs=None,
     method: str = "particles",
     frozen: bool = False,
-    n_space: int = 256,
+    n_space: int = N_SPACE,
     horizon: float | None = None,
 ) -> list[EntropyReport]:
-    """Residuals over a (c, test function) grid on one trajectory.
+    """Residuals of the default test function, one per constant, on one trajectory.
 
     frozen=True evaluates on the time-constant initial profile (the analytic
     steady-state argument); otherwise the configured solver provides the
-    trajectory on a snapshot grid dense enough for the time quadrature.
+    trajectory on 81 snapshots over [0, t_end], dense enough for the time
+    quadrature, whatever the config's own ``output_times``.
     """
     kernel, mobility = build_kernel(config), build_mobility(config)
     if c_list is None:
         c_list = tuple(float(c) for c in np.linspace(0.0, config.cap, 11))
     check_audit_inputs(c_list, n_space)
-    if phi_specs is None:
-        phi_specs = (default_test_function(config, frozen=frozen, horizon=horizon),)
-    profile0 = build_profile(config)
-    reports: list[EntropyReport] = []
+    tf = default_test_function(config, frozen=frozen, horizon=horizon)
     if frozen:
-        for tf in phi_specs:
-            snaps = frozen_snapshots(profile0, tf)
-            reports.extend(entropy_residuals(snaps, kernel, mobility, tf, c_list, n_space=n_space))
-        return reports
-    t_need = max(tf.t_support_end for tf in phi_specs)
-    if config.t_end < t_need - 1e-12:
-        raise ConfigError(f"t_end={config.t_end:g} too short: test functions are supported up to t={t_need:g}")
-    audit_times = np.linspace(0.0, config.t_end, 81)
-    if method == "particles":
-        run = run_particles(config, output_times=audit_times)
-        snaps = list(zip(run.times, run.profiles))
-    elif method == "godunov":
-        run = run_godunov(config, output_times=audit_times)
-        snaps = list(zip(run.times, run.profiles))
+        snaps = frozen_snapshots(build_profile(config), tf)
     else:
-        raise ConfigError(f"unknown audit method {method!r}")
-    for tf in phi_specs:
-        reports.extend(entropy_residuals(snaps, kernel, mobility, tf, c_list, n_space=n_space))
-    return reports
+        if config.t_end < tf.t_support_end - 1e-12:
+            raise ConfigError(f"t_end={config.t_end:g} too short: the test function runs to t={tf.t_support_end:g}")
+        runners = {"particles": run_particles, "godunov": run_godunov}
+        if method not in runners:
+            raise ConfigError(f"unknown audit method {method!r}")
+        run = runners[method](replace(config, output_times=np.linspace(0.0, config.t_end, 81)))
+        snaps = list(zip(run.times, run.profiles))
+    return entropy_residuals(snaps, kernel, mobility, tf, c_list, n_space=n_space)
 
 
-def first_violation_horizon(config: ScenarioConfig, horizons, c: float = 0.5, n_space: int = 256):
+def first_violation_horizon(config: ScenarioConfig, horizons, c: float = 0.5, n_space: int = N_SPACE):
     """Sweep the plateau horizon on the frozen profile; first flagged T wins.
 
     Returns (horizon, report) of the first flagged residual, or (None, None).
@@ -509,19 +502,8 @@ def emit_method_run(run: MethodRun, out_root=None) -> Path:
     per_snapshot = [d / "density.csv"] if run.trajectory is None else [d / "density.csv", d / "trajectory.csv"]
     _write_blocks(per_snapshot, _snapshot_blocks(run))
     write_metrics_csv(d / "metrics.csv", run.metric_rows)
-    extra: dict = {"method": run.method}
-    if run.trajectory is not None:
-        extra.update(run.trajectory.diagnostics())
-    if run.fv is not None:
-        extra["steps"] = run.fv.steps
-        extra["min_dt"] = run.fv.min_dt
-        extra["max_dt"] = run.fv.max_dt
-        extra["cfl_limited_steps"] = run.fv.cfl_limited_steps
-        extra["output_limited_steps"] = run.fv.output_limited_steps
-        extra["clamped_mass"] = float(run.fv.clamped_mass)
-        extra["clamp_warnings"] = run.fv.clamp_warnings
-        extra["mass_drift"] = float(run.fv.masses[-1] - run.fv.masses[0])
-    write_meta(d / "meta.json", run.config, extra)
+    result = run.trajectory if run.trajectory is not None else run.fv
+    write_meta(d / "meta.json", run.config, {"method": run.method, **result.diagnostics()})
     return d
 
 

@@ -181,7 +181,7 @@ def test_07_saturated_block_bit_exact_godunov():
     grid = nl.Grid(-2.5, 2.5, 1200)
     vals = np.where(np.abs(grid.centers) < 0.5, 1.0, 0.0)
     state = nl.FVState(0.0, vals, MOB.cap)
-    dt = cfl_dt(grid, compute_fields(vals, grid, KER), MOB, 0.45, cap_dt=math.inf)
+    dt = cfl_dt(grid, compute_fields(vals, grid, KER), MOB, cap_dt=math.inf)
     clamped = 0.0
     t0 = time.perf_counter()
     for _ in range(10_000):

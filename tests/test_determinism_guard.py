@@ -10,6 +10,11 @@ It also fails on an import of ``scipy.fft``, ``scipy.integrate`` or
 ``scipy.sparse`` that runs when a module is imported, rather than inside a
 function: each costs tenths of a second that ``import nlftl``, a
 finite-volume run and every CLI error would pay.
+
+Last, it fails on a function with a parameter named after a tolerance behind
+a gate (the Courant number, the integrator tolerances, the guard floor of the
+entropy audit, the gap slack): those are module constants, and a keyword
+would let a caller loosen the check they set.
 """
 
 import ast
@@ -21,6 +26,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlftl"
 BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
 CONCURRENCY = {"threading", "multiprocessing", "concurrent"}
 LAZY = ("scipy.fft", "scipy.integrate", "scipy.sparse")
+GATE_TOLERANCES = {"cfl", "rtol", "atol", "guard_floor", "eps_gap"}
 
 
 def findings(tree: ast.AST) -> list[str]:
@@ -57,6 +63,17 @@ def eager_imports(tree: ast.AST) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             if is_lazy(node.module) or any(is_lazy(f"{node.module}.{a.name}") for a in node.names):
                 found.append(f"{node.lineno}: from {node.module} import")
+    return found
+
+
+def tolerance_parameters(tree: ast.AST) -> list[str]:
+    """Line-tagged parameters named in ``GATE_TOLERANCES``, of any kind, of every function in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            found += [f"{p.lineno}: {p.arg}" for p in params if p.arg in GATE_TOLERANCES]
     return found
 
 
@@ -120,3 +137,38 @@ def test_guard_catches_each_eager_import(source):
 )
 def test_guard_allows_imports_inside_functions(source):
     assert eager_imports(ast.parse(source)) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_keyword_changes_a_gate_tolerance(path):
+    assert tolerance_parameters(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def cfl_dt(grid, fields, mobility, cfl, cap_dt): pass",
+        "def integrate(state, t_end, *, rtol=1e-8): pass",
+        "def solve(y, atol, /): pass",
+        "async def audit(reports, guard_floor=1e-6): pass",
+        "check = lambda gaps, eps_gap: gaps > eps_gap",
+        "class Run:\n    def step(self, cfl=0.45): pass",
+        "def outer():\n    def inner(rtol): pass",
+        "def run(*rtol): pass",
+        "def run(**atol): pass",
+    ],
+)
+def test_guard_catches_each_tolerance_parameter(source):
+    assert len(tolerance_parameters(ast.parse(source))) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def step(grid, fields, cap_dt): return _CFL * grid.dx",
+        "def integrate(state, **kwargs): return solver(state, rtol=_RTOL)",
+        "cfl = 0.45",
+    ],
+)
+def test_guard_allows_tolerances_as_constants_and_call_keywords(source):
+    assert tolerance_parameters(ast.parse(source)) == []

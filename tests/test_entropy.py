@@ -2,12 +2,13 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nlftl as nl
-from nlftl import entropy
+from nlftl import entropy, gauss_sums
 from nlftl.scenarios import frozen_snapshots
 
 MOB = nl.Mobility()
@@ -84,6 +85,18 @@ def test_non_finite_or_negative_horizon_is_a_config_error(horizon):
     for name, frozen in (("single-step", False), ("stationary-weak", True)):
         with pytest.raises(nl.ConfigError):
             nl.default_test_function(nl.builtin_scenario(name), frozen=frozen, horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon", [1e300, 1e9, np.nextafter(entropy.MAX_HORIZON, np.inf)])
+def test_horizon_above_the_bound_is_a_config_error(horizon):
+    # a frozen audit takes a snapshot per unit of horizon: 1e9 of them would
+    # exhaust memory, 1e300 overflow the snapshot grid; no grid is built here
+    with pytest.raises(nl.ConfigError, match="horizon"):
+        nl.TestFunction((nl.SpatialBump("cos2", 0.0, 1.0),), horizon, "long")
+    for name, frozen in (("single-step", False), ("single-step", True), ("stationary-weak", True)):
+        with pytest.raises(nl.ConfigError, match="horizon"):
+            nl.default_test_function(nl.builtin_scenario(name), frozen=frozen, horizon=horizon)
+    assert nl.bump_pair(entropy.MAX_HORIZON).horizon == entropy.MAX_HORIZON
 
 
 # ---------------------------------------------------------------- residual
@@ -189,7 +202,7 @@ def test_particle_run_not_flagged_on_single_step():
 def particle_audit():
     """(snapshots, test function, kernel, mobility) of the single-step particle audit at N=100."""
     cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": 100, "t_end": 2.0})
-    run = nl.run_particles(cfg, output_times=np.linspace(0.0, cfg.t_end, 81))
+    run = nl.run_particles(replace(cfg, output_times=np.linspace(0.0, cfg.t_end, 81)))
     snaps = list(zip(run.times, run.profiles))
     return snaps, nl.default_test_function(cfg), nl.build_kernel(cfg), nl.build_mobility(cfg)
 
@@ -313,7 +326,7 @@ def test_convolutions_equal_direct_kernel_sums(kernel, particle_audit):
     # the direct blocks: many of them, the last one partial, bit for bit
     many, _ = perturbed_single_step(1000)
     bp, coef = charged_breakpoints(many)
-    rows = entropy._BLOCK // bp.size
+    rows = gauss_sums.BLOCK // bp.size
     x = np.linspace(-3.0, 3.0, 9 * rows + 5)
     want = direct_kernel_sums(kernel, many, x)
     assert all(np.array_equal(g, w) for g, w in zip(entropy._direct_jump_sums(kernel, bp, coef, x), want))

@@ -16,7 +16,6 @@ import pytest
 
 from nlftl import entropy
 from nlftl.cli import main
-from nlftl.entropy import bump_pair
 from nlftl.errors import ConfigError, InvariantViolation
 from nlftl.godunov import Grid
 from nlftl.metrics import l1_distance
@@ -105,6 +104,20 @@ def test_builtin_overlay_keeps_profile_and_applies_overrides():
     assert cfg.profile == builtin_scenario("single-step").profile
 
 
+# config scalars no number conversion may accept: each once failed with a
+# traceback instead of a ConfigError, or (the booleans) was read as 1
+MALFORMED_SCALARS = [
+    {"scenario": "single-step", "n_cells": math.nan},
+    {"scenario": "single-step", "n_cells": math.inf},
+    *({"scenario": "single-step", name: "x"} for name in ("amplitude", "inv_width", "cap", "v_max", "t_end")),
+    {"scenario": "single-step", "output_times": ["a"]},
+    {"scenario": "single-step", "output_times": [0.5, None]},
+    {"scenario": "single-step", "output_times": 5},
+    {"scenario": "single-step", "n_cells": True},
+    {"scenario": "single-step", "t_end": True},
+]
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -121,6 +134,7 @@ def test_builtin_overlay_keeps_profile_and_applies_overrides():
         {"scenario": "x", "profile": {"kind": "pyramid"}},
         *({"scenario": name, "profile": {"kind": "uniform-step", "left": -1, "right": 1, "height": 0.3}}
           for name in ("../../escaped", "a/b", "a\\b", "a\0b", ".", "..")),
+        *MALFORMED_SCALARS,
     ],
 )
 def test_invalid_configs_rejected(data):
@@ -362,7 +376,7 @@ def test_convergence_grades_against_particle_run_at_four_times_max_n():
     assert result.n_ref == 64
 
     def final(n):
-        return run_particles(ScenarioConfig.from_dict({**cfg.to_dict(), "n_cells": n}), output_times=[cfg.t_end]).profiles[-1]
+        return run_particles(replace(cfg, n_cells=n, output_times=(cfg.t_end,))).profiles[-1]
 
     reference = final(64)
     for n, err in zip(result.n_list, result.errors):
@@ -389,7 +403,7 @@ def test_convergence_validation():
 
 def test_entropy_audit_emission(tmp_path):
     cfg = builtin_scenario("stationary-weak")
-    reports = run_entropy_audit(cfg, c_list=(0.0, 0.5), phi_specs=(bump_pair(1.0),), frozen=True, n_space=64)
+    reports = run_entropy_audit(cfg, c_list=(0.0, 0.5), frozen=True, n_space=64, horizon=1.0)
     assert len(reports) == 2
 
     d = emit_entropy(cfg, reports, "particles-frozen", tmp_path)
@@ -413,7 +427,7 @@ def test_entropy_audit_meta_records_the_largest_jump_sum_order(tmp_path):
     cfg = ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": 100, "t_end": 2.0})
     reports = run_entropy_audit(cfg, c_list=(0.0, 0.5), n_space=16)
     meta = json.loads((emit_entropy(cfg, reports, "particles", tmp_path) / "meta.json").read_text())
-    run = run_particles(cfg, output_times=np.linspace(0.0, cfg.t_end, 81))
+    run = run_particles(replace(cfg, output_times=np.linspace(0.0, cfg.t_end, 81)))
     tf = default_test_function(cfg)
     kernel = build_kernel(cfg)
     orders = []
@@ -426,10 +440,23 @@ def test_entropy_audit_meta_records_the_largest_jump_sum_order(tmp_path):
     assert all(r.jump_sum_terms == max(orders) for r in reports)
 
 
+def test_harnesses_keep_their_own_snapshot_grid():
+    # the audit marches on 81 snapshots and the sweep grades the t_end
+    # profile, whatever snapshot times the config asks for
+    cfg = ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": 20, "t_end": 3.0})
+    sparse = replace(cfg, output_times=(0.0, 2.0))
+    reports = run_entropy_audit(sparse, c_list=(0.0, 0.5), n_space=16)
+    assert [r.resolution for r in reports] == ["space=32x3gauss;snapshots=81"] * 2
+    assert reports == run_entropy_audit(cfg, c_list=(0.0, 0.5), n_space=16)
+    graded = run_convergence(sparse, [8, 16])
+    assert graded == replace(run_convergence(cfg, [8, 16]), config=sparse)
+
+
 def test_min_margins_per_test_function():
     cfg = builtin_scenario("stationary-weak")
-    phis = (bump_pair(1.0), bump_pair(2.0))
-    reports = run_entropy_audit(cfg, c_list=(0.0, 0.5, 1.0), phi_specs=phis, frozen=True, n_space=32)
+    reports = []
+    for horizon in (1.0, 2.0):  # an audit takes one test function: one audit per bump pair
+        reports += run_entropy_audit(cfg, c_list=(0.0, 0.5, 1.0), frozen=True, n_space=32, horizon=horizon)
     margins = min_margins(reports)
     assert list(margins) == [r.phi for r in reports[::3]] and len(margins) == 2
     for phi, entry in margins.items():
@@ -479,6 +506,7 @@ def test_cli_config_errors_exit_three(tmp_path, capsys, monkeypatch):
         {"scenario": "two-step-11", "rtol": 0.01},
         {"scenario": "single-step", "cfl": 0.45},
         {"scenario": "../../escaped", "profile": {"kind": "uniform-step", "left": -1, "right": 1, "height": 0.3}},
+        *MALFORMED_SCALARS,
     ],
 )
 def test_cli_rejected_documents_write_nothing(tmp_path, capsys, doc):
@@ -499,8 +527,9 @@ def test_cli_rejected_documents_write_nothing(tmp_path, capsys, doc):
         ["--scenario", "stationary-weak", "--frozen", "--horizon", "nan"],
         ["--scenario", "stationary-weak", "--frozen", "--horizon", "inf"],
         ["--scenario", "single-step", "--t-end", "2", "--horizon", "nan"],
+        ["--scenario", "stationary-weak", "--frozen", "--horizon", "1e300"],
     ],
-    ids=["frozen-nan", "frozen-inf", "solver-nan"],
+    ids=["frozen-nan", "frozen-inf", "solver-nan", "frozen-above-bound"],
 )
 def test_cli_non_finite_horizon_exits_three_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
