@@ -34,7 +34,7 @@ import numpy as np
 from . import gauss_sums
 from .errors import ConfigError
 from .model import Kernel, Mobility
-from .profiles import DensityProfile
+from .profiles import DensityProfile, sorted_union
 
 _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -226,7 +226,7 @@ def _quad_grid(profile: DensityProfile, lo: float, hi: float, n_space: int):
     """Gauss points/weights on profile breakpoints merged with a uniform refinement."""
     pts = profile.breakpoints
     pts = pts[(pts > lo) & (pts < hi)]
-    edges = np.union1d(np.linspace(lo, hi, n_space + 1), pts)
+    edges = sorted_union(np.linspace(lo, hi, n_space + 1), pts)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
@@ -283,14 +283,15 @@ def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.
     W1 = -A e_x sum_{n<p} a_n(u_x) M_n and, by the twin identity,
     W2 = 2AB e_x sum_{n<p} a_n(u_x) (u_x M_n - sqrt((n+1)/(2B)) M_{n+1}).
     The moments add up over blocks of ``gauss_sums.BLOCK // (p+1)``
-    breakpoints, all orders at once.  Since a_n(u) = a_n(1) u^n, each sum
-    over n is a polynomial in u_x, evaluated by Horner's rule on all points
-    at once: O(points) memory, 2p passes.
+    breakpoints, all orders at once, in a work array that
+    :func:`nlftl.gauss_sums.work_arrays` holds across calls.  Since
+    a_n(u) = a_n(1) u^n, each sum over n is a polynomial in u_x, evaluated
+    by Horner's rule on all points at once: O(points) memory, 2p passes.
     """
     c = 0.5 * (bp[0] + bp[-1])
     step, twin = gauss_sums.factors(p, kernel.inv_width)
     cols = max(1, gauss_sums.BLOCK // (p + 1))
-    a_buf = np.empty((p + 1, min(cols, bp.size)))
+    a_buf = gauss_sums.work_arrays((p + 1, min(cols, bp.size)))[0]
     moments = np.zeros(p + 1)
     for lo in range(0, bp.size, cols):
         u = bp[lo : lo + cols] - c

@@ -12,11 +12,13 @@ where R bounds 2B |u v|.  Since e(u) e(v) exp(2B |u v|) <= 1, every term of
 the expansion is at most 1 whatever R is, so rounding stays near eps times
 the sum of the absolute weights; only p grows with R.  Each caller keeps its
 own contraction: prefix sums of the source weights for the one-sided particle
-sums, global moments for the full entropy sums.
+sums, global moments for the full entropy sums.  Both take their block
+arrays from one work area held here (:func:`work_arrays`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,3 +61,24 @@ def basis(step: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     for k in range(1, out.shape[0]):
         out[k] *= out[k - 1]
     return out
+
+
+@functools.cache
+def _work_area() -> np.ndarray:
+    return np.empty((3, BLOCK))
+
+
+def work_arrays(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three arrays of ``shape``, views of one work area held across calls.
+
+    The blocks of the particle pair sums and the entropy jump sums fill about
+    ``BLOCK`` entries (256 KB), above glibc's default mmap threshold of
+    128 KB, so arrays allocated per call would be mapped and faulted in anew
+    on every call.  The views share memory with every earlier caller's: each
+    caller writes what it reads, and neither sum calls the other.
+    """
+    size = math.prod(shape)
+    if size > BLOCK:
+        raise ValueError(f"work arrays of shape {shape} exceed the {BLOCK} entries of the work area")
+    area = _work_area()
+    return tuple(row[:size].reshape(shape) for row in area)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .profiles import AtomicMeasure, DensityProfile
+from .profiles import AtomicMeasure, DensityProfile, sorted_union
 
 _MASS_MATCH = 1e-12
 
@@ -35,7 +35,7 @@ def _breaks(obj) -> np.ndarray:
 
 def l1_distance(a: DensityProfile, b: DensityProfile) -> float:
     """Exact integral of |a - b| (profiles are 0 outside their breakpoints)."""
-    pts = np.union1d(_breaks(a), _breaks(b))
+    pts = sorted_union(_breaks(a), _breaks(b))
     if pts.size < 2:
         return 0.0
     mids = 0.5 * (pts[:-1] + pts[1:])
@@ -63,7 +63,7 @@ def wasserstein1(a, b) -> float:
     mass_b = b.mass
     if abs(mass_a - mass_b) > _MASS_MATCH:
         raise ValueError(f"mass mismatch: {mass_a} vs {mass_b}")
-    pts = np.union1d(_breaks(a), _breaks(b))
+    pts = sorted_union(_breaks(a), _breaks(b))
     if pts.size < 2:
         return 0.0
     p, q = pts[:-1], pts[1:]

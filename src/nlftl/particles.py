@@ -10,7 +10,6 @@ principle R_i <= cap, equivalently a gap floor m / (cap * N).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -73,23 +72,6 @@ class ParticleState:
         return self.particle_mass / self.cap
 
 
-@functools.cache
-def _stiff_solver():
-    """scipy's ``BDF`` and ``diags_array``, imported on the first call.
-
-    They are the particle integrator's heaviest imports (0.2-0.5 s on a
-    2-vCPU Xeon VM), which a finite-volume run, ``nlftl scenario list`` or a
-    rejected config never needs.  :func:`init_particles` calls this, so a
-    particle run loads them while it builds its initial state;
-    :func:`integrate` and :func:`_jacobian` call it too, for states built
-    otherwise.
-    """
-    from scipy.integrate import BDF
-    from scipy.sparse import diags_array
-
-    return BDF, diags_array
-
-
 def init_particles(profile: DensityProfile, n_cells: int, mobility: Mobility) -> ParticleState:
     """Quantile initialisation: N+1 particles splitting the mass into N equal cells.
 
@@ -102,7 +84,7 @@ def init_particles(profile: DensityProfile, n_cells: int, mobility: Mobility) ->
     m = profile.mass
     if not m > 0.0:
         raise ValueError("initial profile must carry positive mass")
-    _stiff_solver()
+    from . import stiff  # noqa: F401  the run's integrator loads with its initial state (see integrate)
     left, right = profile.support()
     pm = m / n_cells
     x = np.empty(n_cells + 1)
@@ -197,7 +179,8 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarr
     sum_{j<i} K'(u_i - u_j) = 2AB e_i sum_{n<p} a_n(u_i) (u_i P_n(i) - sqrt((n+1)/(2B)) P_{n+1}(i)).
     The sums over j > i are the same sums on the reversed particles; both
     orders go through together.  Particles go in blocks of
-    ``gauss_sums.BLOCK // (2 (p+1))``, all p+1 weights at once; a block's
+    ``gauss_sums.BLOCK // (2 (p+1))``, all p+1 weights at once, in the work
+    arrays :func:`nlftl.gauss_sums.work_arrays` holds across calls; a block's
     exclusive prefix sums start from the running totals of the blocks before
     it, so no running sum is longer than one block.
     """
@@ -209,7 +192,7 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarr
     e = kernel.gauss(u)
     total = np.zeros((p + 1, 2, 1))
     out = np.empty((2, n))
-    a_buf, w_buf, pre_buf = (np.empty((p + 1, 2, block)) for _ in range(3))
+    a_buf, w_buf, pre_buf = gauss_sums.work_arrays((p + 1, 2, block))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         ub = u[:, lo:hi]
@@ -265,7 +248,7 @@ def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) ->
 
 
 def _jacobian(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
-    """Tridiagonal part of the Jacobian of :func:`_velocities`, as CSC.
+    """Tridiagonal part of the Jacobian of :func:`_velocities`: its (lower, main, upper) diagonals.
 
     It differentiates the mobility factors v(pm/gap) and holds the one-sided
     pair sums fixed.  That part carries the stiffness, which grows as gaps
@@ -283,8 +266,7 @@ def _jacobian(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
     upper = s_above[:-1] * w
     lower = -s_below[1:] * w
     main = -np.append(upper, 0.0) - np.concatenate(([0.0], lower))
-    diags_array = _stiff_solver()[1]
-    return diags_array([lower, main, upper], offsets=(-1, 0, 1), format="csc")
+    return lower, main, upper
 
 
 def rhs(state: ParticleState, kernel: Kernel, mobility: Mobility) -> np.ndarray:
@@ -363,11 +345,6 @@ class Trajectory:
         return [reconstruct_density(s) for s in self.states]
 
 
-# Relative tolerance of the BDF steps.  It also sets the slack of the gap-floor
-# check, so it is fixed here and no caller can loosen that check.
-_RTOL = 1e-8
-
-
 def integrate(
     state: ParticleState,
     kernel: Kernel,
@@ -376,12 +353,14 @@ def integrate(
     output_times=None,
     settle_tol: float | None = None,
 ) -> Trajectory:
-    """Advance the particle system with scipy's variable-order BDF method.
+    """Advance the particle system with the variable-order BDF method of :mod:`nlftl.stiff`.
 
     The system is stiff: the mobility factors v(pm/gap) stiffen as gaps
     approach the floor.  The Newton matrix gets the tridiagonal Jacobian of
     :func:`_jacobian`, O(N) memory; the dense pair-sum part is never built.
-    After every accepted step the ordering/gap-floor invariant is asserted
+    The steps keep the relative tolerance ``_RTOL`` and an absolute one of
+    1e-10 times the initial support length.  After every accepted step the
+    ordering/gap-floor invariant is asserted
     with slack eps_gap = 10 * _RTOL * (initial support length); a violation
     beyond that slack raises :class:`InvariantViolation` since the analytic
     maximum principle forbids it.  Snapshots at ``output_times`` come from
@@ -389,6 +368,11 @@ def integrate(
     is evaluated after every accepted step and the run stops once it drops
     below ``settle_tol``; the final state is appended.
     """
+    # imported here and in init_particles rather than with the package: a
+    # finite-volume run never needs it, and compiling it, where no bytecode is
+    # cached, takes about 5 ms of every process that imports it
+    from .stiff import _RTOL, BDF
+
     if not t_end > state.time:
         raise ValueError("t_end must exceed the state time")
     x0 = state.positions
@@ -409,8 +393,7 @@ def integrate(
     def jac(t, y):
         return _jacobian(y, pm, kernel, mobility)
 
-    BDF = _stiff_solver()[0]
-    solver = BDF(fun, state.time, x0, t_bound=t_end, rtol=_RTOL, atol=1e-10 * support0, jac=jac)
+    solver = BDF(fun, state.time, x0, t_end, jac)
 
     def check(y: np.ndarray, t: float) -> float:
         gaps = np.diff(y)

@@ -29,7 +29,7 @@ from .godunov import GodunovRun, Grid, gd_run
 from .metrics import l1_distance, total_variation, wasserstein1
 from .model import GAUSSIAN_AMPLITUDE, Kernel, Mobility
 from .particles import Trajectory, init_particles, integrate, reconstruct_density
-from .profiles import DensityProfile, step_profile, uniform_profile
+from .profiles import DensityProfile, sorted_union, step_profile, uniform_profile
 
 # name -> (description, initial profile spec)
 _BUILTINS: dict[str, tuple[str, dict]] = {
@@ -56,24 +56,35 @@ _BUILTINS: dict[str, tuple[str, dict]] = {
 }
 
 
+# Most cells of a "parabola" profile spec; each costs two floats and, in an
+# audit or a metric, a share of every snapshot's work.
+MAX_PROFILE_CELLS = 1_000_000
+
+
 def _profile_from_spec(spec) -> DensityProfile:
-    """Initial profile from its JSON spec: explicit cells or an analytic family."""
+    """Initial profile from its JSON spec: explicit cells or an analytic family.
+
+    Every scalar of the spec goes through :func:`_number`, as the config's own
+    scalars do.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("profile spec must be a mapping with a 'kind' key")
     kind = spec["kind"]
     try:
         if kind == "uniform-step":
-            return uniform_profile(float(spec["left"]), float(spec["right"]), float(spec["height"]))
+            return uniform_profile(*(_number(f"profile {key}", spec[key]) for key in ("left", "right", "height")))
         if kind in ("two-step", "segments"):
-            segs = [(float(a), float(b), float(v)) for a, b, v in spec["segments"]]
+            segs = [tuple(_number("profile segment", v) for v in (a, b, h)) for a, b, h in spec["segments"]]
             if kind == "two-step" and len(segs) != 2:
                 raise ConfigError("two-step profile needs exactly two segments")
             return step_profile(segs)
         if kind == "parabola":
-            scale = float(spec.get("scale", 0.75))
-            left = float(spec.get("left", -1.0))
-            right = float(spec.get("right", 1.0))
-            cells = int(spec.get("cells", 10_000))
+            scale = _number("profile scale", spec.get("scale", 0.75))
+            left = _number("profile left", spec.get("left", -1.0))
+            right = _number("profile right", spec.get("right", 1.0))
+            cells = _number("profile cells", spec.get("cells", 10_000), integer=True)
+            if not 1 <= cells <= MAX_PROFILE_CELLS:
+                raise ConfigError(f"profile cells must be in [1, {MAX_PROFILE_CELLS}], got {cells}")
             edges = np.linspace(left, right, cells + 1)
             a, b = edges[:-1], edges[1:]
             # exact cell average of scale*(1 - x^2); mass matches the integral to rounding
@@ -81,8 +92,8 @@ def _profile_from_spec(spec) -> DensityProfile:
             return DensityProfile(edges, vals)
         if kind == "cells":
             return DensityProfile(
-                np.asarray(spec["breakpoints"], dtype=float),
-                np.asarray(spec["values"], dtype=float),
+                np.array([_number("profile breakpoint", v) for v in spec["breakpoints"]], dtype=float),
+                np.array([_number("profile value", v) for v in spec["values"]], dtype=float),
             )
     except ConfigError:
         raise
@@ -341,7 +352,7 @@ def frozen_snapshots(profile: DensityProfile, test_fn: TestFunction):
     T = test_fn.horizon
     plateau = np.linspace(0.0, T, max(2, int(math.ceil(T)) + 1)) if T > 0.0 else np.array([0.0])
     ramp = np.linspace(T, T + 1.0, 33)
-    times = np.unique(np.concatenate([plateau, ramp]))
+    times = sorted_union(plateau, ramp)
     return [(float(t), profile) for t in times]
 
 

@@ -6,10 +6,10 @@ and fails on a matrix product (the ``@`` operator or a call to ``dot``,
 ``matmul``, ``einsum``, ``tensordot``, ``inner`` or ``vdot``) and on an
 import of ``threading``, ``multiprocessing`` or ``concurrent``.
 
-It also fails on an import of ``scipy.fft``, ``scipy.integrate`` or
-``scipy.sparse`` that runs when a module is imported, rather than inside a
-function: each costs tenths of a second that ``import nlftl``, a
-finite-volume run and every CLI error would pay.
+It also fails on an import of ``scipy.fft``, ``scipy.integrate``,
+``scipy.sparse`` or ``scipy.linalg`` that runs when a module is imported,
+rather than inside a function: each costs tenths of a second that
+``import nlftl``, every run and every CLI error would pay.
 
 Last, it fails on a function with a parameter named after a tolerance behind
 a gate (the Courant number, the integrator tolerances, the guard floor of the
@@ -25,7 +25,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlftl"
 BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
 CONCURRENCY = {"threading", "multiprocessing", "concurrent"}
-LAZY = ("scipy.fft", "scipy.integrate", "scipy.sparse")
+LAZY = ("scipy.fft", "scipy.integrate", "scipy.sparse", "scipy.linalg")
 GATE_TOLERANCES = {"cfl", "rtol", "atol", "guard_floor", "eps_gap"}
 
 
@@ -119,6 +119,7 @@ def test_package_imports_no_scipy_solver_at_module_level(path):
         "from scipy.integrate._ivp import BDF",
         "if True:\n    import scipy.integrate",
         "class C:\n    from scipy.sparse import csc_array",
+        "from scipy.linalg import lu_factor",
     ],
 )
 def test_guard_catches_each_eager_import(source):

@@ -1,9 +1,12 @@
 """A process loads only what its run uses.
 
-scipy's FFT, stiff solver and sparse matrices take most of the time of
-``import nlftl`` when they load with it, and only the particle integrator
-needs them.  Each case runs in a fresh interpreter with ``src`` on the path
-and reads ``sys.modules`` as the interpreter exits.
+scipy's FFT, stiff solver, sparse matrices and dense linear algebra each
+take tenths of a second to import, and no run needs them: the finite-volume
+fields use numpy's FFT and the particle integrator is the numpy-only stepper
+of ``nlftl.stiff``, which only a particle run loads.  ``np.union1d`` and
+``np.unique`` import ``numpy.ma`` on their first call, which a run would pay
+inside its own time.  Each case runs in a fresh interpreter with ``src`` on
+the path and reads ``sys.modules`` as the interpreter exits.
 """
 
 import json
@@ -15,18 +18,19 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.fft", "scipy.integrate", "scipy.sparse")
+HEAVY = ("scipy.fft", "scipy.integrate", "scipy.sparse", "scipy.linalg")
+WATCHED = (*HEAVY, "numpy.ma", "nlftl.stiff")
 # printed to stderr at exit, after whatever the case ran, SystemExit included
 REPORT = (
     "import atexit, json, sys\n"
-    f"atexit.register(lambda: print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]), file=sys.stderr))\n"
+    f"atexit.register(lambda: print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]), file=sys.stderr))\n"
 )
 # what `python -m nlftl.cli ARGS` runs, with the arguments after `-c CODE`
 CLI = "import runpy\nrunpy.run_module('nlftl.cli', run_name='__main__', alter_sys=True)\n"
 
 
 def run_fresh(code: str, *args: str):
-    """Run ``code`` in a fresh interpreter: (exit code, stdout, the ``HEAVY`` modules loaded at exit)."""
+    """Run ``code`` in a fresh interpreter: (exit code, stdout, the ``WATCHED`` modules loaded at exit)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", REPORT + code, *args], capture_output=True, text=True, env=env, timeout=120
@@ -64,6 +68,7 @@ def test_runs_without_particles_load_no_scipy_solver(code, args, code_out, stdou
 
 
 def test_init_particles_loads_the_stiff_solver():
+    # the numpy-only stepper, and none of scipy's solver stack
     code = """
 import nlftl as nl
 cfg = nl.builtin_scenario("single-step")
@@ -71,7 +76,7 @@ nl.init_particles(nl.build_profile(cfg), 50, nl.build_mobility(cfg))
 """
     returncode, _, loaded = run_fresh(code)
     assert returncode == 0
-    assert {"scipy.integrate", "scipy.sparse"} <= set(loaded)
+    assert loaded == ["nlftl.stiff"]
 
 
 def test_integrate_loads_the_solver_without_init_particles():
@@ -80,7 +85,7 @@ import sys
 import nlftl as nl
 mob = nl.Mobility()
 state = nl.jam_state(0.0, 0.4, mob, 40)
-assert "scipy.integrate" not in sys.modules
+assert "nlftl.stiff" not in sys.modules
 traj = nl.integrate(state, nl.Kernel(), mob, 0.5)
 print(traj.steps, traj.final.time)
 """
@@ -88,4 +93,19 @@ print(traj.steps, traj.final.time)
     assert returncode == 0
     steps, t_final = stdout.split()
     assert int(steps) > 0 and float(t_final) == 0.5
-    assert {"scipy.integrate", "scipy.sparse"} <= set(loaded)
+    assert loaded == ["nlftl.stiff"]
+
+
+def test_particle_run_loads_no_scipy_solver_and_no_numpy_ma():
+    # the expansion path (N above its crossover) and the metrics of every snapshot
+    code = """
+import dataclasses
+import nlftl as nl
+cfg = dataclasses.replace(nl.builtin_scenario("single-step"), n_cells=240, t_end=0.2, output_times=(0.1, 0.2))
+run = nl.run_particles(cfg)
+print(len(run.profiles), run.trajectory.pair_sum_terms > 0)
+"""
+    returncode, stdout, loaded = run_fresh(code)
+    assert returncode == 0
+    assert stdout.split() == ["3", "True"]
+    assert loaded == ["nlftl.stiff"]

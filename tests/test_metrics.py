@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlftl as nl
+from nlftl.profiles import sorted_union
 
 
 def random_profile(rng, cells=5, mass=0.5, origin=0.0):
@@ -166,3 +167,19 @@ def test_w1_profile_level_consistency_with_l1_bound():
     far = nl.uniform_profile(-0.25, 0.35, 1.0)
     assert nl.wasserstein1(base, near) < nl.wasserstein1(base, far)
     assert nl.l1_distance(base, near) < nl.l1_distance(base, far)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sorted_union_equals_numpy_union1d_bitwise(seed):
+    # the merge of breakpoint lists behind l1_distance, wasserstein1 and the
+    # audit's quadrature grid, without np.union1d's import of numpy.ma
+    rng = np.random.default_rng(seed)
+    cases = [
+        (rng.standard_normal(50), rng.standard_normal(70)),
+        (rng.integers(0, 6, 200) * 0.25, rng.integers(3, 9, 150) * 0.5),  # most values repeat
+        (np.sort(rng.uniform(-1.0, 1.0, 30)), np.linspace(-1.0, 1.0, 9)),
+        (np.empty(0), rng.standard_normal(3)),
+    ]
+    for a, b in cases:
+        want, got = np.union1d(a, b), sorted_union(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))

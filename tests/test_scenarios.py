@@ -22,6 +22,7 @@ from nlftl.metrics import l1_distance
 from nlftl.particles import ParticleState, reconstruct_density
 from nlftl.profiles import DensityProfile
 from nlftl.scenarios import (
+    MAX_PROFILE_CELLS,
     ScenarioConfig,
     build_kernel,
     build_profile,
@@ -115,6 +116,19 @@ MALFORMED_SCALARS = [
     {"scenario": "single-step", "output_times": 5},
     {"scenario": "single-step", "n_cells": True},
     {"scenario": "single-step", "t_end": True},
+    # the profile spec's own scalars: a parabola of true (1 cell), of 2.7 cells
+    # (2), above the cell bound, or with a string scale, and string or boolean
+    # segment numbers
+    *({"scenario": "x", "profile": {"kind": "parabola", **spec}} for spec in (
+        {"cells": True},
+        {"cells": 2.7},
+        {"cells": MAX_PROFILE_CELLS + 1},
+        {"scale": "0.75"},
+    )),
+    {"scenario": "x", "profile": {"kind": "uniform-step", "left": "-1", "right": 1.0, "height": 0.3}},
+    {"scenario": "x", "profile": {"kind": "uniform-step", "left": -1.0, "right": True, "height": 0.3}},
+    {"scenario": "x", "profile": {"kind": "two-step", "segments": [[-0.5, 0.0, "0.2"], [0.5, 1.0, 0.6]]}},
+    {"scenario": "x", "profile": {"kind": "cells", "breakpoints": [0.0, True, 2.0], "values": [0.1, 0.2]}},
 ]
 
 
