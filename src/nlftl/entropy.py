@@ -46,6 +46,7 @@ _EXPANSION_MIN_BREAKPOINTS = 24
 _EXPANSION_MAX_TERMS = 64
 _GUARD_FLOOR = 1e-6  # smallest guard band below zero before a residual is flagged
 N_SPACE = 256  # default spatial quadrature cells of the coarse pass; the fine pass takes twice as many
+MAX_N_SPACE = 100_000  # most coarse-pass cells: a snapshot's work peaks at about 68 MB here (6.8 MB at 10^4 under tracemalloc)
 MAX_HORIZON = 1e4  # longest plateau: a frozen audit takes a snapshot per unit of it, 1.3 ms each on a 2-vCPU Xeon VM
 
 
@@ -211,14 +212,14 @@ class EntropyReport:
 def check_audit_inputs(c_list, n_space) -> list[float]:
     """The constants of an audit as floats; raises ConfigError (a ValueError)
     unless there is at least one, each is finite and non-negative, and
-    n_space is an integer >= 1."""
+    n_space is an integer in [1, MAX_N_SPACE]."""
     cs = [float(c) for c in c_list]
     if not cs:
         raise ConfigError("need at least one constant c")
     if not all(c >= 0.0 and math.isfinite(c) for c in cs):
         raise ConfigError("c must be a finite non-negative constant")
-    if not (isinstance(n_space, numbers.Integral) and n_space >= 1):
-        raise ConfigError(f"n_space must be an integer >= 1, got {n_space!r}")
+    if not (isinstance(n_space, numbers.Integral) and 1 <= n_space <= MAX_N_SPACE):
+        raise ConfigError(f"n_space must be an integer in [1, {MAX_N_SPACE}], got {n_space!r}")
     return cs
 
 

@@ -15,7 +15,7 @@ edge and K- on the right one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -267,11 +267,15 @@ class GodunovRun:
     max_dt: float
     cfl_limited_steps: int
     output_limited_steps: int
-    masses: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def times(self) -> np.ndarray:
         return np.asarray([s.time for s in self.states])
+
+    @property
+    def masses(self) -> np.ndarray:
+        """The mass of every snapshot: its cell values summed, times the cell width."""
+        return np.asarray([float(np.sum(s.values) * self.grid.dx) for s in self.states])
 
     @property
     def final(self) -> FVState:
@@ -341,7 +345,6 @@ def gd_run(
             else:
                 t += dt
         states.append(FVState(t_next, rho, mobility.cap))
-    masses = np.asarray([float(np.sum(s.values) * grid.dx) for s in states])
     return GodunovRun(
         grid=grid,
         states=tuple(states),
@@ -352,5 +355,4 @@ def gd_run(
         max_dt=max_dt,
         cfl_limited_steps=steps - output_limited,
         output_limited_steps=output_limited,
-        masses=masses,
     )

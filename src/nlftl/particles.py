@@ -11,7 +11,7 @@ principle R_i <= cap, equivalently a gap floor m / (cap * N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -281,8 +281,7 @@ class Trajectory:
     """Snapshots of an integrated particle run plus running diagnostics.
 
     ``min_gap_seen`` is the minimum gap over every accepted integrator step,
-    not just the stored snapshots; ``masses`` holds the per-snapshot mass of
-    the forward reconstruction.  The integrator counters are deterministic:
+    not just the stored snapshots.  The integrator counters are deterministic:
     accepted ``steps`` and the smallest of them (``min_step``), right-hand
     side evaluations inside the integrator (``rhs_evals``), Jacobian
     evaluations and LU factorizations of its Newton matrix, and the extra
@@ -304,7 +303,6 @@ class Trajectory:
     lu_decompositions: int
     settle_checks: int
     pair_sum_terms: int
-    masses: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = [s.time for s in self.states]
@@ -318,6 +316,11 @@ class Trajectory:
     @property
     def final(self) -> ParticleState:
         return self.states[-1]
+
+    @property
+    def masses(self) -> np.ndarray:
+        """The mass of every snapshot's forward reconstruction."""
+        return np.asarray([reconstruct_density(s, "forward").mass for s in self.states])
 
     @property
     def min_gap_ratio(self) -> float:
@@ -411,12 +414,11 @@ def integrate(
     settled = False
     steps = settle_checks = 0
     min_step = math.inf
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise InvariantViolation(f"integrator failed at t={solver.t:.6g}: {msg}")
+    while solver.t < t_end:
+        t_prev = solver.t
+        solver.step()  # raises InvariantViolation once the step size underflows
         steps += 1
-        min_step = min(min_step, float(solver.step_size))
+        min_step = min(min_step, float(solver.t - t_prev))
         mg = check(solver.y, solver.t)
         min_gap_seen = min(min_gap_seen, mg)
         dense = None
@@ -446,7 +448,6 @@ def integrate(
         lu_decompositions=solver.nlu,
         settle_checks=settle_checks,
         pair_sum_terms=_pair_sum_terms(x0, kernel),
-        masses=np.asarray([reconstruct_density(s, "forward").mass for s in states]),
     )
 
 

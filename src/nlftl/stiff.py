@@ -7,7 +7,7 @@ step: the NDF formulas of orders 1 to 5 with a quasi-constant step size
 and order control, the initial-step rule (Hairer, Norsett & Wanner, Solving
 ODEs I, II.4) and the dense output, with the same counters of right-hand
 side evaluations, Jacobian evaluations and LU factorizations.  It differs in
-three ways:
+four ways:
 
 - the Jacobian is tridiagonal, passed as its three diagonals, and the Newton
   matrix I - cJ is factored without pivoting (:class:`TridiagonalLU`);
@@ -15,9 +15,12 @@ three ways:
   BLAS, so results repeat bitwise;
 - the tolerances are this module's constants, not parameters: the relative
   tolerance ``_RTOL`` and an absolute tolerance of ``_ATOL_PER_SPAN`` times
-  the span y0[-1] - y0[0] of the (ordered) initial state.
+  the span y0[-1] - y0[0] of the (ordered) initial state;
+- it keeps only what :func:`nlftl.particles.integrate` reads, not the
+  ``OdeSolver`` interface: no status strings, and a step that cannot be
+  taken raises :class:`InvariantViolation`.
 
-Importing it loads numpy only, none of scipy's solver stack.
+Importing it loads numpy only.
 """
 
 from __future__ import annotations
@@ -136,21 +139,17 @@ class BDF:
     """Variable-order BDF (NDF) integration of y' = fun(t, y) from t0 to t_bound > t0.
 
     ``jac(t, y)`` returns the three diagonals (lower, main, upper) of the
-    Jacobian of ``fun``.  The interface is the part of scipy's ``OdeSolver``
-    that :func:`nlftl.particles.integrate` uses: :meth:`step` advances one
-    accepted step, ``status`` is ``"running"``, ``"finished"`` or
-    ``"failed"``, ``t``, ``y`` and ``step_size`` describe the last step (each
-    accepted step gets a new ``y`` array), :meth:`dense_output` interpolates
-    over it, and ``nfev``, ``njev`` and ``nlu`` count right-hand sides,
-    Jacobians and factorizations.
+    Jacobian of ``fun``.  :meth:`step` advances one accepted step, the last
+    one ending at t_bound exactly; ``t`` and ``y`` are its end (each accepted
+    step gets a new ``y`` array), :meth:`dense_output` interpolates over it,
+    and ``nfev``, ``njev`` and ``nlu`` count right-hand sides, Jacobians and
+    factorizations.
     """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, jac) -> None:
-        self.t_old = None
         self.t = t0
         self.y = y0
         self.t_bound = t_bound
-        self.status = "running"
         self.nfev = self.njev = self.nlu = 0
         self._fun, self._jac = fun, jac
         self.atol = _ATOL_PER_SPAN * float(y0[-1] - y0[0])
@@ -177,10 +176,6 @@ class BDF:
     def lu(self, c: float, J) -> TridiagonalLU:
         self.nlu += 1
         return TridiagonalLU(c, *J)
-
-    @property
-    def step_size(self) -> float | None:
-        return None if self.t_old is None else abs(self.t - self.t_old)
 
     def _initial_step(self, f0: np.ndarray) -> float:
         """Hairer, Norsett & Wanner's starting step for an order-1 error estimate."""
@@ -236,21 +231,9 @@ class BDF:
             dy_norm_old = dy_norm
         return converged, k + 1, y, d
 
-    def step(self) -> str | None:
-        """Advance one accepted step: None, or why none could be taken (``status`` is then ``"failed"``)."""
-        if self.status != "running":
-            raise RuntimeError("the integration has ended")
-        t = self.t
-        message = self._step_impl()
-        if message is not None:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.t >= self.t_bound:
-                self.status = "finished"
-        return message
-
-    def _step_impl(self) -> str | None:
+    def step(self) -> None:
+        """Advance one accepted step; raises :class:`InvariantViolation` if the
+        step size falls below the spacing of floating-point numbers at t."""
         t = self.t
         D = self.D
         min_step = 10 * (np.nextafter(t, np.inf) - t)
@@ -269,7 +252,7 @@ class BDF:
         step_accepted = False
         while not step_accepted:
             if h_abs < min_step:
-                return _TOO_SMALL_STEP
+                raise InvariantViolation(f"integrator failed at t={t:.6g}: {_TOO_SMALL_STEP}")
             t_new = t + h_abs
             if t_new > self.t_bound:
                 t_new = self.t_bound
@@ -332,7 +315,7 @@ class BDF:
             D[i] += D[i + 1]
 
         if self.n_equal_steps < order + 1:
-            return None
+            return
 
         if order > 1:
             error_m = _ERROR_CONST[order - 1] * D[order]
@@ -357,10 +340,9 @@ class BDF:
         self._change_d(order, factor)
         self.n_equal_steps = 0
         self.LU = None
-        return None
 
     def dense_output(self):
-        """The interpolant of the last step, a function of t in [t_old, t]."""
+        """The interpolant of the last accepted step, a function of t between its start and ``t``."""
         h = self.h_abs
         t_shift = self.t - h * np.arange(self.order)
         denom = h * (1 + np.arange(self.order))

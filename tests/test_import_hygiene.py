@@ -1,12 +1,12 @@
 """A process loads only what its run uses.
 
-scipy's FFT, stiff solver, sparse matrices and dense linear algebra each
-take tenths of a second to import, and no run needs them: the finite-volume
-fields use numpy's FFT and the particle integrator is the numpy-only stepper
-of ``nlftl.stiff``, which only a particle run loads.  ``np.union1d`` and
-``np.unique`` import ``numpy.ma`` on their first call, which a run would pay
-inside its own time.  Each case runs in a fresh interpreter with ``src`` on
-the path and reads ``sys.modules`` as the interpreter exits.
+numpy is the package's only runtime dependency: the finite-volume fields use
+numpy's FFT and the particle integrator is the numpy-only stepper of
+``nlftl.stiff``, which only a particle run loads, so no process loads any
+``scipy`` module.  ``np.union1d`` and ``np.unique`` import ``numpy.ma`` on
+their first call, which a run would pay inside its own time.  Each case runs
+in a fresh interpreter with ``src`` on the path and reads ``sys.modules`` as
+the interpreter exits.
 """
 
 import json
@@ -17,20 +17,20 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.fft", "scipy.integrate", "scipy.sparse", "scipy.linalg")
-WATCHED = (*HEAVY, "numpy.ma", "nlftl.stiff")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 # printed to stderr at exit, after whatever the case ran, SystemExit included
 REPORT = (
     "import atexit, json, sys\n"
-    f"atexit.register(lambda: print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]), file=sys.stderr))\n"
+    "atexit.register(lambda: print(json.dumps([m for m in sorted(sys.modules)"
+    " if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'nlftl.stiff')]), file=sys.stderr))\n"
 )
 # what `python -m nlftl.cli ARGS` runs, with the arguments after `-c CODE`
 CLI = "import runpy\nrunpy.run_module('nlftl.cli', run_name='__main__', alter_sys=True)\n"
 
 
 def run_fresh(code: str, *args: str):
-    """Run ``code`` in a fresh interpreter: (exit code, stdout, the ``WATCHED`` modules loaded at exit)."""
+    """Run ``code`` in a fresh interpreter: (exit code, stdout, the scipy modules, ``numpy.ma`` and ``nlftl.stiff`` if loaded at exit)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", REPORT + code, *args], capture_output=True, text=True, env=env, timeout=120
@@ -68,7 +68,7 @@ def test_runs_without_particles_load_no_scipy_solver(code, args, code_out, stdou
 
 
 def test_init_particles_loads_the_stiff_solver():
-    # the numpy-only stepper, and none of scipy's solver stack
+    # the numpy-only stepper, and no scipy module
     code = """
 import nlftl as nl
 cfg = nl.builtin_scenario("single-step")
@@ -109,3 +109,11 @@ print(len(run.profiles), run.trajectory.pair_sum_terms > 0)
     assert returncode == 0
     assert stdout.split() == ["3", "True"]
     assert loaded == ["nlftl.stiff"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy computes the tests' references only
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+    assert "scipy>=1.11" in project["optional-dependencies"]["test"]

@@ -22,7 +22,7 @@ from nlftl.metrics import l1_distance
 from nlftl.particles import ParticleState, reconstruct_density
 from nlftl.profiles import DensityProfile
 from nlftl.scenarios import (
-    MAX_PROFILE_CELLS,
+    MAX_CELLS,
     ScenarioConfig,
     build_kernel,
     build_profile,
@@ -122,13 +122,16 @@ MALFORMED_SCALARS = [
     *({"scenario": "x", "profile": {"kind": "parabola", **spec}} for spec in (
         {"cells": True},
         {"cells": 2.7},
-        {"cells": MAX_PROFILE_CELLS + 1},
+        {"cells": MAX_CELLS + 1},
         {"scale": "0.75"},
     )),
     {"scenario": "x", "profile": {"kind": "uniform-step", "left": "-1", "right": 1.0, "height": 0.3}},
     {"scenario": "x", "profile": {"kind": "uniform-step", "left": -1.0, "right": True, "height": 0.3}},
     {"scenario": "x", "profile": {"kind": "two-step", "segments": [[-0.5, 0.0, "0.2"], [0.5, 1.0, 0.6]]}},
     {"scenario": "x", "profile": {"kind": "cells", "breakpoints": [0.0, True, 2.0], "values": [0.1, 0.2]}},
+    # counts one above the cell bound: 4 GB arrays per particle run at 5e8
+    {"scenario": "single-step", "n_cells": MAX_CELLS + 1},
+    {"scenario": "single-step", "fv_cells": MAX_CELLS + 1},
 ]
 
 
@@ -185,7 +188,7 @@ def test_particle_emission_layout(tmp_path):
 
     meta = json.loads((d / "meta.json").read_text())
     assert ScenarioConfig.from_dict(meta["config"]) == cfg
-    assert {"nlftl", "numpy", "scipy", "python"} <= set(meta["versions"])
+    assert set(meta["versions"]) == {"nlftl", "numpy", "python"}
     assert meta["method"] == "particles"
     assert math.isfinite(meta["min_gap_seen"])
     traj = run.trajectory
@@ -533,6 +536,39 @@ def test_cli_rejected_documents_write_nothing(tmp_path, capsys, doc):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
     assert not (tmp_path.parent / "escaped").exists()
     assert capsys.readouterr().err.count("config error:") == 3
+
+
+def test_cli_counts_above_their_bounds_exit_three_and_write_nothing(tmp_path, capsys, monkeypatch):
+    # one above each bound; no runner may start, so no large array is built
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a run started before its counts were checked")
+
+    for name in ("init_particles", "gd_run", "entropy_residuals"):
+        monkeypatch.setattr(f"nlftl.scenarios.{name}", no_solver)
+    out = ["--out", str(tmp_path / "out")]
+    above = str(MAX_CELLS + 1)
+    argvs = [
+        ["particles", "--scenario", "single-step", "--n", above],
+        ["compare", "--scenario", "single-step", "--n", above],
+        ["godunov", "--scenario", "single-step", "--cells", above],
+        ["compare", "--scenario", "single-step", "--cells", above],
+        ["converge", "--scenario", "single-step", "--n-list", f"10,{MAX_CELLS // 4 + 1}"],
+        ["entropy-audit", "--scenario", "stationary-weak", "--frozen", "--n-space", str(entropy.MAX_N_SPACE + 1)],
+    ]
+    for argv in argvs:
+        assert main(argv + out) == 3, argv
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.count("config error:") == len(argvs)
+    assert err.count(f"[1, {MAX_CELLS}]") == 4
+    assert f"4*max(n) = {4 * (MAX_CELLS // 4 + 1)}" in err
+    assert f"[1, {entropy.MAX_N_SPACE}]" in err
+
+
+def test_counts_at_their_bounds_are_accepted():
+    cfg = ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": MAX_CELLS, "fv_cells": MAX_CELLS})
+    assert (cfg.n_cells, cfg.fv_cells) == (MAX_CELLS, MAX_CELLS)
+    assert entropy.check_audit_inputs((0.5,), entropy.MAX_N_SPACE) == [0.5]
 
 
 @pytest.mark.parametrize(

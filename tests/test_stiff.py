@@ -10,7 +10,7 @@ from scipy.sparse import diags_array
 import nlftl as nl
 from nlftl.errors import InvariantViolation
 from nlftl.particles import _jacobian, _velocities
-from nlftl.stiff import _ATOL_PER_SPAN, _RTOL, TridiagonalLU
+from nlftl.stiff import _ATOL_PER_SPAN, _RTOL, BDF, TridiagonalLU
 
 
 def particle_like_jacobian(rng, n):
@@ -72,6 +72,22 @@ def test_tridiagonal_solve_leaves_its_input_and_earlier_results_alone():
 def test_non_dominant_newton_matrix_fails_its_pivot_check(c, lower, main, upper):
     with pytest.raises(InvariantViolation, match="pivot"):
         TridiagonalLU(c, *(np.asarray(d, dtype=float) for d in (lower, main, upper)))
+
+
+def test_step_raises_once_its_size_underflows():
+    # y' = -y at t = 0 and NaN after it: no Newton iteration past t = 0
+    # converges, so the step halves until it falls below the spacing of t
+    def fun(t, y):
+        return -y if t == 0.0 else np.full_like(y, np.nan)
+
+    def jac(t, y):
+        return np.zeros(4), -np.ones(5), np.zeros(4)
+
+    solver = BDF(fun, 0.0, np.arange(1.0, 6.0), 1.0, jac)
+    with pytest.raises(InvariantViolation, match=r"^integrator failed at t=0: Required step size is less than"):
+        solver.step()
+    assert solver.t == 0.0
+    assert solver.nfev > 1000  # one right-hand side per halving, down to 10 times the spacing at 0
 
 
 def scipy_integrate(state, kernel, mobility, t_end, output_times):
