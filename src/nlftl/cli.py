@@ -134,7 +134,7 @@ def _cmd_entropy_audit(args) -> int:
         n_space=args.n_space,
         horizon=args.horizon,
     )
-    label = f"{args.method}-frozen" if args.frozen else args.method
+    label = f"{args.method}-frozen" if args.frozen else f"{args.method}-audit"
     d = emit_entropy(config, reports, label)
     flagged = [r for r in reports if r.violation]
     print(f"entropy-audit: {len(reports)} residuals, {len(flagged)} flagged -> {d}")

@@ -70,7 +70,7 @@ class FVState:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("values must be a 1-D array with >= 2 cells")
-        if np.any(v < 0.0) or np.any(v > self.cap + _OVERSHOOT) or not np.all(np.isfinite(v)):
+        if not (v.min() >= 0.0 and v.max() <= self.cap + _OVERSHOOT):  # a NaN fails both, an infinity one
             raise ValueError("cell values must lie in [0, cap]")
         object.__setattr__(self, "values", v)
 
@@ -101,6 +101,7 @@ def state_profile(grid: Grid, state: FVState) -> DensityProfile:
     return DensityProfile(grid.edges, state.values)
 
 
+@functools.lru_cache(maxsize=256)
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n, the lengths pocketfft's real transforms take fastest."""
     best = 1 << (n - 1).bit_length()  # the power of two at or above n
@@ -117,70 +118,98 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-class _FieldWork(NamedTuple):
-    """Per-(grid, kernel) state of :func:`compute_fields`: transform length, spectrum, work buffers."""
+@functools.lru_cache(maxsize=16)
+def _d1_spectrum(grid: Grid, kernel: Kernel, size: int) -> np.ndarray:
+    """The rfft of dx K' at the half offsets (k + 1/2) dx, k = 0..J-1, zero-padded to ``size``.
 
-    size: int
-    spectrum: np.ndarray  # rfft of the half-offset table, read-only
-    product: np.ndarray  # complex (size//2 + 1,): one transformed row, then its product with the spectrum
-    sums: np.ndarray  # real (2, size): the convolution sums of rho and of reversed rho
-
-
-@functools.lru_cache(maxsize=8)
-def _d1_spectrum(grid: Grid, kernel: Kernel) -> _FieldWork:
-    """The rfft of dx K' at the half offsets (k + 1/2) dx, zero-padded to n, and two work buffers.
-
-    The half offsets, k = 0..J-1, run from an interface to the cell centers
-    on either side of it; K' is odd, so one table serves both sides.  The
-    length n = _next_fast_len(2J) >= 2J - 1 keeps the circular convolution
-    free of wrap-around in its first J entries.  The entry is built once per
-    (grid, kernel) pair, both frozen.  The spectrum is read-only because
-    every caller shares it; the buffers are overwritten by every
-    :func:`compute_fields` call on the grid, so a step allocates no FFT
-    work array.  At J = 4800 the sums take 154 KB, above glibc's 128 KB
-    mmap threshold: allocated per call, such an array's pages go back to
-    the OS when it is freed and fault in again on the next step.
+    The half offsets run from an interface to the cell centers on either
+    side of it; K' is odd, so one table serves both sides.  The entry is
+    built once per (grid, kernel, size), all three frozen or immutable, and
+    is read-only because every caller shares it.  A run whose charged
+    window keeps its length uses one size, so one entry.
     """
-    size = _next_fast_len(2 * grid.cells)
     table = grid.dx * kernel.d1((np.arange(grid.cells) + 0.5) * grid.dx)
     spectrum = np.fft.rfft(table, n=size)
     spectrum.setflags(write=False)
-    return _FieldWork(size, spectrum, np.empty(size // 2 + 1, dtype=complex), np.empty((2, size)))
+    return spectrum
+
+
+class _FieldWork(NamedTuple):
+    """Work buffers of :func:`compute_fields` on one grid, at the longest transform length it takes."""
+
+    product: np.ndarray  # complex (size//2 + 1,): one transformed row, then its product with the spectrum
+    sums: np.ndarray  # real (2, size): the convolution sums of the window and of the reversed window
+
+
+@functools.lru_cache(maxsize=8)
+def _field_work(grid: Grid) -> _FieldWork:
+    """The work buffers for every window on ``grid``, built once per grid.
+
+    They are sized for a fully charged grid, _next_fast_len(2J - 1), and a
+    shorter transform takes their leading parts, so a step allocates no FFT
+    work array whatever its window.  At J = 4800 the sums take 154 KB,
+    above glibc's 128 KB mmap threshold: allocated per call, such an
+    array's pages go back to the OS when it is freed and fault in again on
+    the next step.
+    """
+    size = _next_fast_len(2 * grid.cells - 1)
+    return _FieldWork(np.empty(size // 2 + 1, dtype=complex), np.empty((2, size)))
+
+
+def _charged_window(rho: np.ndarray):
+    """(first, last), the first and the last nonzero cell of rho, or None when rho is all vacuum."""
+    charged = rho != 0.0
+    first = int(charged.argmax())
+    if not charged[first]:
+        return None
+    return first, rho.size - 1 - int(charged[::-1].argmax())
 
 
 def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
     """(K+, K-) at the J+1 interfaces by midpoint-rule convolution.
 
     K+ at interface i sums K'(x_i - x_m) rho_m dx over the cells m < i left
-    of it; K- sums the cells m >= i right of it.  Both sides are real-FFT
-    convolutions, of rho and of reversed rho, with the cached spectrum of
-    the half-offset table, O(J log J), in the grid's cached work buffers;
-    K+ and K- are fresh arrays.  The two rows go through numpy's FFT one at
-    a time: a call on both rows takes a scratch area twice a row's size
-    inside pocketfft, which at J = 4800 is mapped and unmapped on every call
-    (43 minor page faults per call; row by row, none).  The FFT leaves
-    rounding noise of order eps max|K| everywhere, also where the direct
-    sums are exactly 0 or sign-definite, so two guards restore what the
-    direct sums give: one-sided sums over vacuum are exactly 0 (K+ up to the
-    first charged cell, including the left domain edge; K- after the last
-    one, including the right edge), and K+ >= 0, K- <= 0 are enforced by
-    clamping.  The first guard keeps a saturated block bitwise steady.
+    of it; K- sums the cells m >= i right of it.  Only the charged window
+    rho[first..last], from the first to the last nonzero cell, carries mass,
+    so both sides are real-FFT convolutions of the window and of the
+    reversed window, L = last - first + 1 cells, with the cached spectrum of
+    the J-entry half-offset table.  The transform length
+    n = _next_fast_len(J + L - 1) holds the whole linear convolution, so
+    neither side wraps around; it is never longer than a fully charged
+    grid's, and a narrow window makes it up to half as long.  The
+    transforms run in the grid's cached work buffers; K+ and K- are fresh
+    arrays.  The two rows go through numpy's FFT one at a time: a call on
+    both rows takes a scratch area twice a row's size inside pocketfft,
+    which at J = 4800 is mapped and unmapped on every call (43 minor page
+    faults per call; row by row, none).  The FFT leaves rounding noise of
+    order eps max|K| everywhere, also where the direct sums are exactly 0
+    or sign-definite, so two guards restore what the direct sums give:
+    one-sided sums over vacuum are exactly 0 (K+ up to the first charged
+    cell, including the left domain edge; K- after the last one, including
+    the right edge), and K+ >= 0, K- <= 0 are enforced by clamping.  The
+    first guard keeps a saturated block bitwise steady.
     """
     cells = grid.cells
     kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
-    charged = np.flatnonzero(rho)
-    if charged.size == 0:
+    charged = _charged_window(rho)
+    if charged is None:
         return kplus, kminus
-    first, last = charged[0], charged[-1]
-    size, spectrum, product, sums = _d1_spectrum(grid, kernel)
-    for row, side in enumerate((rho, rho[::-1])):
+    first, last = charged
+    window = rho[first : last + 1]
+    size = _next_fast_len(cells + window.size - 1)
+    spectrum = _d1_spectrum(grid, kernel, size)
+    work = _field_work(grid)
+    product = work.product[: size // 2 + 1]
+    for row, side in enumerate((window, window[::-1])):
         np.fft.rfft(side, n=size, out=product)
         np.multiply(product, spectrum, out=product)
-        np.fft.irfft(product, n=size, out=sums[row])
-    # sums[0, i-1] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m dx
-    np.maximum(sums[0, first:cells], 0.0, out=kplus[first + 1 :])
-    # sums[1, cells-1-i] = sum_{m>=i} K'((m-i+1/2) dx) rho_m dx
-    np.minimum(np.negative(sums[1, cells - 1 - last : cells][::-1]), 0.0, out=kminus[: last + 1])
+        np.fft.irfft(product, n=size, out=work.sums[row, :size])
+    # sums[0, k] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m dx at interface i = first + 1 + k
+    np.maximum(work.sums[0, : cells - first], 0.0, out=kplus[first + 1 :])
+    # sums[1, k] = sum_{m>=i} K'((m-i+1/2) dx) rho_m dx at interface i = last - k
+    right = kminus[: last + 1]
+    np.negative(work.sums[1, last::-1], out=right)
+    np.minimum(right, 0.0, out=right)
     return kplus, kminus
 
 
@@ -214,21 +243,31 @@ def cfl_dt(grid: Grid, fields, mobility: Mobility, cap_dt: float) -> float:
 
 
 def interface_flux(rho: np.ndarray, fields, mobility: Mobility) -> np.ndarray:
-    """G_i = K+_i F+_i + K-_i F-_i at the J+1 interfaces.
+    """G_i = K+_i F+_i + K-_i F-_i at the J+1 interfaces, for the fields of ``rho``.
 
     F+ is the Godunov flux of :func:`_upwind` in mirrored argument order
-    (leftward transport upwinds from the right), F- in natural order; the
-    domain is padded with vacuum and clamped to [0, cap], and f is evaluated
-    once on it.  G vanishes between two vacuum cells or two cells at the
-    cap, where both Godunov fluxes are f(0) = f(cap) = 0.
+    (leftward transport upwinds from the right), F- in natural order.  Both
+    vanish between two vacuum cells, where K+ F+ + K- F- is +0.0, so f is
+    evaluated only on the charged window rho[first..last], padded with its
+    two vacuum neighbours and clamped to [0, cap], and only the interfaces
+    first..last+1 get a flux; every other G is +0.0.  G also vanishes
+    between two cells at the cap, where both Godunov fluxes are
+    f(0) = f(cap) = 0.
     """
     kplus, kminus = fields
-    ext = np.clip(np.concatenate(([0.0], rho, [0.0])), 0.0, mobility.cap)
+    g = np.zeros(rho.size + 1)
+    charged = _charged_window(rho)
+    if charged is None:
+        return g
+    first, last = charged
+    ext = np.clip(np.concatenate(([0.0], rho[first : last + 1], [0.0])), 0.0, mobility.cap)
     f = mobility.flux(ext)
     sigma, peak = mobility.flux_argmax, mobility.flux_max
-    f_left = _upwind(ext[1:], ext[:-1], f[1:], f[:-1], sigma, peak)  # F+ at interfaces 0..J
-    f_right = _upwind(ext[:-1], ext[1:], f[:-1], f[1:], sigma, peak)  # F- at interfaces 0..J
-    return kplus * f_left + kminus * f_right
+    f_left = _upwind(ext[1:], ext[:-1], f[1:], f[:-1], sigma, peak)  # F+ at interfaces first..last+1
+    f_right = _upwind(ext[:-1], ext[1:], f[:-1], f[1:], sigma, peak)  # F- at interfaces first..last+1
+    span = slice(first, last + 2)
+    g[span] = kplus[span] * f_left + kminus[span] * f_right
+    return g
 
 
 def gd_step(grid: Grid, state: FVState, kernel: Kernel, mobility: Mobility, dt: float, fields=None):
@@ -310,30 +349,31 @@ def gd_run(
 
     Steps are shortened to land exactly on every requested output time, so
     snapshot times are hit without interpolation and reruns are bit
-    reproducible.  Per-step clamped mass above 1e-6 * cap counts as a
-    warning; the total clamped mass is reported on the run.
+    reproducible.  Each step passes the state :func:`gd_step` returned,
+    whose [0, cap] check ran once when it was built, into the next one; a
+    step that lands on an output time is relabelled with that time exactly.
+    Per-step clamped mass above 1e-6 * cap counts as a warning; the total
+    clamped mass is reported on the run.
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    rho = cell_averages(profile, grid)
     requested = [] if output_times is None else output_times
     outputs = sorted({float(t) for t in requested if 0.0 < t <= t_end})
     if not outputs or outputs[-1] < t_end:
         outputs.append(t_end)
-    states = [FVState(0.0, rho, mobility.cap)]
+    state = FVState(0.0, cell_averages(profile, grid), mobility.cap)
+    states = [state]
     clamped = 0.0
     warnings = 0
     steps = 0
     output_limited = 0
     min_dt, max_dt = np.inf, 0.0
-    t = 0.0
     for t_next in outputs:
-        while t < t_next:
-            fields = compute_fields(rho, grid, kernel)
-            remaining = t_next - t
+        while state.time < t_next:
+            fields = compute_fields(state.values, grid, kernel)
+            remaining = t_next - state.time
             dt = cfl_dt(grid, fields, mobility, cap_dt=remaining)
-            stepped, step_clamp = gd_step(grid, FVState(t, rho, mobility.cap), kernel, mobility, dt, fields)
-            rho = stepped.values
+            state, step_clamp = gd_step(grid, state, kernel, mobility, dt, fields)
             clamped += step_clamp
             if step_clamp > 1e-6 * mobility.cap:
                 warnings += 1
@@ -341,10 +381,8 @@ def gd_run(
             min_dt, max_dt = min(min_dt, dt), max(max_dt, dt)
             if dt >= remaining:
                 output_limited += 1
-                t = t_next
-            else:
-                t += dt
-        states.append(FVState(t_next, rho, mobility.cap))
+                state = FVState(t_next, state.values, mobility.cap)
+        states.append(state)
     return GodunovRun(
         grid=grid,
         states=tuple(states),

@@ -64,6 +64,15 @@ _BUILTINS: dict[str, tuple[str, dict]] = {
 # rather than an out-of-memory kill.
 MAX_CELLS = 1_000_000
 
+# Most snapshot cells a config asks for: distinct output times times
+# max(n_cells, fv_cells).  Every snapshot holds its positions or cell values
+# and its profile, so memory grows as their product: a particle run at 10^4
+# cells to t = 0.2 held 4 MB with 11 output times and 482 MB with 2,001
+# (tracemalloc), about 24 bytes per snapshot cell, so about 0.4 GB at the
+# bound.  The default 11 times pass at MAX_CELLS, an entropy audit's 81
+# snapshots up to 197,530 cells.  More is a ConfigError.
+MAX_SNAPSHOT_CELLS = 16_000_000
+
 
 def _profile_from_spec(spec) -> DensityProfile:
     """Initial profile from its JSON spec: explicit cells or an analytic family.
@@ -174,6 +183,9 @@ class ScenarioConfig:
             for t in times:
                 if not 0.0 <= t <= self.t_end:
                     raise err(f"output time {t!r} outside [0, t_end]")
+        snapshots, cells = len(set(times)), max(self.n_cells, self.fv_cells)
+        if snapshots * cells > MAX_SNAPSHOT_CELLS:
+            raise err(f"{snapshots} output times x {cells} cells = {snapshots * cells} snapshot cells, above {MAX_SNAPSHOT_CELLS}")
         object.__setattr__(self, "output_times", times)
         initial = _profile_from_spec(self.profile)
         if float(np.max(initial.values)) > self.cap + 1e-12:

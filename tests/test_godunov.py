@@ -52,11 +52,13 @@ def direct_fields(rho, grid, kernel):
 
 
 def scipy_fields(rho, grid, kernel):
-    """(K+, K-) by the batched ``scipy.fft`` convolution that :func:`compute_fields` ran before it moved to
-    ``np.fft`` and cached work buffers: the bitwise reference for that move.
+    """(K+, K-) by the batched ``scipy.fft`` convolution of all of rho at length _next_fast_len(2J), the path
+    :func:`compute_fields` ran before it moved to ``np.fft``, cached work buffers and the charged window.
 
-    The same transform length, the same spectrum, fresh arrays everywhere and
-    the same two guards (exact zeros over vacuum, sign clamps).
+    Fresh arrays everywhere and the same two guards (exact zeros over vacuum,
+    sign clamps).  The window changes the transform length, so this path now
+    agrees with :func:`compute_fields` to the FFT bound of
+    :func:`assert_fields_match_direct`, no longer bitwise.
     """
     cells, dx = grid.cells, grid.dx
     kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
@@ -70,6 +72,50 @@ def scipy_fields(rho, grid, kernel):
     np.maximum(sums[0, first:cells], 0.0, out=kplus[first + 1 :])
     np.minimum(np.negative(sums[1, cells - 1 - last : cells][::-1]), 0.0, out=kminus[: last + 1])
     return kplus, kminus
+
+
+def window_size(rho, cells):
+    """The transform length of the charged window of rho on a J-cell grid: the smallest 5-smooth n >= J + L - 1."""
+    charged = np.flatnonzero(rho)
+    return scipy.fft.next_fast_len(cells + charged[-1] - charged[0], real=True) if charged.size else 0
+
+
+def window_fields(rho, grid, kernel):
+    """(K+, K-) by ``scipy.fft`` convolutions of the charged window and the reversed window, zero-padded to
+    :func:`window_size`, in fresh arrays: the bitwise reference of :func:`compute_fields`.
+
+    The same guards as :func:`scipy_fields`: exact zeros over vacuum, sign clamps.
+    """
+    cells, dx = grid.cells, grid.dx
+    kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
+    charged = np.flatnonzero(rho)
+    if charged.size == 0:
+        return kplus, kminus
+    first, last = charged[0], charged[-1]
+    window = rho[first : last + 1]
+    size = window_size(rho, cells)
+    spectrum = scipy.fft.rfft(dx * kernel.d1((np.arange(cells) + 0.5) * dx), n=size)
+    causal = scipy.fft.irfft(scipy.fft.rfft(window, n=size) * spectrum, n=size)
+    anticausal = scipy.fft.irfft(scipy.fft.rfft(window[::-1], n=size) * spectrum, n=size)
+    kplus[first + 1 :] = np.maximum(causal[: cells - first], 0.0)
+    kminus[: last + 1] = np.minimum(-anticausal[last::-1], 0.0)
+    return kplus, kminus
+
+
+def full_interface_flux(rho, fields, mobility):
+    """G at all J+1 interfaces from f on the whole vacuum-padded cell array: the path :func:`interface_flux`
+    ran before it moved to the charged window, and its bitwise reference."""
+    kplus, kminus = fields
+    ext = np.clip(np.concatenate(([0.0], rho, [0.0])), 0.0, mobility.cap)
+    f = mobility.flux(ext)
+    sigma, peak = mobility.flux_argmax, mobility.flux_max
+    f_left = godunov._upwind(ext[1:], ext[:-1], f[1:], f[:-1], sigma, peak)
+    f_right = godunov._upwind(ext[:-1], ext[1:], f[:-1], f[1:], sigma, peak)
+    return kplus * f_left + kminus * f_right
+
+
+def bitwise_equal(got, want):
+    return all(np.array_equal(np.asarray(g).view(np.uint64), np.asarray(w).view(np.uint64)) for g, w in zip(got, want))
 
 
 def godunov_flux(u_left, u_right, mobility):
@@ -206,6 +252,15 @@ def test_fields_match_oracle_loops():
     assert dminus == pytest.approx(om, abs=1e-15)
 
 
+def fft_tolerance(size, scale):
+    """Rounding bound of an FFT convolution of length ``size`` against the direct sums, for fields up to ``scale``."""
+    return np.finfo(float).eps * np.log2(max(size, 2)) * scale + size * np.finfo(float).smallest_subnormal
+
+
+def fields_error(got, want):
+    return max(float(np.max(np.abs(g - w))) for g, w in zip(got, want))
+
+
 def assert_fields_match_direct(rho, grid):
     """FFT fields against :func:`direct_fields`: tolerance, exact zeros, signs, mirror symmetry.
 
@@ -213,15 +268,16 @@ def assert_fields_match_direct(rho, grid):
     long-double sums, the FFT convolution by an error that grows like
     eps log2(n) in its length n.  Their difference is held to that FFT bound,
     plus n times the smallest subnormal for what underflow loses on densities
-    near it.
+    near it.  The same bound holds the former full-length path,
+    :func:`scipy_fields`, at its own length.
     """
     kplus, kminus = compute_fields(rho, grid, KER)
     dplus, dminus = direct_fields(rho, grid, KER)
-    size = godunov._d1_spectrum(grid, KER)[0]
     scale = max(np.max(np.abs(dplus)), np.max(np.abs(dminus)))
-    tol = np.finfo(float).eps * np.log2(size) * scale + size * np.finfo(float).smallest_subnormal
-    assert np.max(np.abs(kplus - dplus)) <= tol
-    assert np.max(np.abs(kminus - dminus)) <= tol
+    assert fields_error((kplus, kminus), (dplus, dminus)) <= fft_tolerance(window_size(rho, grid.cells), scale)
+    old = scipy_fields(rho, grid, KER)
+    old_size = scipy.fft.next_fast_len(2 * grid.cells, real=True)
+    assert fields_error(old, (dplus, dminus)) <= fft_tolerance(old_size, scale)
     charged = np.flatnonzero(rho)
     first, last = (charged[0], charged[-1]) if charged.size else (grid.cells, -1)
     assert np.all(kplus[: first + 1] == 0.0)  # no mass left of these interfaces
@@ -252,6 +308,29 @@ def test_fields_fft_matches_direct_sums(case):
     assert_fields_match_direct(rho, grid)
 
 
+@settings(max_examples=100, deadline=None)
+@given(block_profiles())
+def test_windowed_interface_flux_equals_the_full_array_flux_bitwise(case):
+    grid, rho = case
+    fields = compute_fields(rho, grid, KER)
+    assert bitwise_equal((interface_flux(rho, fields, MOB),), (full_interface_flux(rho, fields, MOB),))
+
+
+@pytest.mark.parametrize("name", nl.builtin_names())
+def test_windowed_fields_and_flux_on_every_snapshot_of_the_builtins(name):
+    # the states a run really meets: every default snapshot of each builtin's
+    # Godunov run at its default J, fields against the windowed reference and
+    # the windowed flux against the full-array one, both bit for bit
+    cfg = nl.builtin_scenario(name)
+    run = nl.run_godunov(cfg).fv
+    kernel, mobility = nl.build_kernel(cfg), nl.build_mobility(cfg)
+    for state in run.states:
+        fields = compute_fields(state.values, run.grid, kernel)
+        assert bitwise_equal(fields, window_fields(state.values, run.grid, kernel))
+        got = interface_flux(state.values, fields, mobility)
+        assert bitwise_equal((got,), (full_interface_flux(state.values, fields, mobility),))
+
+
 def test_fields_fft_matches_direct_sums_on_a_fine_wide_grid():
     # two blocks with a vacuum gap at J=9600 on [-20, 20]: without the sign
     # clamp the FFT gives hundreds of K+ < 0 and K- > 0 entries here
@@ -263,35 +342,34 @@ def test_fields_fft_matches_direct_sums_on_a_fine_wide_grid():
 
 def test_fields_share_one_read_only_table():
     grid = nl.Grid(-1.75, 2.25, 37)  # a grid no other test uses
+    vals = np.linspace(0.0, 1.0, 37)  # charged from cell 1: a 36-cell window
+    size = godunov._next_fast_len(37 + 36 - 1)
+    assert size == scipy.fft.next_fast_len(72, real=True) == 72
     before = godunov._d1_spectrum.cache_info()
-    vals = np.linspace(0.0, 1.0, 37)
     first, second = fields_of(grid, vals), fields_of(grid, vals[::-1])
     after = godunov._d1_spectrum.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
     assert np.array_equal(first[0], -second[1][::-1])  # mirrored data, mirrored fields
-    work = godunov._d1_spectrum(grid, KER)
-    assert work is godunov._d1_spectrum(grid, KER)
-    size, spectrum, product, sums = work
-    assert size == scipy.fft.next_fast_len(2 * 37, real=True) >= 2 * 37 - 1
+    spectrum = godunov._d1_spectrum(grid, KER, size)
+    assert spectrum is godunov._d1_spectrum(grid, KER, size)
     table = grid.dx * KER.d1((np.arange(37) + 0.5) * grid.dx)
     assert np.array_equal(spectrum, scipy.fft.rfft(table, n=size))
     with pytest.raises(ValueError):
         spectrum[0] = 0.0
-    # the work buffers: one transformed row, and the sums, one row per side
-    assert product.shape == (size // 2 + 1,) and product.dtype == np.complex128
-    assert sums.shape == (2, size) and sums.dtype == np.float64
-    assert product.flags.writeable and sums.flags.writeable
+    # the work buffers, one set per grid at a fully charged grid's length:
+    # one transformed row, and the sums, one row per side
+    work = godunov._field_work(grid)
+    assert work is godunov._field_work(nl.Grid(-1.75, 2.25, 37))
+    full = scipy.fft.next_fast_len(2 * 37 - 1, real=True)
+    assert work.product.shape == (full // 2 + 1,) and work.product.dtype == np.complex128
+    assert work.sums.shape == (2, full) and work.sums.dtype == np.float64
+    assert work.product.flags.writeable and work.sums.flags.writeable
 
 
-@pytest.mark.parametrize("cells", [2, 3, 37, 1200, 4800])
-def test_fields_equal_the_scipy_fft_reference_bitwise_call_after_call(cells):
-    # several states on one grid, so every call after the first reuses the
-    # cached buffers; each result must equal the reference bit for bit and
-    # must not change when a later call overwrites the buffers
-    grid = nl.Grid(-2.5, 2.5, cells)
-    x = grid.centers
-    rng = np.random.default_rng(cells)
-    states = [
+def shifted_states(x, rng):
+    """States on one grid whose charged windows differ in place and length, vacuum among them."""
+    cells = x.size
+    return [
         np.where((x > -1.0) & (x < 1.0), 0.3, 0.0),
         np.zeros(cells),  # all vacuum: returns before touching the buffers
         rng.uniform(0.0, MOB.cap, cells),
@@ -299,18 +377,62 @@ def test_fields_equal_the_scipy_fft_reference_bitwise_call_after_call(cells):
         np.where(np.abs(x) < 0.4, 0.0, 0.7),  # a vacuum gap inside
         np.zeros(cells),
         rng.uniform(0.0, MOB.cap, cells) * (rng.random(cells) < 0.3),
+        np.where(x < -2.0, 0.5, 0.0),  # charged from cell 0
     ]
+
+
+@pytest.mark.parametrize("cells", [2, 3, 37, 1200, 4800])
+def test_fields_equal_the_scipy_fft_reference_bitwise_call_after_call(cells):
+    # several states on one grid, so every call after the first reuses the
+    # cached buffers; each result must equal the windowed reference bit for
+    # bit and must not change when a later call overwrites the buffers.  The
+    # former full-length path agrees to its FFT bound.
+    grid = nl.Grid(-2.5, 2.5, cells)
     results = []
-    for rho in states:
+    for rho in shifted_states(grid.centers, np.random.default_rng(cells)):
         got = compute_fields(rho, grid, KER)
-        want = scipy_fields(rho, grid, KER)
-        assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
+        assert bitwise_equal(got, window_fields(rho, grid, KER))
+        old = scipy_fields(rho, grid, KER)
+        scale = max(float(np.max(np.abs(a))) for a in old)
+        assert fields_error(got, old) <= fft_tolerance(scipy.fft.next_fast_len(2 * cells, real=True), scale)
         results.append((got, tuple(a.copy() for a in got)))
-    _, _, product, sums = godunov._d1_spectrum(grid, KER)
+    product, sums = godunov._field_work(grid)
     for (kplus, kminus), (kplus_then, kminus_then) in results:
         assert np.array_equal(kplus, kplus_then) and np.array_equal(kminus, kminus_then)
         for a in (kplus, kminus):
             assert not np.shares_memory(a, product) and not np.shares_memory(a, sums)
+
+
+def edge_windows(cells):
+    """States whose charged window touches a domain edge, a single cell at either end, or is empty."""
+    rng = np.random.default_rng(cells)
+    left, right, single_left, single_right = (np.zeros(cells) for _ in range(4))
+    left[: max(1, cells // 3)] = rng.uniform(0.1, MOB.cap, max(1, cells // 3))
+    right[-max(1, cells // 3) :] = rng.uniform(0.1, MOB.cap, max(1, cells // 3))
+    single_left[0], single_right[-1] = 0.6, MOB.cap
+    return {
+        "left": left,
+        "right": right,
+        "single-left": single_left,
+        "single-right": single_right,
+        "both-edges": rng.uniform(0.1, MOB.cap, cells),
+        "ends-only": np.where(np.arange(cells) % (cells - 1) == 0, 0.4, 0.0),
+        "vacuum": np.zeros(cells),
+    }
+
+
+@pytest.mark.parametrize("cells", [2, 3, 4, 41, 4800])
+@pytest.mark.parametrize("case", ["left", "right", "single-left", "single-right", "both-edges", "ends-only", "vacuum"])
+def test_fields_and_flux_on_windows_at_the_domain_edges(cells, case):
+    # charged cells at 0 and at J-1: the window starts at the first cell or
+    # ends at the last, the shortest and the longest transform lengths
+    grid = nl.Grid(-3.0, 3.0, cells)
+    rho = edge_windows(cells)[case]
+    assert_fields_match_direct(rho, grid)  # and its mirror, bitwise
+    for state in (rho, rho[::-1]):
+        fields = compute_fields(state, grid, KER)
+        assert bitwise_equal(fields, window_fields(state, grid, KER))
+        assert bitwise_equal((interface_flux(state, fields, MOB),), (full_interface_flux(state, fields, MOB),))
 
 
 def test_next_fast_len_matches_scipy_up_to_2_to_the_15():
@@ -318,41 +440,101 @@ def test_next_fast_len_matches_scipy_up_to_2_to_the_15():
     assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 2**15 + 1)]
 
 
-def test_fields_allocate_no_fft_work_array_per_call():
-    # the fv-march grid and state: after one warm-up call builds the cached
-    # entry, a call allocates K+, K- and J-sized index and sign temporaries
-    # (a 112 KB peak at J = 4800), and no longer the two 154 KB FFT work
-    # arrays it allocated per call before they were cached (a 470 KB peak)
-    cfg = nl.builtin_scenario("two-step-0206")
-    grid = nl.Grid(cfg.domain[0], cfg.domain[1], 4800)
-    rho, kernel = nl.cell_averages(nl.build_profile(cfg), grid), nl.build_kernel(cfg)
-    compute_fields(rho, grid, kernel)
-    tracemalloc.start()
-    try:
-        compute_fields(rho, grid, kernel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 200_000
-
-
-FAULTS_PER_CALL = """
-import resource
+FV_MARCH_STATES = """
+import numpy as np
 import nlftl as nl
-from nlftl.godunov import compute_fields
 cfg = nl.builtin_scenario("two-step-0206")
 grid = nl.Grid(cfg.domain[0], cfg.domain[1], 4800)
 rho, kernel = nl.cell_averages(nl.build_profile(cfg), grid), nl.build_kernel(cfg)
-compute_fields(rho, grid, kernel)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(50):
-    compute_fields(rho, grid, kernel)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+states = []
+for shrink in SHRINKS:
+    state = rho.copy()
+    charged = np.flatnonzero(state)
+    state[charged[:shrink]] = 0.0
+    state[charged[charged.size - shrink :]] = 0.0
+    states.append(state)
 """
 
+# the fv-march state (a 1,440-cell window, transform length 6,250) and the
+# same window less its outer 20 and 470 charged cells at each end: a
+# 1,400- and a 500-cell window, lengths 6,250 and 5,400
+SHRINKS = {"fv-march": (0,), "shrinking": (0, 20, 470)}
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
-def test_fields_take_no_page_faults_per_call():
+
+def fv_march_states(shrinks):
+    """The fv-march grid (two-step-0206 at J = 4800), its kernel, and its initial state with ``shrinks`` cells
+    cleared at each end of the charged window, one state per entry."""
+    scope = {"SHRINKS": shrinks}
+    exec(FV_MARCH_STATES, scope)
+    return scope["grid"], scope["kernel"], scope["states"]
+
+
+def assert_no_fft_work_array_per_call(windows):
+    # after one warm-up call per state builds the cached entries, a call
+    # allocates K+, K- and a J-entry mask (an 87 KB peak at J = 4800), and no
+    # longer the two 154 KB FFT work arrays it allocated per call before they
+    # were cached (a 470 KB peak)
+    grid, kernel, states = fv_march_states(SHRINKS[windows])
+    for rho in states:
+        compute_fields(rho, grid, kernel)
+    for rho in states:
+        tracemalloc.start()
+        try:
+            compute_fields(rho, grid, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+
+
+def test_fields_allocate_no_fft_work_array_per_call():
+    assert_no_fft_work_array_per_call("fv-march")
+
+
+def test_fields_allocate_no_fft_work_array_per_call_as_the_window_shrinks():
+    assert_no_fft_work_array_per_call("shrinking")
+
+
+def test_fields_on_a_shrinking_window_miss_once_per_length():
+    # one grid, its window shrinking between calls: a length first seen is a
+    # miss of the spectrum cache, every later call at it a hit, and all
+    # lengths share the grid's one set of work buffers
+    grid, kernel, (wide, trimmed, narrow) = fv_march_states(SHRINKS["shrinking"])
+    grid = nl.Grid(grid.left, grid.right - 0.125, grid.cells)  # a grid no other test uses
+    assert [window_size(rho, grid.cells) for rho in (wide, trimmed, narrow)] == [6250, 6250, 5400]
+    before = godunov._d1_spectrum.cache_info()
+    outcomes = []
+    for rho in (wide, trimmed, trimmed, narrow, narrow, wide):
+        misses = godunov._d1_spectrum.cache_info().misses
+        got = compute_fields(rho, grid, kernel)
+        assert bitwise_equal(got, window_fields(rho, grid, kernel))
+        outcomes.append("miss" if godunov._d1_spectrum.cache_info().misses > misses else "hit")
+    assert outcomes == ["miss", "hit", "hit", "miss", "hit", "hit"]
+    after = godunov._d1_spectrum.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 2, before.hits + 4)
+    assert godunov._field_work(grid).sums.shape == (2, 9600)
+
+
+FAULTS_PER_CALL = (
+    """
+import os
+import resource
+SHRINKS = tuple(map(int, os.environ["WINDOW_SHRINKS"].split(",")))
+"""
+    + FV_MARCH_STATES
+    + """
+from nlftl.godunov import compute_fields
+for state in states:
+    compute_fields(state, grid, kernel)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for k in range(50):
+    compute_fields(states[k % len(states)], grid, kernel)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+)
+
+
+def assert_no_page_faults_per_call(windows):
     # what tracemalloc cannot see: a transform of both rows in one call makes
     # numpy's pocketfft allocate scratch above the mmap threshold, mapped and
     # unmapped every call (76 minor faults per call here); row by row, none.
@@ -361,9 +543,11 @@ def test_fields_take_no_page_faults_per_call():
     # threshold is pinned too: left at 128 KB, glibc trims the heap top after
     # some calls and faults it back in on the next, 20-24 faults per call or
     # none depending only on how large the environment is, so the count is
-    # taken at several sizes of a dummy variable.
+    # taken at several sizes of a dummy variable.  "shrinking" cycles through
+    # three windows and two transform lengths.
     env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_=str(64 << 20))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    env["WINDOW_SHRINKS"] = ",".join(map(str, SHRINKS[windows]))
     for padding in (0, 500, 2_000, 20_000):
         env["ENV_PADDING"] = "x" * padding
         proc = subprocess.run(
@@ -371,6 +555,16 @@ def test_fields_take_no_page_faults_per_call():
         )
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 5.0, f"environment padded by {padding} bytes"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_fields_take_no_page_faults_per_call():
+    assert_no_page_faults_per_call("fv-march")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_fields_take_no_page_faults_per_call_as_the_window_shrinks():
+    assert_no_page_faults_per_call("shrinking")
 
 
 def test_grid_edges_built_once_read_only_and_exact():
@@ -390,10 +584,11 @@ def test_grid_edges_built_once_read_only_and_exact():
     assert grid != nl.Grid(-1.25, 2.75, 40)
     # so an equal grid that never built its edges still hits the spectrum cache
     before = godunov._d1_spectrum.cache_info()
-    spectrum = godunov._d1_spectrum(grid, KER)
-    assert godunov._d1_spectrum(twin, KER) is spectrum
+    spectrum = godunov._d1_spectrum(grid, KER, 81)
+    assert godunov._d1_spectrum(twin, KER, 81) is spectrum
     after = godunov._d1_spectrum.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    assert godunov._field_work(twin) is godunov._field_work(grid)
     # every snapshot profile of a run shares the one edge array
     prof = nl.DensityProfile(np.array([-0.5, 0.5]), np.array([0.5]))
     run = nl.gd_run(grid, prof, KER, MOB, 0.2, output_times=[0.1])
@@ -487,6 +682,26 @@ def test_step_conserves_mass_and_stays_in_bounds(cells):
     new, clamp = nl.gd_step(grid, nl.FVState(0.0, vals, MOB.cap), KER, MOB, dt, fields)
     assert clamp <= 1e-15  # the transport bound alone keeps the values in [0, cap], up to rounding
     assert np.sum(new.values) == pytest.approx(np.sum(vals), abs=1e-14 * vals.size)
+
+
+def test_state_values_must_lie_in_zero_cap():
+    for bad in (-1e-300, MOB.cap + 2e-10, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"\[0, cap\]"):
+            nl.FVState(0.0, np.array([0.5, bad, 0.5]), MOB.cap)
+    ok = nl.FVState(0.0, np.array([-0.0, 0.0, MOB.cap + 1e-10]), MOB.cap)
+    assert ok.values.dtype == np.float64
+
+
+def test_run_checks_each_state_once(monkeypatch):
+    # every step's state is checked once, when gd_step builds it; a step
+    # that lands on an output time builds one more, labelled with that time
+    checks = []
+    check = godunov.FVState.__post_init__
+    monkeypatch.setattr(godunov.FVState, "__post_init__", lambda self: checks.append(self.time) or check(self))
+    grid = nl.Grid(-2.5, 2.5, 300)
+    run = nl.gd_run(grid, nl.uniform_profile(-1.0, 1.0, 0.3), KER, MOB, 0.2, output_times=[0.1, 0.2])
+    assert len(checks) == 1 + run.steps + run.output_limited_steps
+    assert [s.time for s in run.states] == [0.0, 0.1, 0.2] and all(s.time in checks for s in run.states)
 
 
 def test_step_vacuum_stays_vacuum():

@@ -23,6 +23,7 @@ from nlftl.particles import ParticleState, reconstruct_density
 from nlftl.profiles import DensityProfile
 from nlftl.scenarios import (
     MAX_CELLS,
+    MAX_SNAPSHOT_CELLS,
     ScenarioConfig,
     build_kernel,
     build_profile,
@@ -565,9 +566,39 @@ def test_cli_counts_above_their_bounds_exit_three_and_write_nothing(tmp_path, ca
     assert f"[1, {entropy.MAX_N_SPACE}]" in err
 
 
+def test_cli_snapshot_cells_above_their_bound_exit_three_and_write_nothing(tmp_path, capsys, monkeypatch):
+    # 2,001 output times at MAX_CELLS would hold about 48 GB of snapshots, and
+    # an audit's 81 snapshots one cell above MAX_SNAPSHOT_CELLS // 81 are one
+    # snapshot cell too many; no runner may start, so nothing large is built
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a run started before its snapshot count was checked")
+
+    for name in ("init_particles", "gd_run", "entropy_residuals"):
+        monkeypatch.setattr(f"nlftl.scenarios.{name}", no_solver)
+    config = tmp_path / "config.json"
+    times = [float(t) for t in np.linspace(0.0, 1.0, 2001)]
+    config.write_text(json.dumps({"scenario": "single-step", "n_cells": MAX_CELLS, "output_times": times}))
+    out = ["--out", str(tmp_path / "out")]
+    argvs = [[command, "--config", str(config)] for command in ("particles", "godunov", "compare")]
+    argvs.append(["entropy-audit", "--scenario", "single-step", "--t-end", "2", "--n", str(MAX_SNAPSHOT_CELLS // 81 + 1)])
+    for argv in argvs:
+        assert main(argv + out) == 3, argv
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.count("config error:") == len(argvs)
+    assert err.count(f"2001 output times x {MAX_CELLS} cells") == 3
+    assert f"81 output times x {MAX_SNAPSHOT_CELLS // 81 + 1} cells" in err
+    assert err.count(f"snapshot cells, above {MAX_SNAPSHOT_CELLS}") == len(argvs)
+
+
 def test_counts_at_their_bounds_are_accepted():
     cfg = ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": MAX_CELLS, "fv_cells": MAX_CELLS})
     assert (cfg.n_cells, cfg.fv_cells) == (MAX_CELLS, MAX_CELLS)
+    assert len(cfg.output_times) == 11  # the default snapshots pass at the largest count
+    times = np.linspace(0.0, 1.0, MAX_SNAPSHOT_CELLS // MAX_CELLS)
+    assert len(replace(cfg, output_times=np.concatenate((times, times))).output_times) == 2 * times.size  # distinct times count
+    audit = replace(cfg, n_cells=MAX_SNAPSHOT_CELLS // 81, fv_cells=1200, t_end=2.0)
+    assert len(replace(audit, output_times=np.linspace(0.0, 2.0, 81)).output_times) == 81
     assert entropy.check_audit_inputs((0.5,), entropy.MAX_N_SPACE) == [0.5]
 
 
@@ -635,6 +666,26 @@ def test_cli_entropy_audit_explains_flags(tmp_path, capsys):
     meta = json.loads((path.parent / "meta.json").read_text())
     ((phi, entry),) = meta["min_margin"].items()
     assert lines[-1] == f"  smallest margin residual+guard={entry['margin']:.6g} at c={entry['c']:g} phi={phi}"
+
+
+@pytest.mark.parametrize("method", ["particles", "godunov"])
+def test_cli_entropy_audit_keeps_the_run_meta_of_the_same_out(tmp_path, capsys, method):
+    # the audit writes into <method>-audit/, beside the compare run's
+    # <method>/ directory, whose meta.json keeps the run's counters
+    out = ["--out", str(tmp_path / "out")]
+    sizes = ["--scenario", "single-step", "--n", "10", "--cells", "60", "--t-end", "2"]
+    assert main(["compare", *sizes, *out]) == 0
+    run_dir = tmp_path / "out" / "single-step" / method
+    before = (run_dir / "meta.json").read_bytes()
+    assert main(["entropy-audit", *sizes, "--method", method, "--c-list", "0.5", "--n-space", "16", *out]) == 0
+    assert f"-> {tmp_path / 'out' / 'single-step' / f'{method}-audit'}" in capsys.readouterr().out
+    assert (run_dir / "meta.json").read_bytes() == before
+    meta = json.loads(before)
+    counters = ("steps", "rhs_evals", "settle_checks") if method == "particles" else ("steps", "min_dt", "cfl_limited_steps")
+    assert all(key in meta for key in counters) and "flags" not in meta
+    audit = json.loads((run_dir.parent / f"{method}-audit" / "meta.json").read_text())
+    assert audit["method"] == f"{method}-audit" and "flags" in audit and "steps" not in audit
+    assert len((run_dir.parent / f"{method}-audit" / "entropy.jsonl").read_text().splitlines()) == 1
 
 
 def test_cli_rerun_is_byte_identical(tmp_path, capsys):
