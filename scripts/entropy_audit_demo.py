@@ -11,8 +11,6 @@ Usage: python3 scripts/entropy_audit_demo.py [--method particles|godunov] [--out
 
 import argparse
 
-import numpy as np
-
 from nlftl import builtin_scenario, first_violation_horizon, run_entropy_audit
 from nlftl.scenarios import ScenarioConfig, emit_entropy
 
@@ -34,7 +32,7 @@ def main() -> None:
               f"(c=0.5, residual {report.residual:.4f}, resolution {report.resolution})")
 
     cfg = ScenarioConfig.from_dict({"scenario": args.scenario, "t_end": 2.0, "out_dir": args.out})
-    reports = run_entropy_audit(cfg, c_list=np.linspace(0.0, cfg.cap, 11), method=args.method)
+    reports = run_entropy_audit(cfg, method=args.method)
     flagged = [r for r in reports if r.violation]
     print(f"{args.scenario} via {args.method}: {len(reports)} residuals, {len(flagged)} flagged, "
           f"min residual {min(r.residual for r in reports):+.2e}")

@@ -1,6 +1,8 @@
 """Nonlocal follow-the-leader transport: particle and finite-volume solvers
 with mass/TV/Wasserstein diagnostics and a Kruzkov entropy residual."""
 
+__version__ = "0.1.0"  # read by pyproject.toml and, as the package loads, by scenarios
+
 from .entropy import (
     EntropyReport,
     SpatialBump,
@@ -44,5 +46,3 @@ from .scenarios import (
     run_godunov,
     run_particles,
 )
-
-__version__ = "0.1.0"

@@ -259,12 +259,15 @@ def _direct_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.nd
     evaluations, so memory stays bounded at any N; each row is summed whole,
     so the sums equal ``sum(coef * kernel.value(d))`` and
     ``sum(coef * kernel.d1(d))`` exactly.  Every block is computed into the
-    same three arrays: a fresh allocation per block this size can take new
-    pages from the OS each time.
+    same three arrays of :func:`nlftl.gauss_sums.work_arrays`: a fresh
+    allocation per call this size takes new pages from the OS each time.
     """
     w1, w2 = np.zeros_like(x), np.zeros_like(x)
     rows = max(1, min(x.size, gauss_sums.BLOCK // bp.size))
-    d, k, k1 = (np.empty((rows, bp.size)) for _ in range(3))
+    if bp.size <= gauss_sums.BLOCK:
+        d, k, k1 = gauss_sums.work_arrays((rows, bp.size))
+    else:  # one row outgrows the work area
+        d, k, k1 = (np.empty((rows, bp.size)) for _ in range(3))
     for start in range(0, x.size, rows):
         m = min(rows, x.size - start)
         np.subtract(x[start : start + m, None], bp, out=d[:m])

@@ -12,7 +12,7 @@ where R bounds 2B |u v|.  Since e(u) e(v) exp(2B |u v|) <= 1, every term of
 the expansion is at most 1 whatever R is, so rounding stays near eps times
 the sum of the absolute weights; only p grows with R.  Each caller keeps its
 own contraction: prefix sums of the source weights for the one-sided particle
-sums, global moments for the full entropy sums.  Both take their block
+sums, global moments for the full entropy sums.  Every sum takes its block
 arrays from one work area held here (:func:`work_arrays`).
 """
 

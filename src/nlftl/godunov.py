@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Kernel, Mobility
-from .profiles import DensityProfile
+from .profiles import DensityProfile, snapshot_schedule
 
 _OVERSHOOT = 1e-10  # constructor tolerance above the cap
 _CFL = 0.45  # Courant number of cfl_dt, which keeps values in [0, cap] only below 1/2
@@ -357,10 +357,6 @@ def gd_run(
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    requested = [] if output_times is None else output_times
-    outputs = sorted({float(t) for t in requested if 0.0 < t <= t_end})
-    if not outputs or outputs[-1] < t_end:
-        outputs.append(t_end)
     state = FVState(0.0, cell_averages(profile, grid), mobility.cap)
     states = [state]
     clamped = 0.0
@@ -368,7 +364,7 @@ def gd_run(
     steps = 0
     output_limited = 0
     min_dt, max_dt = np.inf, 0.0
-    for t_next in outputs:
+    for t_next in snapshot_schedule(0.0, t_end, output_times):
         while state.time < t_next:
             fields = compute_fields(state.values, grid, kernel)
             remaining = t_next - state.time

@@ -19,7 +19,7 @@ import numpy as np
 from . import gauss_sums
 from .errors import InvariantViolation
 from .model import Kernel, Mobility
-from .profiles import AtomicMeasure, DensityProfile
+from .profiles import AtomicMeasure, DensityProfile, snapshot_schedule
 
 
 @dataclass(frozen=True)
@@ -384,11 +384,7 @@ def integrate(
     eps_gap = 10.0 * _RTOL * support0
     floor = state.gap_floor
 
-    if output_times is None:
-        output_times = [t_end]
-    outputs = sorted({float(t) for t in output_times if state.time < t <= t_end})
-    if not outputs or outputs[-1] < t_end:
-        outputs.append(t_end)
+    outputs = snapshot_schedule(state.time, t_end, output_times)
 
     def fun(t, y):
         return _velocities(y, pm, kernel, mobility)

@@ -142,6 +142,18 @@ def sorted_union(*arrays) -> np.ndarray:
     return pts[keep]
 
 
+def snapshot_schedule(t0: float, t_end: float, output_times=None) -> list[float]:
+    """The distinct output times in (t0, t_end], increasing, with ``t_end`` last; None gives [t_end].
+
+    A run holds its t0 state and one snapshot per time: ``1 + len(schedule)`` in all.
+    """
+    requested = () if output_times is None else output_times
+    times = sorted({float(t) for t in requested if t0 < t <= t_end})
+    if not times or times[-1] < t_end:
+        times.append(t_end)
+    return times
+
+
 def uniform_profile(left: float, right: float, value: float) -> DensityProfile:
     return DensityProfile(np.array([left, right], dtype=float), np.array([value], dtype=float))
 

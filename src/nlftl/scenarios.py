@@ -17,18 +17,18 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from importlib import metadata as _metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .entropy import N_SPACE, EntropyReport, TestFunction, bump_pair, check_audit_inputs, entropy_residual, entropy_residuals, single_bump
 from .errors import ConfigError
 from .godunov import GodunovRun, Grid, gd_run
-from .metrics import l1_distance, total_variation, wasserstein1
+from .metrics import _MASS_MATCH, l1_distance, total_variation, wasserstein1
 from .model import GAUSSIAN_AMPLITUDE, Kernel, Mobility
 from .particles import Trajectory, init_particles, integrate, reconstruct_density
-from .profiles import DensityProfile, sorted_union, step_profile, uniform_profile
+from .profiles import DensityProfile, snapshot_schedule, sorted_union, step_profile, uniform_profile
 
 # name -> (description, initial profile spec)
 _BUILTINS: dict[str, tuple[str, dict]] = {
@@ -64,13 +64,13 @@ _BUILTINS: dict[str, tuple[str, dict]] = {
 # rather than an out-of-memory kill.
 MAX_CELLS = 1_000_000
 
-# Most snapshot cells a config asks for: distinct output times times
-# max(n_cells, fv_cells).  Every snapshot holds its positions or cell values
-# and its profile, so memory grows as their product: a particle run at 10^4
-# cells to t = 0.2 held 4 MB with 11 output times and 482 MB with 2,001
-# (tracemalloc), about 24 bytes per snapshot cell, so about 0.4 GB at the
-# bound.  The default 11 times pass at MAX_CELLS, an entropy audit's 81
-# snapshots up to 197,530 cells.  More is a ConfigError.
+# Most snapshot cells a config asks for: the snapshots a run holds (t = 0 and
+# one per time of its snapshot_schedule) times max(n_cells, fv_cells).  Every
+# snapshot holds its positions or cell values and its profile, so memory grows
+# as their product: a particle run at 10^4 cells to t = 0.2 held 4 MB with 11
+# snapshots and 482 MB with 2,001 (tracemalloc), about 24 bytes per snapshot
+# cell, so about 0.4 GB at the bound.  The default 11 snapshots pass at
+# MAX_CELLS, an entropy audit's 81 up to 197,530 cells.  More is a ConfigError.
 MAX_SNAPSHOT_CELLS = 16_000_000
 
 
@@ -136,9 +136,9 @@ class ScenarioConfig:
     scenario: str
     profile: dict
     amplitude: float = GAUSSIAN_AMPLITUDE
-    inv_width: float = 0.5
-    cap: float = 1.0
-    v_max: float = 1.0
+    inv_width: float = Kernel.inv_width
+    cap: float = Mobility.cap
+    v_max: float = Mobility.v_max
     n_cells: int = 300
     fv_cells: int = 1200
     domain: tuple = (-2.5, 2.5)
@@ -183,9 +183,10 @@ class ScenarioConfig:
             for t in times:
                 if not 0.0 <= t <= self.t_end:
                     raise err(f"output time {t!r} outside [0, t_end]")
-        snapshots, cells = len(set(times)), max(self.n_cells, self.fv_cells)
+        snapshots = 1 + len(snapshot_schedule(0.0, self.t_end, times))
+        cells = max(self.n_cells, self.fv_cells)
         if snapshots * cells > MAX_SNAPSHOT_CELLS:
-            raise err(f"{snapshots} output times x {cells} cells = {snapshots * cells} snapshot cells, above {MAX_SNAPSHOT_CELLS}")
+            raise err(f"{snapshots} snapshots x {cells} cells = {snapshots * cells} snapshot cells, above {MAX_SNAPSHOT_CELLS}")
         object.__setattr__(self, "output_times", times)
         initial = _profile_from_spec(self.profile)
         if float(np.max(initial.values)) > self.cap + 1e-12:
@@ -244,7 +245,7 @@ def _w1_renormalized(p: DensityProfile, ref: DensityProfile) -> float:
     mass differs from the reference's, such as the centered particle one)."""
     if not p.mass > 0.0 or not ref.mass > 0.0:
         return math.nan
-    if abs(p.mass - ref.mass) > 1e-12:
+    if abs(p.mass - ref.mass) > _MASS_MATCH:
         p = DensityProfile(p.breakpoints, p.values * (ref.mass / p.mass))
     return wasserstein1(p, ref)
 
@@ -503,30 +504,23 @@ def write_entropy_jsonl(path: Path, reports) -> None:
     _write_lines(path, [json.dumps(r.json_record()) for r in reports])
 
 
-def _versions() -> dict:
-    try:
-        own = _metadata.version("nlftl")
-    except _metadata.PackageNotFoundError:
-        own = "unpackaged"
-    return {
-        "nlftl": own,
-        "numpy": np.__version__,
-        "python": ".".join(str(v) for v in sys.version_info[:3]),
-    }
-
-
 def write_meta(path: Path, config: ScenarioConfig, extra: dict | None = None) -> None:
-    meta = {"config": config.to_dict(), "versions": _versions()}
+    versions = {"nlftl": __version__, "numpy": np.__version__, "python": ".".join(map(str, sys.version_info[:3]))}
+    meta = {"config": config.to_dict(), "versions": versions}
     if extra:
         meta.update(extra)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _out_dir(config: ScenarioConfig, label: str, out_root) -> Path:
+    """``<out>/<scenario>/<label>``, ``<out>`` being ``out_root`` or else the config's ``out_dir``."""
+    return Path(out_root if out_root is not None else config.out_dir) / config.scenario / label
+
+
 def emit_method_run(run: MethodRun, out_root=None) -> Path:
     """Write density/metrics/meta (and particle trajectory) for one run."""
-    root = Path(out_root if out_root is not None else run.config.out_dir)
-    d = root / run.config.scenario / run.method
+    d = _out_dir(run.config, run.method, out_root)
     per_snapshot = [d / "density.csv"] if run.trajectory is None else [d / "density.csv", d / "trajectory.csv"]
     _write_blocks(per_snapshot, _snapshot_blocks(run))
     write_metrics_csv(d / "metrics.csv", run.metric_rows)
@@ -538,16 +532,14 @@ def emit_method_run(run: MethodRun, out_root=None) -> Path:
 def emit_compare(result: CompareResult, out_root=None) -> Path:
     emit_method_run(result.particles, out_root)
     emit_method_run(result.godunov, out_root)
-    root = Path(out_root if out_root is not None else result.particles.config.out_dir)
-    d = root / result.particles.config.scenario / "compare"
+    d = _out_dir(result.particles.config, "compare", out_root)
     _write_lines(d / "distances.csv", ["t,l1,w1"] + [",".join(_fmt(v) for v in row) for row in result.rows])
     write_meta(d / "meta.json", result.particles.config, {"method": "compare"})
     return d
 
 
 def emit_convergence(result: ConvergenceResult, out_root=None) -> Path:
-    root = Path(out_root if out_root is not None else result.config.out_dir)
-    d = root / result.config.scenario / "convergence"
+    d = _out_dir(result.config, "convergence", out_root)
     lines = ["n,l1_error,ratio_to_next"]
     for k, n in enumerate(result.n_list):
         ratio = result.ratios[k] if k < len(result.ratios) else math.nan
@@ -580,8 +572,7 @@ def jump_sum_terms(reports) -> dict:
 
 
 def emit_entropy(config: ScenarioConfig, reports, method_label: str, out_root=None) -> Path:
-    root = Path(out_root if out_root is not None else config.out_dir)
-    d = root / config.scenario / method_label
+    d = _out_dir(config, method_label, out_root)
     write_entropy_jsonl(d / "entropy.jsonl", reports)
     extra = {
         "method": method_label,

@@ -1,8 +1,13 @@
 """Test functions and the Kruzkov-style residual evaluator."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +432,42 @@ def test_direct_jump_sums_memory_stays_bounded_at_two_thousand_cells():
     (w1, w2), peak = traced_peak(entropy._direct_jump_sums, KER, *charged_breakpoints(profile), x)
     assert np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))
     assert peak < 8e6
+
+
+DIRECT_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+import nlftl as nl
+from nlftl import entropy
+bp = np.linspace(-1.0, 1.0, 15)
+coef = np.where(np.arange(15) % 2 == 0, 0.25, -0.25)
+x = np.linspace(-3.0, 3.0, 2439)
+kernel = nl.Kernel()
+entropy._direct_jump_sums(kernel, bp, coef, x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    entropy._direct_jump_sums(kernel, bp, coef, x)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_direct_jump_sums_take_no_page_faults_per_call():
+    # 15 breakpoints take blocks of 2,184 rows, 256 KB per array: above the
+    # mmap threshold, three arrays allocated per call were mapped and faulted
+    # in anew on every call (about 130 faults); the held work area takes
+    # none.  Both malloc thresholds are pinned, as for the finite-volume
+    # fields in test_godunov.py, and the count taken at several sizes of a
+    # dummy variable.
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_=str(64 << 20))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    for padding in (0, 500, 2_000, 20_000):
+        env["ENV_PADDING"] = "x" * padding
+        proc = subprocess.run(
+            [sys.executable, "-c", DIRECT_FAULTS_PER_CALL], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 5.0, f"environment padded by {padding} bytes"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,10 @@ numpy is the package's only runtime dependency: the finite-volume fields use
 numpy's FFT and the particle integrator is the numpy-only stepper of
 ``nlftl.stiff``, which only a particle run loads, so no process loads any
 ``scipy`` module.  ``np.union1d`` and ``np.unique`` import ``numpy.ma`` on
-their first call, which a run would pay inside its own time.  Each case runs
+their first call, which a run would pay inside its own time.  The version
+comes from ``nlftl.__version__``, not from the installed distribution's
+metadata: ``importlib.metadata`` pulls in ``email``, ``socket`` and
+``zipfile``, about 22 ms and over 1 MB of peak RSS in every process.  Each case runs
 in a fresh interpreter with ``src`` on the path and reads ``sys.modules`` as
 the interpreter exits.
 """
@@ -23,14 +26,15 @@ SRC = ROOT / "src"
 REPORT = (
     "import atexit, json, sys\n"
     "atexit.register(lambda: print(json.dumps([m for m in sorted(sys.modules)"
-    " if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'nlftl.stiff')]), file=sys.stderr))\n"
+    " if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'importlib.metadata', 'nlftl.stiff')]), file=sys.stderr))\n"
 )
 # what `python -m nlftl.cli ARGS` runs, with the arguments after `-c CODE`
 CLI = "import runpy\nrunpy.run_module('nlftl.cli', run_name='__main__', alter_sys=True)\n"
 
 
 def run_fresh(code: str, *args: str):
-    """Run ``code`` in a fresh interpreter: (exit code, stdout, the scipy modules, ``numpy.ma`` and ``nlftl.stiff`` if loaded at exit)."""
+    """Run ``code`` in a fresh interpreter: (exit code, stdout, the scipy modules,
+    ``numpy.ma``, ``importlib.metadata`` and ``nlftl.stiff`` if loaded at exit)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", REPORT + code, *args], capture_output=True, text=True, env=env, timeout=120
@@ -117,3 +121,12 @@ def test_numpy_is_the_only_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=2.0"]
     assert "scipy>=1.11" in project["optional-dependencies"]["test"]
+
+
+def test_the_version_has_one_home():
+    # pyproject.toml reads nlftl.__version__; meta.json records the same string
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "nlftl.__version__"}

@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlftl import entropy
+from nlftl import __version__, entropy
 from nlftl.cli import main
 from nlftl.errors import ConfigError, InvariantViolation
 from nlftl.godunov import Grid
 from nlftl.metrics import l1_distance
 from nlftl.particles import ParticleState, reconstruct_density
-from nlftl.profiles import DensityProfile
+from nlftl.profiles import DensityProfile, snapshot_schedule
 from nlftl.scenarios import (
     MAX_CELLS,
     MAX_SNAPSHOT_CELLS,
@@ -441,6 +441,20 @@ def test_entropy_audit_emission(tmp_path):
     assert meta["jump_sum_terms"] == {tight.phi: 0}  # 4 breakpoints: below the crossover, direct
 
 
+def test_every_meta_records_the_package_version(tmp_path):
+    # from nlftl.__version__, the string pyproject.toml reads, so a checkout
+    # and an installed package record the same value
+    cfg = small_config()
+    emit_compare(run_compare(cfg), tmp_path)
+    emit_convergence(run_convergence(cfg, [4, 8]), tmp_path)
+    frozen = builtin_scenario("stationary-weak")
+    emit_entropy(frozen, run_entropy_audit(frozen, c_list=(0.5,), frozen=True, n_space=64, horizon=1.0), "particles-frozen", tmp_path)
+    metas = sorted(tmp_path.rglob("meta.json"))
+    assert [m.parent.name for m in metas] == ["compare", "convergence", "godunov", "particles", "particles-frozen"]
+    for path in metas:
+        assert json.loads(path.read_text())["versions"]["nlftl"] == __version__, path
+
+
 def test_entropy_audit_meta_records_the_largest_jump_sum_order(tmp_path):
     cfg = ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": 100, "t_end": 2.0})
     reports = run_entropy_audit(cfg, c_list=(0.0, 0.5), n_space=16)
@@ -586,9 +600,44 @@ def test_cli_snapshot_cells_above_their_bound_exit_three_and_write_nothing(tmp_p
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert err.count("config error:") == len(argvs)
-    assert err.count(f"2001 output times x {MAX_CELLS} cells") == 3
-    assert f"81 output times x {MAX_SNAPSHOT_CELLS // 81 + 1} cells" in err
+    assert err.count(f"2001 snapshots x {MAX_CELLS} cells") == 3
+    assert f"81 snapshots x {MAX_SNAPSHOT_CELLS // 81 + 1} cells" in err
     assert err.count(f"snapshot cells, above {MAX_SNAPSHOT_CELLS}") == len(argvs)
+
+
+def test_cli_snapshot_bound_counts_the_initial_and_final_snapshots(tmp_path, capsys, monkeypatch):
+    # 16 times strictly inside (0, 1) at MAX_CELLS: a run holds them plus
+    # t = 0 and t_end, 18 snapshots, 12.5% above the bound; the same count of
+    # times with 0 and t_end among them is 16 snapshots, at the bound
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a run started before its snapshot count was checked")
+
+    for name in ("init_particles", "gd_run"):
+        monkeypatch.setattr(f"nlftl.scenarios.{name}", no_solver)
+    count = MAX_SNAPSHOT_CELLS // MAX_CELLS
+    inner = [float(t) for t in np.linspace(0.0, 1.0, count + 2)[1:-1]]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": "single-step", "n_cells": MAX_CELLS, "output_times": inner}))
+    out = ["--out", str(tmp_path / "out")]
+    for command in ("particles", "godunov", "compare"):
+        assert main([command, "--config", str(config), *out]) == 3, command
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.count(f"{count + 2} snapshots x {MAX_CELLS} cells") == 3
+    ends = [float(t) for t in np.linspace(0.0, 1.0, count)]
+    cfg = ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": MAX_CELLS, "output_times": ends})
+    assert len(cfg.output_times) == count
+
+
+def test_solvers_hold_the_initial_snapshot_and_one_per_scheduled_time():
+    # the count the snapshot bound takes: t = 0 plus every distinct time in
+    # (0, t_end], t_end included whether listed or not
+    assert snapshot_schedule(0.0, 1.0) == [1.0]
+    assert snapshot_schedule(0.0, 1.0, [0.5, 0.0, 0.5, 0.25]) == [0.25, 0.5, 1.0]
+    assert snapshot_schedule(0.25, 1.0, np.array([1.0, 0.25, 0.5])) == [0.5, 1.0]
+    cfg = small_config(n_cells=20, output_times=[0.05])
+    for run in (run_particles(cfg), run_godunov(cfg)):
+        assert run.times.tolist() == [0.0, 0.05, 0.1], run.method
 
 
 def test_counts_at_their_bounds_are_accepted():
