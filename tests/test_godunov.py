@@ -40,8 +40,8 @@ def oracle_fields(grid, rho, kernel):
 def direct_fields(rho, grid, kernel):
     """(K+, K-) by two O(J^2) np.convolve calls with the half-offset K' table.
 
-    The reference for the FFT path of :func:`compute_fields`: the same
-    midpoint sums in a fixed order, exactly 0 wherever one side holds no mass.
+    The midpoint sums of :func:`compute_fields` in double precision and a
+    fixed order, exactly 0 wherever one side holds no mass.
     """
     table = kernel.d1((np.arange(grid.cells) + 0.5) * grid.dx)
     cells, dx = grid.cells, grid.dx
@@ -49,6 +49,22 @@ def direct_fields(rho, grid, kernel):
     left = np.convolve(rho, table)[:cells]  # left[i-1] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m
     right = np.convolve(rho[::-1], table)[cells - 1 :: -1]  # right[i] = sum_{m>=i} K'((m-i+1/2) dx) rho_m
     return np.concatenate((zero, dx * left)), np.concatenate((-dx * right, zero))
+
+
+def exact_fields(rho, grid, kernel):
+    """(K+, K-) by two long-double np.convolve calls with the dx K' table that :func:`compute_fields` transforms.
+
+    The reference of the FFT rounding bound: the same inputs as the FFT path,
+    summed in x87 extended precision, 11 mantissa bits more than a double, so
+    its own rounding is far below an ulp of the fields.
+    """
+    cells = grid.cells
+    table = (grid.dx * kernel.d1((np.arange(cells) + 0.5) * grid.dx)).astype(np.longdouble)
+    wide = rho.astype(np.longdouble)
+    zero = np.zeros(1, dtype=np.longdouble)
+    left = np.convolve(wide, table)[:cells]
+    right = np.convolve(wide[::-1], table)[cells - 1 :: -1]
+    return np.concatenate((zero, left)), np.concatenate((-right, zero))
 
 
 def scipy_fields(rho, grid, kernel):
@@ -262,22 +278,24 @@ def fields_error(got, want):
 
 
 def assert_fields_match_direct(rho, grid):
-    """FFT fields against :func:`direct_fields`: tolerance, exact zeros, signs, mirror symmetry.
+    """FFT fields against :func:`exact_fields`: tolerance, exact zeros, signs, mirror symmetry.
 
-    Both paths round: the direct sums by up to about 1e-15 max|K| against
-    long-double sums, the FFT convolution by an error that grows like
-    eps log2(n) in its length n.  Their difference is held to that FFT bound,
-    plus n times the smallest subnormal for what underflow loses on densities
-    near it.  The same bound holds the former full-length path,
-    :func:`scipy_fields`, at its own length.
+    The FFT convolution rounds by an error that grows like eps log2(n) in its
+    length n.  Its distance from the long-double sums of the same table is
+    held to that bound, plus n times the smallest subnormal for what
+    underflow loses on densities near it.  The double-precision direct sums
+    round too, by up to an ulp of the fields, so they are no reference for
+    this bound: on a 2-cell grid the FFT lies 1.5 ulps from the exact sums,
+    within the bound, but 2 ulps from the direct ones.  The same bound holds
+    the former full-length path, :func:`scipy_fields`, at its own length.
     """
     kplus, kminus = compute_fields(rho, grid, KER)
-    dplus, dminus = direct_fields(rho, grid, KER)
-    scale = max(np.max(np.abs(dplus)), np.max(np.abs(dminus)))
-    assert fields_error((kplus, kminus), (dplus, dminus)) <= fft_tolerance(window_size(rho, grid.cells), scale)
+    eplus, eminus = exact_fields(rho, grid, KER)
+    scale = float(max(np.max(np.abs(eplus)), np.max(np.abs(eminus))))
+    assert fields_error((kplus, kminus), (eplus, eminus)) <= fft_tolerance(window_size(rho, grid.cells), scale)
     old = scipy_fields(rho, grid, KER)
     old_size = scipy.fft.next_fast_len(2 * grid.cells, real=True)
-    assert fields_error(old, (dplus, dminus)) <= fft_tolerance(old_size, scale)
+    assert fields_error(old, (eplus, eminus)) <= fft_tolerance(old_size, scale)
     charged = np.flatnonzero(rho)
     first, last = (charged[0], charged[-1]) if charged.size else (grid.cells, -1)
     assert np.all(kplus[: first + 1] == 0.0)  # no mass left of these interfaces
