@@ -213,19 +213,6 @@ def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
     return kplus, kminus
 
 
-def _upwind(a, b, fa, fb, sigma: float, peak: float):
-    """Exact Godunov flux of the unimodal f from clamped states a, b, their fluxes fa, fb and peak = f(sigma).
-
-    For a <= b the minimum of f over [a, b] sits at an endpoint; for a > b the
-    maximum is the peak when a, b straddle sigma, else the larger endpoint.
-    """
-    return np.where(
-        a <= b,
-        np.minimum(fa, fb),
-        np.where((b <= sigma) & (sigma <= a), peak, np.maximum(fa, fb)),
-    )
-
-
 def cfl_dt(grid: Grid, fields, mobility: Mobility, cap_dt: float) -> float:
     """Stable step from the transport speeds, or ``cap_dt`` when the fields vanish.
 
@@ -245,14 +232,16 @@ def cfl_dt(grid: Grid, fields, mobility: Mobility, cap_dt: float) -> float:
 def interface_flux(rho: np.ndarray, fields, mobility: Mobility) -> np.ndarray:
     """G_i = K+_i F+_i + K-_i F-_i at the J+1 interfaces, for the fields of ``rho``.
 
-    F+ is the Godunov flux of :func:`_upwind` in mirrored argument order
-    (leftward transport upwinds from the right), F- in natural order.  Both
-    vanish between two vacuum cells, where K+ F+ + K- F- is +0.0, so f is
-    evaluated only on the charged window rho[first..last], padded with its
-    two vacuum neighbours and clamped to [0, cap], and only the interfaces
-    first..last+1 get a flux; every other G is +0.0.  G also vanishes
-    between two cells at the cap, where both Godunov fluxes are
-    f(0) = f(cap) = 0.
+    The exact Godunov flux of the unimodal f, peak at sigma, from an upstream
+    state a to a downstream state b is min(D(a), S(b)): the demand
+    D(u) = f(min(u, sigma)) against the supply S(u) = f(max(u, sigma))
+    (Lebacque, ISTTT 1996).  F- transports rightward, from the left cell to
+    the right one; F+ leftward, from the right cell to the left one.  Both
+    vanish between two vacuum cells, where K+ F+ + K- F- is +0.0, so D and S
+    are evaluated only on the charged window rho[first..last], padded with
+    its two vacuum neighbours and clamped to [0, cap], and only the
+    interfaces first..last+1 get a flux; every other G is +0.0.  G also
+    vanishes between two cells at the cap, where S = f(cap) = 0.
     """
     kplus, kminus = fields
     g = np.zeros(rho.size + 1)
@@ -261,10 +250,10 @@ def interface_flux(rho: np.ndarray, fields, mobility: Mobility) -> np.ndarray:
         return g
     first, last = charged
     ext = np.clip(np.concatenate(([0.0], rho[first : last + 1], [0.0])), 0.0, mobility.cap)
-    f = mobility.flux(ext)
-    sigma, peak = mobility.flux_argmax, mobility.flux_max
-    f_left = _upwind(ext[1:], ext[:-1], f[1:], f[:-1], sigma, peak)  # F+ at interfaces first..last+1
-    f_right = _upwind(ext[:-1], ext[1:], f[:-1], f[1:], sigma, peak)  # F- at interfaces first..last+1
+    sigma = mobility.flux_argmax
+    demand, supply = mobility.flux(np.stack((np.minimum(ext, sigma), np.maximum(ext, sigma))))
+    f_left = np.minimum(demand[1:], supply[:-1])  # F+ at interfaces first..last+1
+    f_right = np.minimum(demand[:-1], supply[1:])  # F- at interfaces first..last+1
     span = slice(first, last + 2)
     g[span] = kplus[span] * f_left + kminus[span] * f_right
     return g

@@ -7,7 +7,6 @@ attractive Gaussian well K(x) = -A exp(-B x^2).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -71,11 +70,6 @@ class Mobility:
     def flux_argmax(self) -> float:
         """Maximiser of the unimodal flux (cap/2 for the truncated-linear law)."""
         return 0.5 * self.cap
-
-    @functools.cached_property
-    def flux_max(self) -> float:
-        """f at its maximiser, computed once per mobility: every finite-volume step reads it."""
-        return self.flux(self.flux_argmax)
 
     @property
     def dflux_bound(self) -> float:

@@ -257,6 +257,29 @@ def test_one_pass_over_constants_equals_one_constant_at_a_time(case, particle_au
     assert [r.c for r in multi] == list(cs)
 
 
+def test_spatial_integrals_are_taken_twice_per_distinct_profile(monkeypatch):
+    # a frozen trajectory holds one profile object at every snapshot, so its
+    # spatial integrals are taken once on each grid; equal but distinct
+    # profile objects are each evaluated, and give the same reports
+    calls = []
+    terms = entropy._snapshot_terms
+    monkeypatch.setattr(entropy, "_snapshot_terms", lambda profile, *args: calls.append(profile) or terms(profile, *args))
+    snaps, tf, kernel, mobility = frozen_split_jam_audit()
+    cs = (0.0, 0.5, 1.0)
+    frozen = nl.entropy_residuals(snaps, kernel, mobility, tf, cs)
+    assert len(snaps) == 35 and len(calls) == 2 and all(p is SPLIT_JAM for p in calls)
+    calls.clear()
+    copies = [(t, replace(p)) for t, p in snaps]
+    assert nl.entropy_residuals(copies, kernel, mobility, tf, cs) == frozen
+    assert len(calls) == 2 * len(snaps) and len({id(p) for p in calls}) == len(snaps)
+    # two profiles in turns: each is evaluated on its first snapshot only
+    calls.clear()
+    other = nl.step_profile([(-1.0, 0.5, 0.8)])
+    turns = [(t, SPLIT_JAM if k % 3 else other) for k, (t, _) in enumerate(snaps)]
+    nl.entropy_residuals(turns, kernel, mobility, tf, cs)
+    assert [p is other for p in calls] == [True, True, False, False] and calls[2] is calls[3] is SPLIT_JAM
+
+
 @pytest.mark.parametrize("case", ["particles", "frozen-split-jam"])
 def test_one_pass_residuals_equal_the_direct_evaluation(case, particle_audit):
     # the particle profiles have about 100 charged breakpoints, so their jump

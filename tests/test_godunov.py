@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlftl as nl
@@ -119,29 +119,48 @@ def window_fields(rho, grid, kernel):
 
 
 def full_interface_flux(rho, fields, mobility):
-    """G at all J+1 interfaces from f on the whole vacuum-padded cell array: the path :func:`interface_flux`
-    ran before it moved to the charged window, and its bitwise reference."""
+    """G at all J+1 interfaces from the demand and the supply on the whole vacuum-padded cell array: the path
+    :func:`interface_flux` would take without the charged window, and its bitwise reference."""
     kplus, kminus = fields
     ext = np.clip(np.concatenate(([0.0], rho, [0.0])), 0.0, mobility.cap)
-    f = mobility.flux(ext)
-    sigma, peak = mobility.flux_argmax, mobility.flux_max
-    f_left = godunov._upwind(ext[1:], ext[:-1], f[1:], f[:-1], sigma, peak)
-    f_right = godunov._upwind(ext[:-1], ext[1:], f[:-1], f[1:], sigma, peak)
-    return kplus * f_left + kminus * f_right
+    sigma = mobility.flux_argmax
+    demand, supply = mobility.flux(np.minimum(ext, sigma)), mobility.flux(np.maximum(ext, sigma))
+    return kplus * np.minimum(demand[1:], supply[:-1]) + kminus * np.minimum(demand[:-1], supply[1:])
 
 
 def bitwise_equal(got, want):
     return all(np.array_equal(np.asarray(g).view(np.uint64), np.asarray(w).view(np.uint64)) for g, w in zip(got, want))
 
 
+def clamped(u, mobility):
+    return np.clip(np.asarray(u, dtype=float), 0.0, mobility.cap)
+
+
 def godunov_flux(u_left, u_right, mobility):
-    """Exact Godunov flux of the unimodal f across a Riemann interface, from
-    scalars or arrays clamped to [0, cap]: the per-interface reference for
-    :func:`interface_flux`, which evaluates f once on the whole padded array."""
-    a = np.clip(np.asarray(u_left, dtype=float), 0.0, mobility.cap)
-    b = np.clip(np.asarray(u_right, dtype=float), 0.0, mobility.cap)
-    out = godunov._upwind(a, b, mobility.flux(a), mobility.flux(b), mobility.flux_argmax, mobility.flux_max)
+    """Exact Godunov flux of the unimodal f across a Riemann interface, from scalars or arrays clamped to
+    [0, cap], by the three-case rule :func:`interface_flux` ran before it took min(demand, supply): the
+    Riemann reference.
+
+    For a <= b the minimum of f over [a, b] sits at an endpoint; for a > b the
+    maximum is the peak f(sigma) when a, b straddle sigma, else the larger endpoint.
+    """
+    a, b = clamped(u_left, mobility), clamped(u_right, mobility)
+    sigma = mobility.flux_argmax
+    fa, fb = mobility.flux(a), mobility.flux(b)
+    out = np.where(a <= b, np.minimum(fa, fb), np.where((b <= sigma) & (sigma <= a), mobility.flux(sigma), np.maximum(fa, fb)))
     return float(out) if np.ndim(u_left) == 0 and np.ndim(u_right) == 0 else out
+
+
+def demand_supply_flux(u_left, u_right, mobility):
+    """min(f(min(a, sigma)), f(max(b, sigma))) for the clamped states a, b, from scalars or arrays: the rule of
+    :func:`interface_flux`, one interface at a time."""
+    a, b = clamped(u_left, mobility), clamped(u_right, mobility)
+    sigma = mobility.flux_argmax
+    out = np.minimum(mobility.flux(np.minimum(a, sigma)), mobility.flux(np.maximum(b, sigma)))
+    return float(out) if np.ndim(u_left) == 0 and np.ndim(u_right) == 0 else out
+
+
+RIEMANN_RULES = (godunov_flux, demand_supply_flux)
 
 
 def oracle_godunov_flux(u_left, u_right, mob):
@@ -149,7 +168,7 @@ def oracle_godunov_flux(u_left, u_right, mob):
     if u_left <= u_right:
         return min(mob.flux(u_left), mob.flux(u_right))
     if u_right <= sigma <= u_left:
-        return mob.flux_max
+        return mob.flux(sigma)
     return max(mob.flux(u_left), mob.flux(u_right))
 
 
@@ -174,15 +193,17 @@ def oracle_step(grid, rho, kernel, mob, dt):
 
 def test_flux_consistency_on_grid():
     us = np.linspace(0.0, 1.0, 101)
-    assert godunov_flux(us, us, MOB) == pytest.approx(MOB.flux(us), abs=1e-16)
+    for rule in RIEMANN_RULES:
+        assert rule(us, us, MOB) == pytest.approx(MOB.flux(us), abs=1e-16)
 
 
 def test_flux_riemann_cases():
-    assert godunov_flux(0.8, 0.2, MOB) == pytest.approx(0.25, abs=1e-16)
-    assert godunov_flux(0.0, 1.0, MOB) == 0.0
-    assert godunov_flux(1.0, 0.0, MOB) == pytest.approx(0.25, abs=1e-16)
-    # out-of-range states are clamped, not rejected
-    assert godunov_flux(-0.1, 1.3, MOB) == 0.0
+    for rule in RIEMANN_RULES:
+        assert rule(0.8, 0.2, MOB) == pytest.approx(0.25, abs=1e-16)
+        assert rule(0.0, 1.0, MOB) == 0.0
+        assert rule(1.0, 0.0, MOB) == pytest.approx(0.25, abs=1e-16)
+        # out-of-range states are clamped, not rejected
+        assert rule(-0.1, 1.3, MOB) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,16 +214,83 @@ def test_flux_riemann_cases():
 )
 def test_flux_monotone_in_both_arguments(u_left, u_right, other):
     low, high = sorted((u_left, other))
-    assert godunov_flux(high, u_right, MOB) >= godunov_flux(low, u_right, MOB) - 1e-15
-    assert godunov_flux(u_left, high, MOB) <= godunov_flux(u_left, low, MOB) + 1e-15
+    for rule in RIEMANN_RULES:
+        assert rule(high, u_right, MOB) >= rule(low, u_right, MOB) - 1e-15
+        assert rule(u_left, high, MOB) <= rule(u_left, low, MOB) + 1e-15
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
 def test_flux_matches_case_oracle(u_left, u_right):
-    assert godunov_flux(u_left, u_right, MOB) == pytest.approx(
-        oracle_godunov_flux(u_left, u_right, MOB), abs=1e-15
-    )
+    for rule in RIEMANN_RULES:
+        assert rule(u_left, u_right, MOB) == pytest.approx(oracle_godunov_flux(u_left, u_right, MOB), abs=1e-15)
+
+
+MOBILITIES = [nl.Mobility(), nl.Mobility(0.7, 1.3), nl.Mobility(2.5, 0.4), nl.Mobility(1e-3, 7.0), nl.Mobility(3.0, 3.0)]
+
+
+def flux_rounding_bound(mobility):
+    """A bound on |fl(f(u)) - f(u)| over u in [0, cap] for the computed flux u * (v_max * (1 - u / cap)).
+
+    With q = u / cap, its four roundings give
+    fl(f(u)) = u v_max (1 - q (1 + d1)) (1 + d2) (1 + d3) (1 + d4), |d_k| <= u_r,
+    the unit roundoff eps / 2, so |fl(f(u)) - f(u)| <= u v_max ((1 - q) g3 + q u_r (1 + g3))
+    with g3 = 3 u_r / (1 - 3 u_r) (Higham, Accuracy and Stability, Lemma 3.1).
+    Since u = q cap <= cap and q (1 - q) <= 1/4, q^2 <= 1, that is at most
+    cap v_max (g3 / 4 + u_r (1 + g3)); the smallest subnormal covers a
+    product that underflows.  fl(1 - q) = 0 where q rounds to 1 is the case
+    d1 = 1/q - 1 <= u_r of the same bound.
+    """
+    unit = np.finfo(float).eps / 2.0
+    gamma3 = 3.0 * unit / (1.0 - 3.0 * unit)
+    return mobility.cap * mobility.v_max * (gamma3 / 4.0 + unit * (1.0 + gamma3)) + np.finfo(float).smallest_subnormal
+
+
+@st.composite
+def riemann_pairs(draw):
+    """A mobility of ``MOBILITIES`` and two states in [0, cap]: random, one ulp apart, straddling sigma within
+    1e-12 of it, or at 0 and cap and their neighbouring floats."""
+    mob = draw(st.sampled_from(MOBILITIES))
+    cap, sigma = mob.cap, mob.flux_argmax
+    state = st.floats(min_value=0.0, max_value=cap)
+    kind = draw(st.sampled_from(["random", "adjacent", "straddle", "ends"]))
+    if kind == "random":
+        a, b = draw(state), draw(state)
+    elif kind == "adjacent":
+        a = draw(state)
+        b = float(np.clip(np.nextafter(a, draw(st.sampled_from([-np.inf, np.inf]))), 0.0, cap))
+    elif kind == "straddle":
+        near = st.floats(min_value=0.0, max_value=1e-12 * sigma)
+        a, b = sigma + draw(near), sigma - draw(near)
+    else:
+        ends = [0.0, float(np.finfo(float).smallest_subnormal), float(np.nextafter(cap, 0.0)), cap]
+        a, b = draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
+    if draw(st.booleans()):
+        a, b = b, a
+    return mob, a, b
+
+
+@settings(max_examples=1000, deadline=None)
+@given(riemann_pairs())
+def test_demand_supply_flux_matches_the_three_case_rule_on_several_mobilities(case):
+    # min(demand, supply) returns, bit for bit, one of the three values the
+    # three-case rule chooses from; the two rules differ only where rounding
+    # makes the computed f non-monotone, so each lies within one rounding
+    # bound of f of the exact Godunov flux, and within two of each other
+    mob, a, b = case
+    got = demand_supply_flux(a, b, mob)
+    candidates = [mob.flux(a), mob.flux(b), mob.flux(mob.flux_argmax)]
+    assert any(bitwise_equal((got,), (c,)) for c in candidates)
+    assert abs(got - godunov_flux(a, b, mob)) <= 2.0 * flux_rounding_bound(mob)
+    # and interface_flux takes it at each interface of a two-cell grid
+    vals = np.array([a, b])
+    kplus, kminus = fields_of(nl.Grid(-1.0, 1.0, 2), vals)
+    ext = np.concatenate(([0.0], vals, [0.0]))
+    want = [
+        kplus[i] * demand_supply_flux(ext[i + 1], ext[i], mob) + kminus[i] * demand_supply_flux(ext[i], ext[i + 1], mob)
+        for i in range(3)
+    ]
+    assert bitwise_equal((interface_flux(vals, (kplus, kminus), mob),), (np.array(want),))
 
 
 # ------------------------------------------------------ interface fields
@@ -269,8 +357,30 @@ def test_fields_match_oracle_loops():
 
 
 def fft_tolerance(size, scale):
-    """Rounding bound of an FFT convolution of length ``size`` against the direct sums, for fields up to ``scale``."""
-    return np.finfo(float).eps * np.log2(max(size, 2)) * scale + size * np.finfo(float).smallest_subnormal
+    """Rounding bound of an FFT convolution of length ``size`` against the exact sums, for fields up to ``scale``.
+
+    Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2)
+    bounds a computed FFT of length 2^t by ||y^ - y|| <= e ||y||, with
+    e = t eta / (1 - t eta), eta = mu + g4 (sqrt(2) + mu), g4 = 4u / (1 - 4u),
+    u = eps / 2 and mu the error of the computed twiddle factors, here taken
+    as u.  The convolution takes three transforms (the window's, the table's
+    and the inverse) at t = log2(n) stages each, one complex product per
+    frequency (sqrt(2) g2) and the 1/n scaling (u); their relative errors
+    compose to (1 + e)^3 (1 + sqrt(2) g2) (1 + u) - 1, taken through log1p
+    and expm1 so that it keeps its digits below eps.  The bound is normwise
+    and is applied here entry by entry against max|K|.  n times the smallest
+    subnormal covers what underflow loses on densities near it.
+    """
+    unit = np.finfo(float).eps / 2.0
+
+    def gamma(k):
+        return k * unit / (1.0 - k * unit)
+
+    stages = np.log2(max(size, 2))
+    eta = unit + gamma(4) * (np.sqrt(2.0) + unit)
+    per_transform = stages * eta / (1.0 - stages * eta)
+    relative = np.expm1(3.0 * np.log1p(per_transform) + np.log1p(np.sqrt(2.0) * gamma(2)) + np.log1p(unit))
+    return relative * scale + size * np.finfo(float).smallest_subnormal
 
 
 def fields_error(got, want):
@@ -282,8 +392,8 @@ def assert_fields_match_direct(rho, grid):
 
     The FFT convolution rounds by an error that grows like eps log2(n) in its
     length n.  Its distance from the long-double sums of the same table is
-    held to that bound, plus n times the smallest subnormal for what
-    underflow loses on densities near it.  The double-precision direct sums
+    held to :func:`fft_tolerance`, the bound of an FFT error analysis at
+    that length.  The double-precision direct sums
     round too, by up to an ulp of the fields, so they are no reference for
     this bound: on a 2-cell grid the FFT lies 1.5 ulps from the exact sums,
     within the bound, but 2 ulps from the direct ones.  The same bound holds
@@ -321,6 +431,11 @@ def block_profiles(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(block_profiles())
+# 2-cell windows, transform length 3: the first lay 2.42 ulps of max|K| from
+# the exact sums, beyond eps log2(n) max|K|, a bound with no constant; the
+# second 2 ulps from the double direct sums
+@example((nl.Grid(-17.693837558525424, 17.693837558525424, 2), np.array([0.001, 0.001])))
+@example((nl.Grid(-0.5, 0.5, 2), np.array([0.0031496028902646698, 0.0031496028902646698])))
 def test_fields_fft_matches_direct_sums(case):
     grid, rho = case
     assert_fields_match_direct(rho, grid)
@@ -622,16 +737,21 @@ def test_grid_edges_built_once_read_only_and_exact():
     )
 )
 def test_interface_flux_equals_per_interface_godunov_fluxes(cells):
-    # one flux evaluation on the padded array gives bitwise the fluxes of the
-    # reference Riemann solver, interface by interface
+    # one demand and one supply evaluation on the padded array give bitwise
+    # the demand-supply fluxes, interface by interface; each of those lies
+    # within two rounding bounds of f of the three-case Riemann flux
     vals = np.array(cells)
     grid = nl.Grid(-1.0, 1.0, vals.size)
     kplus, kminus = fields_of(grid, vals)
     ext = np.concatenate(([0.0], vals, [0.0]))
-    want = [
-        kplus[i] * godunov_flux(ext[i + 1], ext[i], MOB) + kminus[i] * godunov_flux(ext[i], ext[i + 1], MOB)
-        for i in range(vals.size + 1)
-    ]
+    want = []
+    for i in range(vals.size + 1):
+        fluxes = [(ext[i + 1], ext[i]), (ext[i], ext[i + 1])]  # F+ in mirrored order, F- in natural order
+        for upstream, downstream in fluxes:
+            gap = demand_supply_flux(upstream, downstream, MOB) - godunov_flux(upstream, downstream, MOB)
+            assert abs(gap) <= 2.0 * flux_rounding_bound(MOB)
+        fp, fm = (demand_supply_flux(u, d, MOB) for u, d in fluxes)
+        want.append(kplus[i] * fp + kminus[i] * fm)
     assert np.array_equal(interface_flux(vals, (kplus, kminus), MOB), want)
 
 
