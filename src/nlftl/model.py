@@ -60,11 +60,18 @@ class Mobility:
     def flux(self, rho):
         """f(rho) = rho * v(rho); vanishes exactly at rho = 0 and rho >= cap."""
         arr = np.asarray(rho, dtype=float)
-        v = self.v_max * np.maximum(0.0, 1.0 - arr / self.cap)
         self._check_density(arr)
-        with np.errstate(invalid="ignore"):
-            out = np.where(v > 0.0, arr * v, 0.0)
+        with np.errstate(invalid="ignore"):  # inf * 0 where rho = inf, masked to 0
+            out = self.flux_unchecked(arr)
         return _same_kind(out, rho)
+
+    def flux_unchecked(self, arr: np.ndarray) -> np.ndarray:
+        """f on a float array with no density check, for values already clamped to [0, cap].
+
+        The one definition of f: :meth:`flux` runs it after its check.
+        """
+        v = self.v_max * np.maximum(0.0, 1.0 - arr / self.cap)
+        return np.where(v > 0.0, arr * v, 0.0)
 
     @property
     def flux_argmax(self) -> float:

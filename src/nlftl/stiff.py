@@ -156,7 +156,7 @@ class BDF:
         f = self.fun(t0, y0)
         self.h_abs = self._initial_step(f)
         self.J = self.jac(t0, y0)
-        self.D = np.empty((_MAX_ORDER + 3, y0.size))
+        self.D = np.zeros((_MAX_ORDER + 3, y0.size))  # the first step reads row 2 before it writes it
         self.D[0] = y0
         self.D[1] = f * self.h_abs
         self._rows = np.empty((_MAX_ORDER + 1, y0.size))  # products of the difference rows

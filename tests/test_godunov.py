@@ -22,7 +22,7 @@ KER = nl.Kernel()
 
 
 def oracle_fields(grid, rho, kernel):
-    """Direct double-loop midpoint convolutions at the J+1 interfaces."""
+    """Direct double-loop midpoint convolutions at the J+1 interfaces, all of them."""
     xe = grid.edges
     xc = grid.centers
     kplus = np.zeros(len(rho) + 1)
@@ -40,8 +40,9 @@ def oracle_fields(grid, rho, kernel):
 def direct_fields(rho, grid, kernel):
     """(K+, K-) by two O(J^2) np.convolve calls with the half-offset K' table.
 
-    The midpoint sums of :func:`compute_fields` in double precision and a
-    fixed order, exactly 0 wherever one side holds no mass.
+    The midpoint sums in double precision and a fixed order at all J+1
+    interfaces, exactly 0 wherever one side holds no mass; :func:`compute_fields`
+    gives them on :func:`flux_span` only.
     """
     table = kernel.d1((np.arange(grid.cells) + 0.5) * grid.dx)
     cells, dx = grid.cells, grid.dx
@@ -54,9 +55,11 @@ def direct_fields(rho, grid, kernel):
 def exact_fields(rho, grid, kernel):
     """(K+, K-) by two long-double np.convolve calls with the dx K' table that :func:`compute_fields` transforms.
 
-    The reference of the FFT rounding bound: the same inputs as the FFT path,
-    summed in x87 extended precision, 11 mantissa bits more than a double, so
-    its own rounding is far below an ulp of the fields.
+    The reference of the FFT rounding bound: the same table entries as the
+    FFT path, summed in x87 extended precision, 11 mantissa bits more than a
+    double, so its own rounding is far below an ulp of the fields.  It sums
+    at all J+1 interfaces; on :func:`flux_span` it reaches table offsets
+    0..L-1 only, entries every transform length's table holds.
     """
     cells = grid.cells
     table = (grid.dx * kernel.d1((np.arange(cells) + 0.5) * grid.dx)).astype(np.longdouble)
@@ -72,9 +75,10 @@ def scipy_fields(rho, grid, kernel):
     :func:`compute_fields` ran before it moved to ``np.fft``, cached work buffers and the charged window.
 
     Fresh arrays everywhere and the same two guards (exact zeros over vacuum,
-    sign clamps).  The window changes the transform length, so this path now
-    agrees with :func:`compute_fields` to the FFT bound of
-    :func:`assert_fields_match_direct`, no longer bitwise.
+    sign clamps), at all J+1 interfaces.  The window changes the transform
+    length, so this path agrees with :func:`compute_fields` on
+    :func:`flux_span` to the FFT bound of :func:`assert_fields_match_direct`,
+    no longer bitwise.
     """
     cells, dx = grid.cells, grid.dx
     kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
@@ -90,15 +94,38 @@ def scipy_fields(rho, grid, kernel):
     return kplus, kminus
 
 
-def window_size(rho, cells):
-    """The transform length of the charged window of rho on a J-cell grid: the smallest 5-smooth n >= J + L - 1."""
+def flux_span(rho):
+    """The interfaces first..last+1 of the charged window of rho, the only ones a flux can cross, as a slice."""
     charged = np.flatnonzero(rho)
-    return scipy.fft.next_fast_len(cells + charged[-1] - charged[0], real=True) if charged.size else 0
+    return slice(charged[0], charged[-1] + 2) if charged.size else slice(0, 0)
+
+
+def on_flux_span(fields, rho):
+    """``fields`` on :func:`flux_span` and 0 at every other interface: what :func:`compute_fields` keeps of them."""
+    span = flux_span(rho)
+    out = tuple(np.zeros_like(f) for f in fields)
+    for f, o in zip(fields, out):
+        o[span] = f[span]
+    return out
+
+
+def assert_zero_off_flux_span(fields, rho):
+    outside = np.ones(fields[0].size, dtype=bool)
+    outside[flux_span(rho)] = False
+    for f in fields:
+        assert np.all(f[outside] == 0.0)
+
+
+def window_size(rho):
+    """The transform length of the charged window of rho, L cells: the smallest 5-smooth n >= 2L - 1."""
+    charged = np.flatnonzero(rho)
+    return scipy.fft.next_fast_len(2 * (charged[-1] - charged[0]) + 1, real=True) if charged.size else 0
 
 
 def window_fields(rho, grid, kernel):
-    """(K+, K-) by ``scipy.fft`` convolutions of the charged window and the reversed window, zero-padded to
-    :func:`window_size`, in fresh arrays: the bitwise reference of :func:`compute_fields`.
+    """(K+, K-) by ``scipy.fft`` convolutions of the charged window and the reversed window with the
+    min(J, ceil(n/2))-entry table, zero-padded to n = :func:`window_size`, on :func:`flux_span` and exactly 0
+    elsewhere, in fresh arrays: the bitwise reference of :func:`compute_fields`.
 
     The same guards as :func:`scipy_fields`: exact zeros over vacuum, sign clamps.
     """
@@ -109,12 +136,13 @@ def window_fields(rho, grid, kernel):
         return kplus, kminus
     first, last = charged[0], charged[-1]
     window = rho[first : last + 1]
-    size = window_size(rho, cells)
-    spectrum = scipy.fft.rfft(dx * kernel.d1((np.arange(cells) + 0.5) * dx), n=size)
+    size = window_size(rho)
+    table = dx * kernel.d1((np.arange(min(cells, -(-size // 2))) + 0.5) * dx)
+    spectrum = scipy.fft.rfft(table, n=size)
     causal = scipy.fft.irfft(scipy.fft.rfft(window, n=size) * spectrum, n=size)
     anticausal = scipy.fft.irfft(scipy.fft.rfft(window[::-1], n=size) * spectrum, n=size)
-    kplus[first + 1 :] = np.maximum(causal[: cells - first], 0.0)
-    kminus[: last + 1] = np.minimum(-anticausal[last::-1], 0.0)
+    kplus[first + 1 : last + 2] = np.maximum(causal[: window.size], 0.0)
+    kminus[first : last + 1] = np.minimum(-anticausal[window.size - 1 :: -1], 0.0)
     return kplus, kminus
 
 
@@ -126,6 +154,16 @@ def full_interface_flux(rho, fields, mobility):
     sigma = mobility.flux_argmax
     demand, supply = mobility.flux(np.minimum(ext, sigma)), mobility.flux(np.maximum(ext, sigma))
     return kplus * np.minimum(demand[1:], supply[:-1]) + kminus * np.minimum(demand[:-1], supply[1:])
+
+
+def full_gd_step(grid, state, mobility, dt, fields):
+    """(values, clamped mass, raw values) of one forward-Euler step over all J cells, as :func:`gd_step` took it
+    before it ran on cells first-1..last+1 only: the bitwise reference of the windowed update."""
+    rho = state.values
+    g = interface_flux(rho, fields, mobility)
+    raw = rho + dt * ((g[1:] - g[:-1]) / grid.dx)
+    clipped = np.clip(raw, 0.0, mobility.cap)
+    return clipped, float(np.sum(np.abs(raw - clipped)) * grid.dx), raw
 
 
 def bitwise_equal(got, want):
@@ -317,12 +355,14 @@ def test_fields_single_charged_cell():
     xe, xc = grid.edges, grid.centers
     for i in range(11):
         expect = KER.d1(xe[i] - xc[2]) * 0.8 * grid.dx
-        if i >= 3:  # interface right of the charged cell
+        if i == 3:  # the interface right of the charged cell
             assert kplus[i] == pytest.approx(expect, abs=1e-16)
             assert kminus[i] == 0.0
-        else:
+        elif i == 2:  # the one left of it
             assert kminus[i] == pytest.approx(expect, abs=1e-16)
             assert kplus[i] == 0.0
+        else:  # no flux crosses between two vacuum cells
+            assert kplus[i] == kminus[i] == 0.0
     # the cell pulls on its two faces with equal and opposite strength: exactly
     # in the direct sums, to rounding through the FFT
     dplus, dminus = direct_fields(vals, grid, KER)
@@ -345,15 +385,20 @@ def test_fields_signs_and_symmetry():
 
 
 def test_fields_match_oracle_loops():
+    # on the interfaces a flux can cross, exactly 0 on the others: a fully
+    # charged grid, a window inside it and a window of one edge cell
     grid = nl.Grid(-2.5, 2.5, 5)  # dx = 1 exactly: table offsets equal interface offsets
-    vals = np.array([0.2, 0.9, 0.4, 0.0, 0.6])
-    kplus, kminus = fields_of(grid, vals)
-    op, om = oracle_fields(grid, vals, KER)
-    assert kplus == pytest.approx(op, abs=1e-15)
-    assert kminus == pytest.approx(om, abs=1e-15)
-    dplus, dminus = direct_fields(vals, grid, KER)
-    assert dplus == pytest.approx(op, abs=1e-15)
-    assert dminus == pytest.approx(om, abs=1e-15)
+    for vals in ([0.2, 0.9, 0.4, 0.0, 0.6], [0.0, 0.9, 0.4, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.6]):
+        vals = np.array(vals)
+        kplus, kminus = fields_of(grid, vals)
+        op, om = oracle_fields(grid, vals, KER)
+        wp, wm = on_flux_span((op, om), vals)
+        assert kplus == pytest.approx(wp, abs=1e-15)
+        assert kminus == pytest.approx(wm, abs=1e-15)
+        assert_zero_off_flux_span((kplus, kminus), vals)
+        dplus, dminus = direct_fields(vals, grid, KER)
+        assert dplus == pytest.approx(op, abs=1e-15)
+        assert dminus == pytest.approx(om, abs=1e-15)
 
 
 def fft_tolerance(size, scale):
@@ -388,21 +433,26 @@ def fields_error(got, want):
 
 
 def assert_fields_match_direct(rho, grid):
-    """FFT fields against :func:`exact_fields`: tolerance, exact zeros, signs, mirror symmetry.
+    """FFT fields against :func:`exact_fields` on :func:`flux_span`: tolerance, exact zeros, signs, mirror symmetry.
 
     The FFT convolution rounds by an error that grows like eps log2(n) in its
     length n.  Its distance from the long-double sums of the same table is
     held to :func:`fft_tolerance`, the bound of an FFT error analysis at
-    that length.  The double-precision direct sums
-    round too, by up to an ulp of the fields, so they are no reference for
-    this bound: on a 2-cell grid the FFT lies 1.5 ulps from the exact sums,
-    within the bound, but 2 ulps from the direct ones.  The same bound holds
-    the former full-length path, :func:`scipy_fields`, at its own length.
+    that length, on the interfaces a flux can cross; at every other one the
+    fields are exactly 0.  The scale is max|K| over all J+1 exact sums, as
+    before the fields were restricted to the span.  The double-precision
+    direct sums round too, by up to an ulp of the fields, so they are no
+    reference for this bound: on a 2-cell grid the FFT lies 1.5 ulps from
+    the exact sums, within the bound, but 2 ulps from the direct ones.  The
+    same bound holds the former full-length path, :func:`scipy_fields`, at
+    its own length and at all J+1 interfaces.
     """
     kplus, kminus = compute_fields(rho, grid, KER)
     eplus, eminus = exact_fields(rho, grid, KER)
     scale = float(max(np.max(np.abs(eplus)), np.max(np.abs(eminus))))
-    assert fields_error((kplus, kminus), (eplus, eminus)) <= fft_tolerance(window_size(rho, grid.cells), scale)
+    window_exact = on_flux_span((eplus, eminus), rho)
+    assert fields_error((kplus, kminus), window_exact) <= fft_tolerance(window_size(rho), scale)
+    assert_zero_off_flux_span((kplus, kminus), rho)
     old = scipy_fields(rho, grid, KER)
     old_size = scipy.fft.next_fast_len(2 * grid.cells, real=True)
     assert fields_error(old, (eplus, eminus)) <= fft_tolerance(old_size, scale)
@@ -476,8 +526,8 @@ def test_fields_fft_matches_direct_sums_on_a_fine_wide_grid():
 def test_fields_share_one_read_only_table():
     grid = nl.Grid(-1.75, 2.25, 37)  # a grid no other test uses
     vals = np.linspace(0.0, 1.0, 37)  # charged from cell 1: a 36-cell window
-    size = godunov._next_fast_len(37 + 36 - 1)
-    assert size == scipy.fft.next_fast_len(72, real=True) == 72
+    size = godunov._next_fast_len(2 * 36 - 1)
+    assert size == scipy.fft.next_fast_len(71, real=True) == 72
     before = godunov._d1_spectrum.cache_info()
     first, second = fields_of(grid, vals), fields_of(grid, vals[::-1])
     after = godunov._d1_spectrum.cache_info()
@@ -485,12 +535,16 @@ def test_fields_share_one_read_only_table():
     assert np.array_equal(first[0], -second[1][::-1])  # mirrored data, mirrored fields
     spectrum = godunov._d1_spectrum(grid, KER, size)
     assert spectrum is godunov._d1_spectrum(grid, KER, size)
-    table = grid.dx * KER.d1((np.arange(37) + 0.5) * grid.dx)
+    table = grid.dx * KER.d1((np.arange(36) + 0.5) * grid.dx)  # ceil(72 / 2) = 36 < J entries
     assert np.array_equal(spectrum, scipy.fft.rfft(table, n=size))
+    # a table longer than J is cut at J: two cells, a 2-cell window, length 3
+    short = nl.Grid(-1.75, 2.25, 2)
+    table = short.dx * KER.d1((np.arange(2) + 0.5) * short.dx)
+    assert np.array_equal(godunov._d1_spectrum(short, KER, 3), scipy.fft.rfft(table, n=3))
     with pytest.raises(ValueError):
         spectrum[0] = 0.0
-    # the work buffers, one set per grid at a fully charged grid's length:
-    # one transformed row, and the sums, one row per side
+    # the work buffers, one set per grid at a fully charged grid's length,
+    # _next_fast_len(2J - 1): one transformed row, and the sums, one row per side
     work = godunov._field_work(grid)
     assert work is godunov._field_work(nl.Grid(-1.75, 2.25, 37))
     full = scipy.fft.next_fast_len(2 * 37 - 1, real=True)
@@ -519,7 +573,7 @@ def test_fields_equal_the_scipy_fft_reference_bitwise_call_after_call(cells):
     # several states on one grid, so every call after the first reuses the
     # cached buffers; each result must equal the windowed reference bit for
     # bit and must not change when a later call overwrites the buffers.  The
-    # former full-length path agrees to its FFT bound.
+    # former full-length path agrees to its FFT bound where a flux can cross.
     grid = nl.Grid(-2.5, 2.5, cells)
     results = []
     for rho in shifted_states(grid.centers, np.random.default_rng(cells)):
@@ -527,7 +581,8 @@ def test_fields_equal_the_scipy_fft_reference_bitwise_call_after_call(cells):
         assert bitwise_equal(got, window_fields(rho, grid, KER))
         old = scipy_fields(rho, grid, KER)
         scale = max(float(np.max(np.abs(a))) for a in old)
-        assert fields_error(got, old) <= fft_tolerance(scipy.fft.next_fast_len(2 * cells, real=True), scale)
+        assert fields_error(got, on_flux_span(old, rho)) <= fft_tolerance(scipy.fft.next_fast_len(2 * cells, real=True), scale)
+        assert_zero_off_flux_span(got, rho)
         results.append((got, tuple(a.copy() for a in got)))
     product, sums = godunov._field_work(grid)
     for (kplus, kminus), (kplus_then, kminus_then) in results:
@@ -558,7 +613,8 @@ def edge_windows(cells):
 @pytest.mark.parametrize("case", ["left", "right", "single-left", "single-right", "both-edges", "ends-only", "vacuum"])
 def test_fields_and_flux_on_windows_at_the_domain_edges(cells, case):
     # charged cells at 0 and at J-1: the window starts at the first cell or
-    # ends at the last, the shortest and the longest transform lengths
+    # ends at the last, the shortest and the longest transform lengths, and
+    # the step's cells first-1 or last+1 fall outside the domain
     grid = nl.Grid(-3.0, 3.0, cells)
     rho = edge_windows(cells)[case]
     assert_fields_match_direct(rho, grid)  # and its mirror, bitwise
@@ -566,6 +622,8 @@ def test_fields_and_flux_on_windows_at_the_domain_edges(cells, case):
         fields = compute_fields(state, grid, KER)
         assert bitwise_equal(fields, window_fields(state, grid, KER))
         assert bitwise_equal((interface_flux(state, fields, MOB),), (full_interface_flux(state, fields, MOB),))
+        for courant in (1.0, 20.0):
+            assert_step_equals_the_full_update(grid, state, courant * cfl_dt(grid, fields, MOB, cap_dt=1.0))
 
 
 def test_next_fast_len_matches_scipy_up_to_2_to_the_15():
@@ -583,20 +641,24 @@ states = []
 for shrink in SHRINKS:
     state = rho.copy()
     charged = np.flatnonzero(state)
-    state[charged[:shrink]] = 0.0
-    state[charged[charged.size - shrink :]] = 0.0
+    if shrink < 0:  # the vacuum filled: a window over the whole grid
+        state[state == 0.0] = 0.01
+    state[charged[: max(shrink, 0)]] = 0.0
+    state[charged[charged.size - max(shrink, 0) :]] = 0.0
     states.append(state)
 """
 
-# the fv-march state (a 1,440-cell window, transform length 6,250) and the
+# the fv-march state (a 1,440-cell window, transform length 2,880) and the
 # same window less its outer 20 and 470 charged cells at each end: a
-# 1,400- and a 500-cell window, lengths 6,250 and 5,400
-SHRINKS = {"fv-march": (0,), "shrinking": (0, 20, 470)}
+# 1,400- and a 500-cell window, lengths 2,880 and 1,000.  "full" adds, in
+# front, the fv-march state with its vacuum filled: a 4,800-cell window at
+# length 9,600, the longest the grid takes
+SHRINKS = {"fv-march": (0,), "shrinking": (0, 20, 470), "full": (-1, 0, 20, 470)}
 
 
 def fv_march_states(shrinks):
     """The fv-march grid (two-step-0206 at J = 4800), its kernel, and its initial state with ``shrinks`` cells
-    cleared at each end of the charged window, one state per entry."""
+    cleared at each end of the charged window, one state per entry; a negative entry fills the vacuum instead."""
     scope = {"SHRINKS": shrinks}
     exec(FV_MARCH_STATES, scope)
     return scope["grid"], scope["kernel"], scope["states"]
@@ -605,8 +667,9 @@ def fv_march_states(shrinks):
 def assert_no_fft_work_array_per_call(windows):
     # after one warm-up call per state builds the cached entries, a call
     # allocates K+, K- and a J-entry mask (an 87 KB peak at J = 4800), and no
-    # longer the two 154 KB FFT work arrays it allocated per call before they
-    # were cached (a 470 KB peak)
+    # FFT work array: a product row and the sums allocated per call at the
+    # call's length raise the peak to 103 KB at length 1,000 (the 500-cell
+    # window) and 148 KB at 2,880 (the fv-march window)
     grid, kernel, states = fv_march_states(SHRINKS[windows])
     for rho in states:
         compute_fields(rho, grid, kernel)
@@ -617,7 +680,7 @@ def assert_no_fft_work_array_per_call(windows):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 200_000
+        assert peak < 96_000
 
 
 def test_fields_allocate_no_fft_work_array_per_call():
@@ -625,7 +688,7 @@ def test_fields_allocate_no_fft_work_array_per_call():
 
 
 def test_fields_allocate_no_fft_work_array_per_call_as_the_window_shrinks():
-    assert_no_fft_work_array_per_call("shrinking")
+    assert_no_fft_work_array_per_call("full")
 
 
 def test_fields_on_a_shrinking_window_miss_once_per_length():
@@ -634,7 +697,7 @@ def test_fields_on_a_shrinking_window_miss_once_per_length():
     # lengths share the grid's one set of work buffers
     grid, kernel, (wide, trimmed, narrow) = fv_march_states(SHRINKS["shrinking"])
     grid = nl.Grid(grid.left, grid.right - 0.125, grid.cells)  # a grid no other test uses
-    assert [window_size(rho, grid.cells) for rho in (wide, trimmed, narrow)] == [6250, 6250, 5400]
+    assert [window_size(rho) for rho in (wide, trimmed, narrow)] == [2880, 2880, 1000]
     before = godunov._d1_spectrum.cache_info()
     outcomes = []
     for rho in (wide, trimmed, trimmed, narrow, narrow, wide):
@@ -670,14 +733,16 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 def assert_no_page_faults_per_call(windows):
     # what tracemalloc cannot see: a transform of both rows in one call makes
     # numpy's pocketfft allocate scratch above the mmap threshold, mapped and
-    # unmapped every call (76 minor faults per call here); row by row, none.
+    # unmapped every call, at length 9,600 (76 minor faults per call on the
+    # filled state alone); row by row, none.  At 2,880 the scratch stays
+    # below the threshold, so the fv-march window alone shows no faults either way.
     # A fresh interpreter with the mmap threshold pinned at glibc's default
     # keeps the count independent of what the process freed before.  The trim
     # threshold is pinned too: left at 128 KB, glibc trims the heap top after
     # some calls and faults it back in on the next, 20-24 faults per call or
     # none depending only on how large the environment is, so the count is
-    # taken at several sizes of a dummy variable.  "shrinking" cycles through
-    # three windows and two transform lengths.
+    # taken at several sizes of a dummy variable.  "full" cycles through
+    # four windows and three transform lengths.
     env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_=str(64 << 20))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
     env["WINDOW_SHRINKS"] = ",".join(map(str, SHRINKS[windows]))
@@ -697,7 +762,7 @@ def test_fields_take_no_page_faults_per_call():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
 def test_fields_take_no_page_faults_per_call_as_the_window_shrinks():
-    assert_no_page_faults_per_call("shrinking")
+    assert_no_page_faults_per_call("full")
 
 
 def test_grid_edges_built_once_read_only_and_exact():
@@ -820,6 +885,67 @@ def test_step_conserves_mass_and_stays_in_bounds(cells):
     new, clamp = nl.gd_step(grid, nl.FVState(0.0, vals, MOB.cap), KER, MOB, dt, fields)
     assert clamp <= 1e-15  # the transport bound alone keeps the values in [0, cap], up to rounding
     assert np.sum(new.values) == pytest.approx(np.sum(vals), abs=1e-14 * vals.size)
+
+
+def assert_step_equals_the_full_update(grid, rho, dt):
+    """gd_step on rho against :func:`full_gd_step`: values bitwise, clamped mass bitwise against the sum over
+    cells first-1..last+1 and within its summation rounding of the sum over all J cells; returns the mass."""
+    fields = compute_fields(rho, grid, KER)
+    new, clamp = nl.gd_step(grid, nl.FVState(0.0, rho, MOB.cap), KER, MOB, dt, fields)
+    values, full_clamp, raw = full_gd_step(grid, nl.FVState(0.0, rho, MOB.cap), MOB, dt, fields)
+    assert bitwise_equal((new.values,), (values,))
+    charged = np.flatnonzero(rho)
+    cells = slice(max(charged[0] - 1, 0), charged[-1] + 2) if charged.size else slice(0, 0)
+    window_clamp = float(np.sum(np.abs(raw[cells] - values[cells])) * grid.dx)
+    assert bitwise_equal((clamp,), (window_clamp,))
+    # |sum| of J non-negative terms in two orders: each within (J - 1) u of the exact sum
+    assert abs(clamp - full_clamp) <= 2.0 * rho.size * np.finfo(float).eps * full_clamp
+    return clamp
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_profiles(), st.sampled_from([0.5, 1.0, 4.0, 50.0]))
+def test_windowed_step_equals_the_full_update_bitwise(case, courant):
+    # steps at and beyond the Courant bound, clamping nothing or much
+    grid, rho = case
+    dt = courant * cfl_dt(grid, compute_fields(rho, grid, KER), MOB, cap_dt=1.0)
+    assert_step_equals_the_full_update(grid, rho, dt)
+
+
+def test_windowed_step_clamps_a_too_large_step_as_the_full_update_does():
+    # a dt far above the Courant bound, passed to gd_step directly, overshoots
+    # the cap in the block and undershoots 0 at its edges: a nonzero clamp
+    grid = nl.Grid(-2.5, 2.5, 300)
+    rho = np.where(np.abs(grid.centers) < 1.0, 0.4, 0.0)
+    rho[150:160] = 0.95
+    dt = 40.0 * cfl_dt(grid, compute_fields(rho, grid, KER), MOB, cap_dt=1.0)
+    assert assert_step_equals_the_full_update(grid, rho, dt) > 1e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_profiles())
+def test_one_step_at_the_flux_span_bound_clamps_nothing(case):
+    # the speed bound is taken only where a flux crosses, and a step at it
+    # still keeps every value in [0, cap] with no clamping at all
+    grid, rho = case
+    fields = compute_fields(rho, grid, KER)
+    dt = cfl_dt(grid, fields, MOB, cap_dt=1.0)
+    speed = np.max((np.abs(fields[0]) + np.abs(fields[1]))[flux_span(rho)], initial=0.0)
+    assert dt == (min(1.0, 0.45 * grid.dx / speed) if speed > 0.0 else 1.0)
+    new, clamp = nl.gd_step(grid, nl.FVState(0.0, rho, MOB.cap), KER, MOB, dt, fields)
+    raw = full_gd_step(grid, nl.FVState(0.0, rho, MOB.cap), MOB, dt, fields)[2]
+    assert clamp == 0.0
+    assert np.all(raw >= 0.0) and np.all(raw <= MOB.cap)
+
+
+def test_fv_march_counters():
+    # the bench workload fv-march: two-step-0206 at J = 4800 to t = 2 takes
+    # 343 steps with the speed bound on the flux span (363 over all interfaces)
+    cfg = nl.ScenarioConfig.from_dict({"scenario": "two-step-0206", "fv_cells": 4800, "t_end": 2.0})
+    run = nl.run_godunov(cfg).fv
+    assert run.steps == 343
+    assert run.clamped_mass == 0.0 and run.clamp_warnings == 0
+    assert abs(run.diagnostics()["mass_drift"]) <= 1e-15
 
 
 def test_state_values_must_lie_in_zero_cap():

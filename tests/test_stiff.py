@@ -90,6 +90,22 @@ def test_step_raises_once_its_size_underflows():
     assert solver.nfev > 1000  # one right-hand side per halving, down to 10 times the spacing at 0
 
 
+def test_difference_rows_past_the_first_start_at_zero():
+    # the first step's D[2] = d - D[1] reads row 2 before any step writes it,
+    # so every row past row 1 starts at 0, as in scipy's BDF
+    y0 = np.arange(1.0, 6.0)
+
+    def jac(t, y):
+        return np.zeros(4), -np.ones(5), np.zeros(4)
+
+    for _ in range(20):  # fill the heap with non-zero garbage of the right size first
+        garbage = np.full((8, y0.size), np.nan)
+        del garbage
+        solver = BDF(lambda t, y: -y, 0.0, y0, 1.0, jac)
+        assert np.array_equal(solver.D[0], y0)
+        assert np.all(solver.D[2:] == 0.0)
+
+
 def scipy_integrate(state, kernel, mobility, t_end, output_times):
     """Snapshots and counters of scipy's ``BDF`` with the CSC Jacobian, as
     ``particles.integrate`` ran it: the same tolerances, and snapshots from
