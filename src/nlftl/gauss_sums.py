@@ -38,16 +38,21 @@ def terms(r: float, max_terms: int) -> int:
     return p
 
 
+@functools.lru_cache(maxsize=256)
 def factors(p: int, inv_width: float) -> tuple[np.ndarray, np.ndarray]:
     """(step, twin) for n < p, as columns along the first axis.
 
     The basis recurrence is a_{n+1}(u) = step[n] u a_n(u) with
     step[n] = sqrt(2B/(n+1)), and the twin identity is
     u a_n(u) = twin[n] a_{n+1}(u) with twin[n] = sqrt((n+1)/(2B)).
+    Both arrays are computed once per (p, B) and shared by every caller,
+    so they are read-only.
     """
     root_2b = math.sqrt(2.0 * inv_width)
     orders = np.arange(1.0, p + 1)
-    return root_2b / np.sqrt(orders), np.sqrt(orders) / root_2b
+    step, twin = root_2b / np.sqrt(orders), np.sqrt(orders) / root_2b
+    step.flags.writeable = twin.flags.writeable = False
+    return step, twin
 
 
 def basis(step: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -47,8 +47,15 @@ class Mobility:
         """Mobility value; accepts scalars or arrays, rejects negative density."""
         arr = np.asarray(rho, dtype=float)
         self._check_density(arr)
-        out = self.v_max * np.maximum(0.0, 1.0 - arr / self.cap)
-        return _same_kind(out, rho)
+        return _same_kind(self.value_unchecked(arr), rho)
+
+    def value_unchecked(self, arr: np.ndarray) -> np.ndarray:
+        """v on a float array with no density check, for densities known to be > 0 or +inf.
+
+        The one definition of v: :meth:`__call__` and :meth:`flux_unchecked`
+        run it; v(+inf) = 0.
+        """
+        return self.v_max * np.maximum(0.0, 1.0 - arr / self.cap)
 
     def d1(self, rho):
         """v'(rho): -v_max/cap below the cap, 0 at and above it, where v is 0."""
@@ -70,7 +77,7 @@ class Mobility:
 
         The one definition of f: :meth:`flux` runs it after its check.
         """
-        v = self.v_max * np.maximum(0.0, 1.0 - arr / self.cap)
+        v = self.value_unchecked(arr)
         return np.where(v > 0.0, arr * v, 0.0)
 
     @property

@@ -125,22 +125,28 @@ def _densities(gaps: np.ndarray, pm: float) -> np.ndarray:
     as jammed: v and v' vanish there, the continuous extension of v(pm/gap)
     as gap -> 0+.
     """
-    with np.errstate(divide="ignore"):
-        return np.where(gaps > 0.0, pm / np.where(gaps > 0.0, gaps, 1.0), np.inf)
+    return np.divide(pm, gaps, out=np.full(gaps.shape, np.inf), where=gaps > 0.0)
+
+
+def _expansion(x: np.ndarray, kernel: Kernel) -> tuple[int, float]:
+    """Order p and centre c of the Gauss-Taylor expansion :func:`_pair_sums` uses on ``x``; p = 0 for the strips.
+
+    p is the smallest order whose first omitted term R^p / p! is at most
+    2^-56, with R = 2B h^2 and h the half-span of the particles, and c is
+    the middle of the span.  The strips run below the crossover of
+    ``_EXPANSION_MIN_N`` cells and when p exceeds ``_EXPANSION_MAX_TERMS``
+    (narrow kernels or wide spans).
+    """
+    if x.size - 1 < _EXPANSION_MIN_N:
+        return 0, 0.0
+    lo, hi = float(x.min()), float(x.max())  # trial states of the integrator may be out of order
+    half = 0.5 * (hi - lo)
+    return gauss_sums.terms(2.0 * kernel.inv_width * half * half, _EXPANSION_MAX_TERMS), 0.5 * (lo + hi)
 
 
 def _pair_sum_terms(x: np.ndarray, kernel: Kernel) -> int:
-    """Order p of the Gauss-Taylor expansion :func:`_pair_sums` uses on ``x``, 0 for the strips.
-
-    p is the smallest order whose first omitted term R^p / p! is at most
-    2^-56, with R = 2B h^2 and h the half-span of the particles.  The strips
-    run below the crossover of ``_EXPANSION_MIN_N`` cells and when p exceeds
-    ``_EXPANSION_MAX_TERMS`` (narrow kernels or wide spans).
-    """
-    if x.size - 1 < _EXPANSION_MIN_N:
-        return 0
-    half = 0.5 * float(np.max(x) - np.min(x))  # trial states of the integrator may be out of order
-    return gauss_sums.terms(2.0 * kernel.inv_width * half * half, _EXPANSION_MAX_TERMS)
+    """Order p of the expansion :func:`_pair_sums` uses on ``x``, 0 for the strips (see :func:`_expansion`)."""
+    return _expansion(x, kernel)[0]
 
 
 def _tiled_pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +176,8 @@ def _tiled_pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndar
     return s_above, s_below
 
 
-def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one-sided sums of :func:`_pair_sums` by a p-term expansion about the middle c of the span.
+def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int, centre: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one-sided sums of :func:`_pair_sums` by a p-term expansion about ``centre``.
 
     With u = x - c and e_j, a_n as in :mod:`nlftl.gauss_sums`, let P_n(i) be
     the sum over j < i of the source weight e_j a_n(u_j); by the twin
@@ -182,13 +188,18 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarr
     ``gauss_sums.BLOCK // (2 (p+1))``, all p+1 weights at once, in the work
     arrays :func:`nlftl.gauss_sums.work_arrays` holds across calls; a block's
     exclusive prefix sums start from the running totals of the blocks before
-    it, so no running sum is longer than one block.
+    it, so no running sum is longer than one block.  When one block holds
+    every particle, the basis and weights of the reversed particles are
+    those of the particles reversed, bit for bit, and are copied, not
+    computed.
     """
-    u = x - 0.5 * (np.min(x) + np.max(x))
-    u = np.stack((u, u[::-1]))  # row 0 gives the sums over j < i, row 1 over j > i, reversed
     n = x.size
     block = min(n, max(1, gauss_sums.BLOCK // (2 * (p + 1))))
-    step, twin = (f[:, None, None] for f in gauss_sums.factors(p, kernel.inv_width))
+    step, twin = gauss_sums.factors(p, kernel.inv_width)
+    step, twin = step[:, None, None], twin[:, None, None]
+    u = np.empty((2, n))  # row 0 gives the sums over j < i, row 1 over j > i, reversed
+    np.subtract(x, centre, out=u[0])
+    u[1] = u[0, ::-1]
     e = kernel.gauss(u)
     total = np.zeros((p + 1, 2, 1))
     out = np.empty((2, n))
@@ -197,8 +208,14 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarr
         hi = min(lo + block, n)
         ub = u[:, lo:hi]
         a, w, pre = a_buf[..., : hi - lo], w_buf[..., : hi - lo], pre_buf[..., : hi - lo]
-        gauss_sums.basis(step, ub, a)
-        np.multiply(a, e[:, lo:hi], out=w)
+        if block == n:  # row 1 is row 0 reversed, bit for bit
+            gauss_sums.basis(step[:, 0], u[0], a[:, 0])
+            np.multiply(a[:, 0], e[0], out=w[:, 0])
+            a[:, 1] = a[:, 0, ::-1]
+            w[:, 1] = w[:, 0, ::-1]
+        else:
+            gauss_sums.basis(step, ub, a)
+            np.multiply(a, e[:, lo:hi], out=w)
         pre[..., :1] = total  # pre[n, :, i] = P_n(lo + i): the running totals plus this block's sums
         np.cumsum(w[..., :-1], axis=2, out=pre[..., 1:])
         pre[..., 1:] += total
@@ -206,17 +223,17 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int) -> tuple[np.ndarr
         direct = np.multiply(a[:p], pre[:p], out=w[:p])
         shifted = np.multiply(twin, a[:p], out=a[:p])
         shifted *= pre[1:]
-        out[:, lo:hi] = ub * np.sum(direct, axis=0) - np.sum(shifted, axis=0)
+        out[:, lo:hi] = ub * np.add.reduce(direct, axis=0) - np.add.reduce(shifted, axis=0)
     out *= e
     out *= 2.0 * kernel.amplitude * kernel.inv_width
-    return out[1, ::-1].copy(), out[0]
+    return out[1, ::-1], out[0]
 
 
 def _pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """One-sided kernel sums (sum_{j>i} K'(x_i - x_j), sum_{j<i} K'(x_i - x_j)).
 
     Above the crossover, and while the expansion needs at most the term cap
-    (see :func:`_pair_sum_terms`), the sums come from a p-term Taylor
+    (see :func:`_expansion`), the sums come from a p-term Taylor
     expansion of the Gaussian about the middle of the span, O(N p) work and
     O(N) memory; otherwise from the row strips of :func:`_tiled_pair_sums`,
     O(N^2).  Since e_i e_j <= 1 and (2B |u_i u_j|)^n / n! <= R^n / n!, the
@@ -224,12 +241,13 @@ def _pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     2^-56 at most, and since e_i e_j exp(2B |u_i u_j|) <= 1 the rounding
     stays near eps * sum |K'| whatever R is; only p grows with R.  Both
     paths use plain numpy reductions in a fixed order, no threads and no
-    BLAS, so results repeat bitwise.
+    BLAS, so results repeat bitwise.  The two arrays are fresh on every
+    call, so callers may scale them in place.
     """
-    p = _pair_sum_terms(x, kernel)
+    p, centre = _expansion(x, kernel)
     if p == 0:
         return _tiled_pair_sums(x, kernel)
-    return _expanded_pair_sums(x, kernel, p)
+    return _expanded_pair_sums(x, kernel, p, centre)
 
 
 def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) -> np.ndarray:
@@ -240,11 +258,40 @@ def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) ->
     with R_i = pm / gap_i.  The first/last particle only sees the single
     defined neighbour cell.
     """
-    speed = mobility(_densities(np.diff(x), pm))  # v(R_i), zero where jammed or inverted
-    s_above, s_below = _pair_sums(x, kernel)
-    v_fwd = np.append(speed, 0.0)  # v(R_i); padding hits an empty sum
-    v_bwd = np.concatenate(([0.0], speed))  # v(R_{i-1})
-    return -pm * (v_fwd * s_above + v_bwd * s_below)
+    speed = mobility.value_unchecked(_densities(x[1:] - x[:-1], pm))  # v(R_i); every R_i is > 0 or +inf
+    fwd, bwd = _pair_sums(x, kernel)
+    fwd[:-1] *= speed
+    fwd[-1] *= 0.0  # no cell ahead of the last particle: its sum is empty
+    bwd[1:] *= speed
+    bwd[0] *= 0.0
+    fwd += bwd
+    fwd *= -pm
+    return fwd
+
+
+def _direct_velocities(x: np.ndarray, rows: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
+    """dx_i/dt at particles ``rows`` by direct O(N) sums, and how far :func:`_velocities` can lie from each.
+
+    Each one-sided sum of :func:`_pair_sums` has at most N terms of modulus
+    at most 2AB * span (in the expansion too, as e_i e_j exp(2B |u_i u_j|)
+    <= 1), and at most 2 (N + p + 16) roundings of eps / 2 lie on the way to
+    any term (running sums over N terms in blocks, p basis products, a few
+    more), so it lies within 2AB * span * N * (N + p + 16) eps of the exact
+    sum; the omitted tail adds under eps / 8 per pair, and these direct sums
+    round less.  The bound at particle i is pm (v(R_i) + v(R_{i-1})) times
+    twice that, with p at its cap.
+    """
+    n = x.size - 1
+    kp = kernel.d1(x[rows, None] - x)
+    above = np.array([kp[r, i + 1 :].sum() for r, i in enumerate(rows.tolist())])
+    below = np.array([kp[r, :i].sum() for r, i in enumerate(rows.tolist())])
+    speed = np.zeros(n + 2)  # v(R_{i-1}) at i, v(R_i) at i + 1; zero beyond the end cells
+    speed[1:-1] = mobility.value_unchecked(_densities(x[1:] - x[:-1], pm))
+    behind, ahead = speed[rows], speed[rows + 1]
+    velocity = -pm * (ahead * above + behind * below)
+    span = float(x.max() - x.min())
+    sums = 2.0 * kernel.amplitude * kernel.inv_width * span * n * (n + _EXPANSION_MAX_TERMS + 16) * np.finfo(float).eps
+    return velocity, 2.0 * pm * (ahead + behind) * sums
 
 
 def _jacobian(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
@@ -284,8 +331,10 @@ class Trajectory:
     not just the stored snapshots.  The integrator counters are deterministic:
     accepted ``steps`` and the smallest of them (``min_step``), right-hand
     side evaluations inside the integrator (``rhs_evals``), Jacobian
-    evaluations and LU factorizations of its Newton matrix, and the extra
-    right-hand side evaluations of settle detection (``settle_checks``).
+    evaluations and LU factorizations of its Newton matrix, and the full
+    right-hand side evaluations of settle detection (``settle_checks``); with
+    a ``settle_tol``, the other ``steps - settle_checks`` steps were screened
+    out by a few direct velocities (see :func:`integrate`).
     ``pair_sum_terms`` is the order of the pair-sum expansion at the initial
     state, or 0 where the sums run pair by pair; the support only shrinks,
     so later states need no more terms.
@@ -367,9 +416,14 @@ def integrate(
     with slack eps_gap = 10 * _RTOL * (initial support length); a violation
     beyond that slack raises :class:`InvariantViolation` since the analytic
     maximum principle forbids it.  Snapshots at ``output_times`` come from
-    the integrator's dense output.  If ``settle_tol`` is given, max|dx/dt|
-    is evaluated after every accepted step and the run stops once it drops
-    below ``settle_tol``; the final state is appended.
+    the integrator's dense output.  If ``settle_tol`` (positive and finite)
+    is given, the run stops after the first accepted step where
+    max|dx/dt| < ``settle_tol`` and appends that state.  The full check is
+    skipped where :func:`_direct_velocities` at both ends and at the last
+    check's argmax prove it would not settle: a speed of at least
+    2 * ``settle_tol`` that exceeds ``settle_tol`` by more than its error
+    bound.  The screen never touches the solver, so the run settles at the
+    same step either way.
     """
     # imported here and in init_particles rather than with the package: a
     # finite-volume run never needs it, and compiling it, where no bytecode is
@@ -378,6 +432,8 @@ def integrate(
 
     if not t_end > state.time:
         raise ValueError("t_end must exceed the state time")
+    if settle_tol is not None and not (settle_tol > 0.0 and math.isfinite(settle_tol)):
+        raise ValueError("settle_tol must be positive and finite")
     x0 = state.positions
     pm = state.particle_mass
     support0 = float(x0[-1] - x0[0])
@@ -409,6 +465,7 @@ def integrate(
     next_out = 0
     settled = False
     steps = settle_checks = 0
+    watched = np.array([0, state.n_cells, 0])  # both ends and the argmax of the last full settle check
     min_step = math.inf
     while solver.t < t_end:
         t_prev = solver.t
@@ -427,8 +484,14 @@ def integrate(
             states.append(ParticleState(t_out, y_out, pm, state.cap))
             next_out += 1
         if settle_tol is not None:
+            velocity, bound = _direct_velocities(solver.y, watched, pm, kernel, mobility)
+            speed = np.abs(velocity)
+            if np.any((speed >= 2.0 * settle_tol) & (speed - settle_tol > bound)):
+                continue  # so |dx/dt| >= settle_tol in the full check too: the run has not settled
             settle_checks += 1
-            if float(np.max(np.abs(_velocities(solver.y, pm, kernel, mobility)))) < settle_tol:
+            speed = np.abs(_velocities(solver.y, pm, kernel, mobility))
+            watched[2] = np.argmax(speed)
+            if float(np.max(speed)) < settle_tol:
                 settled = True
                 if states[-1].time < solver.t:
                     states.append(ParticleState(solver.t, solver.y, pm, state.cap))

@@ -42,6 +42,19 @@ def test_mobility_rejects_negative_density():
         mob.flux(np.array([0.2, -0.3]))
 
 
+def test_mobility_is_its_density_check_plus_the_unchecked_core():
+    mob = nl.Mobility(cap=0.8, v_max=2.5)
+    rho = np.array([0.0, 1e-300, 0.3, 0.8 - 1e-12, 0.8, 0.8 + 1e-12, 5.0, np.inf])
+    got = mob(rho)
+    assert np.array_equal(got.view(np.uint64), mob.value_unchecked(rho).view(np.uint64))
+    assert np.array_equal(got[4:], np.zeros(4))
+    assert mob(np.inf) == 0.0
+    for bad in (-0.1, math.nan, np.array([0.2, -0.3]), np.array([0.2, np.nan])):
+        with pytest.raises(ValueError):
+            mob(bad)
+    assert np.array_equal(mob.flux(rho[:-1]), mob.flux_unchecked(rho[:-1]))
+
+
 def test_mobility_strictly_decreasing_up_to_cap():
     mob = nl.Mobility(cap=0.8, v_max=2.5)
     rho = np.linspace(0.0, 0.8, 400)

@@ -11,15 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlftl as nl
-from nlftl import particles
+from nlftl import gauss_sums, particles
 from nlftl.particles import (
     _EXPANSION_MAX_TERMS,
     _EXPANSION_MIN_N,
     _TILE,
+    _direct_velocities,
+    _expanded_pair_sums,
     _jacobian,
     _pair_sum_terms,
     _pair_sums,
@@ -82,6 +84,52 @@ def direct_pair_sums(x, kernel, rows):
     above = np.array([np.sum(kernel.d1(x[i] - x[i + 1 :])) for i in rows])
     below = np.array([np.sum(kernel.d1(x[i] - x[:i])) for i in rows])
     return above, below
+
+
+def two_row_expanded_pair_sums(x, kernel, p):
+    """The expansion's one-sided sums with both rows of every block computed in full.
+
+    Reference for the one-block shortcut of the production sums, which
+    copies the reversed particles' basis and weights from the particles'
+    instead of computing them: with u = x - c and e_j, a_n as in
+    :mod:`nlftl.gauss_sums`, P_n(i) is the sum over j < i of e_j a_n(u_j), and
+    sum_{j<i} K'(u_i - u_j) = 2AB e_i sum_{n<p} a_n(u_i) (u_i P_n(i) - sqrt((n+1)/(2B)) P_{n+1}(i)).
+    Row 0 gives the sums over j < i, row 1 the same sums on the reversed
+    particles, so over j > i.  Particles go in blocks of BLOCK // (2 (p+1)),
+    and a block's exclusive prefix sums start from the running totals of the
+    blocks before it.
+    """
+    u = x - 0.5 * (np.min(x) + np.max(x))
+    u = np.stack((u, u[::-1]))
+    n = x.size
+    block = min(n, max(1, gauss_sums.BLOCK // (2 * (p + 1))))
+    step, twin = (f[:, None, None] for f in gauss_sums.factors(p, kernel.inv_width))
+    e = kernel.gauss(u)
+    total = np.zeros((p + 1, 2, 1))
+    out = np.empty((2, n))
+    a_buf, w_buf, pre_buf = (np.empty((p + 1, 2, block)) for _ in range(3))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        ub = u[:, lo:hi]
+        a, w, pre = a_buf[..., : hi - lo], w_buf[..., : hi - lo], pre_buf[..., : hi - lo]
+        gauss_sums.basis(step, ub, a)
+        np.multiply(a, e[:, lo:hi], out=w)
+        pre[..., :1] = total
+        np.cumsum(w[..., :-1], axis=2, out=pre[..., 1:])
+        pre[..., 1:] += total
+        total = pre[..., -1:] + w[..., -1:]
+        direct = np.multiply(a[:p], pre[:p], out=w[:p])
+        shifted = np.multiply(twin, a[:p], out=a[:p])
+        shifted *= pre[1:]
+        out[:, lo:hi] = ub * np.sum(direct, axis=0) - np.sum(shifted, axis=0)
+    out *= e
+    out *= 2.0 * kernel.amplitude * kernel.inv_width
+    return out[1, ::-1].copy(), out[0]
+
+
+def bits(a):
+    """The bit patterns of a float array: equal bits, signed zeros included, compare equal."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def frozen_sum_rhs(x, pm, sums, mobility):
@@ -353,6 +401,35 @@ def test_expanded_sums_have_the_signs_of_one_sided_sums():
         assert v[-1] <= 0.0
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=_EXPANSION_MAX_TERMS),
+    offset=st.integers(min_value=-40, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(p=19, offset=0, seed=0)  # the largest one-block count at the settle run's order
+@example(p=19, offset=1, seed=0)  # one particle more: two blocks
+def test_expanded_sums_equal_the_two_row_reference_bitwise(p, offset, seed):
+    # one block holds every particle exactly when 2 (p+1) (N+1) <= BLOCK, so
+    # offset <= 0 takes the copied reversed row and offset > 0 the blocks
+    n_particles = max(2, gauss_sums.BLOCK // (2 * (p + 1)) + offset)
+    x = compact_state(np.random.default_rng(seed), n_particles - 1).positions
+    got = _expanded_pair_sums(x, KER, p, 0.5 * (float(x.min()) + float(x.max())))
+    want = two_row_expanded_pair_sums(x, KER, p)
+    assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))
+
+
+def test_expansion_factors_are_shared_and_read_only():
+    step, twin = gauss_sums.factors(19, KER.inv_width)
+    again = gauss_sums.factors(19, KER.inv_width)
+    assert again[0] is step and again[1] is twin
+    assert step.shape == twin.shape == (19,)
+    for f in (step, twin):
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0] = 1.0
+
 def test_expanded_rhs_memory_stays_bounded_at_forty_thousand_cells():
     s = compact_state(np.random.default_rng(29), 40_000)
     assert _pair_sum_terms(s.positions, KER) > 0
@@ -451,6 +528,14 @@ def test_integrate_jam_returns_to_initial_positions():
     assert np.max(np.abs(traj.final.positions - jam.positions)) < 1e-12
 
 
+
+@pytest.mark.parametrize("settle_tol", [0.0, -1e-6, math.nan, math.inf])
+def test_integrate_rejects_a_settle_tolerance_that_is_not_positive_and_finite(settle_tol):
+    # 0, a negative tolerance or NaN would never settle, and +inf would settle at once
+    s = nl.init_particles(nl.uniform_profile(-1.0, 1.0, 0.3), 10, MOB)
+    with pytest.raises(ValueError, match="settle_tol"):
+        nl.integrate(s, KER, MOB, 1.0, settle_tol=settle_tol)
+
 def test_integrate_reports_gap_floor_breach():
     # initial gap far below m/(M N): the monitor must refuse to run
     bad = nl.ParticleState(time=0.0, positions=np.array([0.0, 1e-9, 2.0]), particle_mass=0.5, cap=1.0)
@@ -535,9 +620,62 @@ def test_settle_run_work_stays_implicit(settled_run):
     assert traj.integrator == "BDF"
     assert traj.rhs_evals < 1000
     assert calls == traj.rhs_evals + traj.settle_checks
-    assert traj.settle_checks == traj.steps > 0
+    assert 0 < traj.settle_checks <= 5 < traj.steps  # the other steps were screened (see below)
     assert 0 < traj.lu_decompositions and 0 < traj.jac_evals
     assert 0.0 < traj.min_step <= traj.final.time / traj.steps
+
+
+
+def unscreened_settle_run(cfg, settle_tol):
+    """The settle run with the screen forced to pass every step on to the full check."""
+
+    def never_conclusive(*args):
+        velocity, bound = _direct_velocities(*args)
+        return velocity, np.full_like(bound, np.inf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(particles, "_direct_velocities", never_conclusive)
+        return nl.run_particles(cfg, settle_tol=settle_tol).trajectory
+
+
+@pytest.mark.parametrize(
+    "n, settle_tol, most_checks",
+    [(300, 1e-6, 5), (2400, 1e-6, 5), (100, 1e-6, None), (1, 1e-6, None), (300, 1e-13, None)],
+    ids=["settle", "n2400", "strips", "one-cell", "tight-tol"],
+)
+def test_screened_settle_run_equals_the_unscreened_one_bitwise(n, settle_tol, most_checks):
+    cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "t_end": 200.0, "n_cells": n})
+    screened = nl.run_particles(cfg, settle_tol=settle_tol).trajectory
+    full = unscreened_settle_run(cfg, settle_tol)
+    assert (screened.pair_sum_terms == 0) == (n < _EXPANSION_MIN_N)
+    assert screened.settled and full.settled
+    assert full.settle_checks == full.steps == screened.steps
+    assert 0 < screened.settle_checks < screened.steps
+    if most_checks is not None:
+        assert screened.settle_checks <= most_checks
+    assert screened.rhs_evals == full.rhs_evals
+    assert [s.time for s in screened.states] == [s.time for s in full.states]
+    assert all(np.array_equal(bits(a.positions), bits(b.positions)) for a, b in zip(screened.states, full.states))
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, _TILE + 1, _EXPANSION_MIN_N, 300, 2400])
+def test_direct_velocities_match_the_oracle_and_bound_the_rhs(n):
+    rng = np.random.default_rng(n)
+    for k in range(4):
+        s = compact_state(rng, n)
+        x, pm = s.positions.copy(), s.particle_mass
+        if k == 3 and n > 1:  # one jammed cell: v = 0 on both of its particles' sides
+            x[n // 2 + 1 :] -= x[n // 2 + 1] - x[n // 2] - 0.5 * s.gap_floor
+        rows = np.array([0, n, int(rng.integers(0, n + 1))])
+        velocity, bound = _direct_velocities(x, rows, pm, KER, MOB)
+        assert np.all(np.abs(_velocities(x, pm, KER, MOB)[rows] - velocity) <= bound)
+        if n <= _TILE + 1:
+            assert np.all(np.abs(oracle_rhs(x, pm, KER, MOB)[rows] - velocity) <= 0.5 * bound)
+        else:  # the oracle's double loop is too slow here: the reference's direct row sums
+            above, below = direct_pair_sums(x, KER, rows)
+            speed = np.concatenate(([0.0], MOB(pm / np.diff(x)), [0.0]))  # v(R_{i-1}) at i, v(R_i) at i + 1
+            want = -pm * (speed[rows + 1] * above + speed[rows] * below)
+            assert np.all(np.abs(want - velocity) <= 0.5 * bound)
 
 
 def test_settle_run_records_the_expansion_order(settled_run):
