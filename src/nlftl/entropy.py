@@ -17,14 +17,16 @@ profile are exact: integrating K' (resp. K'') over a cell telescopes to K
 evaluation per breakpoint weighted by the density jump; above a crossover
 these jump sums come from the Gauss-Taylor expansion of
 :mod:`nlftl.gauss_sums`.  The space integral
-uses 3-point Gauss-Legendre on the merged cell grid and the time integral
-is trapezoidal over the snapshots.  The c-independent integrands (density,
-flux, both convolutions, phi and phi') are evaluated once per snapshot and
-grid and shared by every constant of an audit.
+uses 3-point Gauss-Legendre on the merged cell grid, at two resolutions,
+and the time integral is trapezoidal over the snapshots.  The
+c-independent integrands (density, flux, both convolutions, phi and phi')
+are evaluated once per snapshot, on the points of both grids in one array,
+and shared by every constant of an audit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,7 +48,7 @@ _EXPANSION_MIN_BREAKPOINTS = 24
 _EXPANSION_MAX_TERMS = 64
 _GUARD_FLOOR = 1e-6  # smallest guard band below zero before a residual is flagged
 N_SPACE = 256  # default spatial quadrature cells of the coarse pass; the fine pass takes twice as many
-MAX_N_SPACE = 100_000  # most coarse-pass cells: a snapshot's work peaks at about 68 MB here (6.8 MB at 10^4 under tracemalloc)
+MAX_N_SPACE = 100_000  # most coarse-pass cells: a snapshot's work peaks at about 80 MB here (8.3 MB at 10^4 under tracemalloc)
 MAX_HORIZON = 1e4  # longest plateau: a frozen audit takes a snapshot per unit of it, 14 us each on a 2-vCPU Xeon VM
 
 
@@ -79,28 +81,26 @@ class SpatialBump:
     def _u(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.center) / self.width
 
-    def value(self, x) -> np.ndarray:
+    def value_and_deriv(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(value, derivative) at x, sharing u and the inside mask."""
         u = self._u(x)
         if self.kind == "cos2":
             inside = np.abs(u) < 0.5
-            return self.amplitude * np.where(inside, np.cos(np.pi * u) ** 2, 0.0)
-        w = 1.0 - 4.0 * u * u  # mollifier variable 2u in (-1, 1)
-        inside = w > 1e-12
-        safe = np.where(inside, w, 1.0)
-        return self.amplitude * np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
+            val = np.where(inside, np.cos(np.pi * u) ** 2, 0.0)
+            der = np.where(inside, -(np.pi / self.width) * np.sin(2.0 * np.pi * u), 0.0)
+        else:
+            w = 1.0 - 4.0 * u * u  # mollifier variable 2u in (-1, 1)
+            inside = w > 1e-12
+            safe = np.where(inside, w, 1.0)
+            val = np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
+            der = np.where(inside, val * (-8.0 * u / (safe * safe)) / self.width, 0.0)
+        return self.amplitude * val, self.amplitude * der
+
+    def value(self, x) -> np.ndarray:
+        return self.value_and_deriv(x)[0]
 
     def deriv(self, x) -> np.ndarray:
-        u = self._u(x)
-        if self.kind == "cos2":
-            inside = np.abs(u) < 0.5
-            return self.amplitude * np.where(
-                inside, -(np.pi / self.width) * np.sin(2.0 * np.pi * u), 0.0
-            )
-        w = 1.0 - 4.0 * u * u
-        inside = w > 1e-12
-        safe = np.where(inside, w, 1.0)
-        val = np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
-        return self.amplitude * np.where(inside, val * (-8.0 * u / (safe * safe)) / self.width, 0.0)
+        return self.value_and_deriv(x)[1]
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,15 @@ class TestFunction:
     def t_support_end(self) -> float:
         return self.horizon + 1.0
 
-    def phi(self, x) -> np.ndarray:
-        out = np.zeros_like(np.asarray(x, dtype=float))
+    def phi_and_dphi(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, phi') at x: one pass over the bumps."""
+        phi = np.zeros_like(np.asarray(x, dtype=float))
+        dphi = np.zeros_like(phi)
         for b in self.bumps:
-            out = out + b.value(x)
-        return out
-
-    def dphi(self, x) -> np.ndarray:
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for b in self.bumps:
-            out = out + b.deriv(x)
-        return out
+            val, der = b.value_and_deriv(x)
+            phi += val
+            dphi += der
+        return phi, dphi
 
     def xi(self, t: float) -> float:
         if t <= self.horizon:
@@ -223,16 +221,44 @@ def check_audit_inputs(c_list, n_space) -> list[float]:
     return cs
 
 
-def _quad_grid(profile: DensityProfile, lo: float, hi: float, n_space: int):
-    """Gauss points/weights on profile breakpoints merged with a uniform refinement."""
+@functools.lru_cache(maxsize=8)
+def _uniform_edges(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n + 1), computed once per (lo, hi, n) and shared, so read-only."""
+    edges = np.linspace(lo, hi, n + 1)
+    edges.flags.writeable = False
+    return edges
+
+
+def _quad_grid(profile: DensityProfile, lo: float, hi: float, *n_spaces: int):
+    """Gauss points/weights on profile breakpoints merged with a uniform refinement.
+
+    One grid per cell count in ``n_spaces``, written one after another into
+    the two arrays; returns (x, w, stops), where grid i ends at ``stops[i]``.
+    Points increase within each grid.
+    """
     pts = profile.breakpoints
     pts = pts[(pts > lo) & (pts < hi)]
-    edges = sorted_union(np.linspace(lo, hi, n_space + 1), pts)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return x, w
+    grids = [sorted_union(_uniform_edges(lo, hi, n), pts) for n in n_spaces]
+    stops = np.cumsum([3 * (edges.size - 1) for edges in grids]).tolist()
+    x, w = np.empty(stops[-1]), np.empty(stops[-1])
+    start = 0
+    for edges, stop in zip(grids, stops):
+        left, right = edges[:-1, None], edges[1:, None]
+        half = 0.5 * (right - left)
+        xs = np.multiply(half, _GL_NODES, out=x[start:stop].reshape(-1, 3))
+        xs += 0.5 * (left + right)
+        np.multiply(half, _GL_WEIGHTS, out=w[start:stop].reshape(-1, 3))
+        start = stop
+    return x, w, stops
+
+
+def _charged_breakpoints(profile: DensityProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The breakpoints where the density jumps, and the jumps (vacuum on both sides)."""
+    padded = np.zeros(profile.values.size + 2)
+    padded[1:-1] = profile.values
+    jumps = padded[1:] - padded[:-1]  # np.diff(values, prepend=0.0, append=0.0) without its overhead
+    keep = jumps != 0.0
+    return profile.breakpoints[keep], jumps[keep]
 
 
 def _jump_sum_terms(kernel: Kernel, bp: np.ndarray, x: np.ndarray) -> int:
@@ -243,6 +269,8 @@ def _jump_sum_terms(kernel: Kernel, bp: np.ndarray, x: np.ndarray) -> int:
     breakpoints ``bp`` (sorted) and h_x the distance of the farthest point
     from their middle.  The direct blocks run below the crossover of
     ``_EXPANSION_MIN_BREAKPOINTS`` and when p exceeds ``_EXPANSION_MAX_TERMS``.
+    Since R grows with h_x, several grids whose own orders agree get that
+    order on all their points at once.
     """
     if bp.size < _EXPANSION_MIN_BREAKPOINTS:
         return 0
@@ -290,7 +318,8 @@ def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.
     breakpoints, all orders at once, in a work array that
     :func:`nlftl.gauss_sums.work_arrays` holds across calls.  Since
     a_n(u) = a_n(1) u^n, each sum over n is a polynomial in u_x, evaluated
-    by Horner's rule on all points at once: O(points) memory, 2p passes.
+    by Horner's rule on all points at once, W1's and W2's in the two rows
+    of one array: O(points) memory, 2p passes.
     """
     c = 0.5 * (bp[0] + bp[-1])
     step, twin = gauss_sums.factors(p, kernel.inv_width)
@@ -302,23 +331,24 @@ def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.
         a = gauss_sums.basis(step[:, None], u, a_buf[:, : u.size])
         a *= coef[lo : lo + cols] * kernel.gauss(u)
         moments += np.sum(a, axis=1)
-    scale = gauss_sums.basis(step[: p - 1], 1.0, np.empty(p))  # a_n(1)
-    g1 = moments[:p] * scale
-    g2 = twin * moments[1:] * scale
+    scale = gauss_sums.unit_basis(p, kernel.inv_width)
+    g = np.empty((2, p))
+    np.multiply(moments[:p], scale, out=g[0])
+    np.multiply(twin, moments[1:], out=g[1])
+    g[1] *= scale
+    cols = g.T[:, :, None]  # cols[n] = (g1[n], g2[n]) down one column
     u = x - c
-    s1, s2 = np.full_like(u, g1[-1]), np.full_like(u, g2[-1])
-    for n in range(p - 2, -1, -1):
-        s1 *= u
-        s1 += g1[n]
-        s2 *= u
-        s2 += g2[n]
+    s = np.empty((2, u.size))  # (S1, S2)
+    s[...] = cols[-1]
+    for col in cols[-2::-1]:
+        s *= u
+        s += col
     e = kernel.gauss(u)
-    s2 -= u * s1  # -(u_x S1 - S2)
-    s2 *= e
-    s2 *= -2.0 * kernel.amplitude * kernel.inv_width
-    s1 *= e
-    s1 *= -kernel.amplitude
-    return s1, s2
+    u *= s[0]
+    s[1] -= u  # -(u_x S1 - S2)
+    s *= e
+    s *= np.array([[-kernel.amplitude], [-2.0 * kernel.amplitude * kernel.inv_width]])
+    return s[0], s[1]
 
 
 def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
@@ -334,10 +364,7 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
     fixed order, so results repeat bitwise.  Returns (W1, W2, p), p = 0 on
     the direct path.
     """
-    jumps = np.diff(profile.values, prepend=0.0, append=0.0)
-    keep = jumps != 0.0
-    bp = profile.breakpoints[keep]
-    coef = jumps[keep]
+    bp, coef = _charged_breakpoints(profile)
     if bp.size == 0:
         return np.zeros_like(x), np.zeros_like(x), 0
     p = _jump_sum_terms(kernel, bp, x)
@@ -347,29 +374,65 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
 
 
 def _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space):
-    """Spatial integrals feeding the time quadrature at one snapshot, per constant.
+    """Spatial integrals feeding the time quadrature at one snapshot, per grid and constant.
 
-    Returns arrays (S_abs, S_flux) indexed like the constants ``cs``, whose
-    fluxes f(c) are ``fcs``, with
+    Returns arrays (S_abs, S_flux) of shape (2, len(cs)), row 0 on the
+    ``n_space`` grid and row 1 on the ``2 * n_space`` grid, columns indexed
+    like the constants ``cs``, whose fluxes f(c) are ``fcs``, with
       S_abs  = int |rho - c| phi dx
       S_flux = int sign(rho - c) [ (f(rho) - f(c)) W1 phi' - f(c) W2 phi ] dx,
-    and the expansion order of the jump sums (0 when they ran direct).
-    Everything that does not depend on c is evaluated once.
+    and the largest expansion order of the jump sums (0 when they ran
+    direct).  Both grids' points sit in one array, so everything that does
+    not depend on c is evaluated in one pass; each integral sums its own
+    grid's contiguous slice, in the order a grid of its own would.
     """
-    lo, hi = test_fn.x_support
-    x, w = _quad_grid(profile, lo, hi, n_space)
+    x, w, (split, _) = _quad_grid(profile, *test_fn.x_support, n_space, 2 * n_space)
+    phi, dphi = test_fn.phi_and_dphi(x)
+    w1, w2, terms = _grid_convolutions(kernel, profile, x, split)
     rho = profile.value_at(x)
+    del x  # frees the points before the per-constant buffers
     f_rho = mobility.flux(rho)
-    w1, w2, terms = _convolutions(kernel, profile, x)
-    phi = test_fn.phi(x)
-    dphi = test_fn.dphi(x)
-    s_abs = np.empty(len(cs))
-    s_flux = np.empty(len(cs))
+    grids = (slice(0, split), slice(split, None))
+    s_abs = np.empty((2, len(cs)))
+    s_flux = np.empty((2, len(cs)))
+    dev, a, b = (np.empty_like(rho) for _ in range(3))
     for j, (c, fc) in enumerate(zip(cs, fcs)):
-        dev = rho - c
-        s_abs[j] = np.sum(w * np.abs(dev) * phi)
-        s_flux[j] = np.sum(w * np.sign(dev) * ((f_rho - fc) * w1 * dphi - fc * w2 * phi))
+        np.subtract(rho, c, out=dev)
+        np.abs(dev, out=a)
+        a *= w
+        a *= phi  # w |rho - c| phi
+        for g, cells in enumerate(grids):
+            s_abs[g, j] = np.add.reduce(a[cells])
+        np.subtract(f_rho, fc, out=a)
+        a *= w1
+        a *= dphi
+        np.multiply(w2, fc, out=b)
+        b *= phi
+        a -= b  # (f(rho) - f(c)) W1 phi' - f(c) W2 phi
+        np.sign(dev, out=b)
+        b *= w
+        b *= a
+        for g, cells in enumerate(grids):
+            s_flux[g, j] = np.add.reduce(b[cells])
     return s_abs, s_flux, terms
+
+
+def _grid_convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray, split: int):
+    """:func:`_convolutions` on two grids' points, ``x[:split]`` and ``x[split:]``.
+
+    One call takes both grids when their expansion orders agree, so each
+    point gets the order its own grid would give it; otherwise one call per
+    grid.  Returns (W1, W2, the larger order).
+    """
+    bp, _ = _charged_breakpoints(profile)
+    if _jump_sum_terms(kernel, bp, x[:split]) == _jump_sum_terms(kernel, bp, x[split:]):
+        return _convolutions(kernel, profile, x)
+    w = np.empty((2, x.size))
+    terms = 0
+    for cells in (slice(0, split), slice(split, None)):
+        w[0, cells], w[1, cells], p = _convolutions(kernel, profile, x[cells])
+        terms = max(terms, p)
+    return w[0], w[1], terms
 
 
 def _time_quadrature(times, s_abs, s_flux, test_fn) -> np.ndarray:
@@ -406,11 +469,11 @@ def entropy_residuals(
     only below -max(_GUARD_FLOOR, 10 * estimate).
 
     All constants share one pass over the snapshots: the kernel sums and
-    the other c-independent integrands are evaluated once per snapshot and
-    grid, whatever the length of ``c_list``, and f(c) once per constant.  A
-    snapshot whose profile object an earlier snapshot already holds, as on
-    every snapshot of a frozen trajectory, reuses that snapshot's spatial
-    integrals, so each distinct profile is evaluated once per grid.
+    the other c-independent integrands are evaluated once per snapshot, on
+    both grids at once, whatever the length of ``c_list``, and f(c) once per
+    constant.  A snapshot whose profile object an earlier snapshot already
+    holds, as on every snapshot of a frozen trajectory, reuses that
+    snapshot's spatial integrals, so each distinct profile is evaluated once.
     """
     cs = check_audit_inputs(c_list, n_space)
     snaps = [(float(t), p) for t, p in snapshots]
@@ -423,20 +486,19 @@ def entropy_residuals(
         raise ValueError(
             f"trajectory ends at t={times[-1]:g} but the test function is supported up to t={test_fn.t_support_end:g}"
         )
-    # per-snapshot scalars only: rows are snapshots, columns constants
-    coarse_abs, coarse_flux, fine_abs, fine_flux = (np.empty((len(snaps), len(cs))) for _ in range(4))
+    # per-snapshot scalars only: (coarse, fine) grid, then rows are snapshots, columns constants
+    s_abs, s_flux = np.empty((2, len(snaps), len(cs))), np.empty((2, len(snaps), len(cs)))
     fcs = [mobility.flux(c) for c in cs]
     terms = 0
     first_seen = {}  # id of a profile -> the first snapshot holding it; snaps keeps every profile alive
     for k, (_, profile) in enumerate(snaps):
         first = first_seen.setdefault(id(profile), k)
         if first < k:
-            for rows in (coarse_abs, coarse_flux, fine_abs, fine_flux):
-                rows[k] = rows[first]
+            s_abs[:, k], s_flux[:, k] = s_abs[:, first], s_flux[:, first]
             continue
-        coarse_abs[k], coarse_flux[k], p_coarse = _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space)
-        fine_abs[k], fine_flux[k], p_fine = _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, 2 * n_space)
-        terms = max(terms, p_coarse, p_fine)
+        s_abs[:, k], s_flux[:, k], p = _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space)
+        terms = max(terms, p)
+    (coarse_abs, fine_abs), (coarse_flux, fine_flux) = s_abs, s_flux
     coarse = _time_quadrature(times, coarse_abs, coarse_flux, test_fn)
     fine = _time_quadrature(times, fine_abs, fine_flux, test_fn)
     if not np.all(np.isfinite(fine)):

@@ -55,6 +55,18 @@ def factors(p: int, inv_width: float) -> tuple[np.ndarray, np.ndarray]:
     return step, twin
 
 
+@functools.lru_cache(maxsize=256)
+def unit_basis(p: int, inv_width: float) -> np.ndarray:
+    """a_n(1) for n < p, the coefficients of a_n(u) = a_n(1) u^n.
+
+    Computed once per (p, B) from :func:`factors` and shared by every
+    caller, so read-only.
+    """
+    scale = basis(factors(p, inv_width)[0][: p - 1], 1.0, np.empty(p))
+    scale.flags.writeable = False
+    return scale
+
+
 def basis(step: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a_n(u) for n = 0 .. len(out) - 1 into ``out``, one order per leading index.
 

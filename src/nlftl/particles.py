@@ -218,8 +218,9 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int, centre: float) ->
             np.multiply(a, e[:, lo:hi], out=w)
         pre[..., :1] = total  # pre[n, :, i] = P_n(lo + i): the running totals plus this block's sums
         np.cumsum(w[..., :-1], axis=2, out=pre[..., 1:])
-        pre[..., 1:] += total
-        total = pre[..., -1:] + w[..., -1:]
+        if block < n:  # the totals stay zero when one block holds every particle
+            pre[..., 1:] += total
+            total = pre[..., -1:] + w[..., -1:]
         direct = np.multiply(a[:p], pre[:p], out=w[:p])
         shifted = np.multiply(twin, a[:p], out=a[:p])
         shifted *= pre[1:]

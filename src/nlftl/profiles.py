@@ -30,13 +30,14 @@ class DensityProfile:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1 or vals.size < 1:
             raise ValueError("need n+1 breakpoints for n >= 1 cell values")
-        if not np.all(np.diff(bp) > 0.0):
+        widths = np.diff(bp)
+        if not np.all(widths > 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         if not np.all(np.isfinite(bp)):
             raise ValueError("breakpoints must be finite")
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise ValueError("cell values must be finite and non-negative")
-        cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
+        cum = np.concatenate(([0.0], np.cumsum(vals * widths)))
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_cum", cum)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import itertools
 import json
 import math
@@ -267,9 +268,15 @@ class MethodRun:
     method: str
     times: np.ndarray
     profiles: list
-    metric_rows: list
     trajectory: Trajectory | None = None
     fv: GodunovRun | None = None
+
+    @functools.cached_property
+    def metric_rows(self) -> list:
+        """(t, mass, TV, min gap, W1 to the initial profile) per snapshot, computed on first access:
+        an entropy audit never reads them."""
+        gaps = None if self.trajectory is None else [s.min_gap for s in self.trajectory.states]
+        return _metric_rows(self.times, self.profiles, gaps)
 
 
 def run_particles(config: ScenarioConfig, settle_tol: float | None = None) -> MethodRun:
@@ -277,9 +284,7 @@ def run_particles(config: ScenarioConfig, settle_tol: float | None = None) -> Me
     kernel, mobility = build_kernel(config), build_mobility(config)
     state = init_particles(build_profile(config), config.n_cells, mobility)
     traj = integrate(state, kernel, mobility, config.t_end, output_times=config.output_times, settle_tol=settle_tol)
-    profiles = traj.profiles()
-    rows = _metric_rows(traj.times, profiles, [s.min_gap for s in traj.states])
-    return MethodRun(config, "particles", traj.times, profiles, rows, trajectory=traj)
+    return MethodRun(config, "particles", traj.times, traj.profiles(), trajectory=traj)
 
 
 def run_godunov(config: ScenarioConfig) -> MethodRun:
@@ -287,9 +292,7 @@ def run_godunov(config: ScenarioConfig) -> MethodRun:
     kernel, mobility = build_kernel(config), build_mobility(config)
     grid = Grid(config.domain[0], config.domain[1], config.fv_cells)
     run = gd_run(grid, build_profile(config), kernel, mobility, config.t_end, output_times=config.output_times)
-    profiles = run.profiles()
-    rows = _metric_rows(run.times, profiles)
-    return MethodRun(config, "godunov", run.times, profiles, rows, fv=run)
+    return MethodRun(config, "godunov", run.times, run.profiles(), fv=run)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import pytest
 
 import nlftl as nl
 from nlftl import entropy, gauss_sums
+from nlftl.profiles import sorted_union
 from nlftl.scenarios import frozen_snapshots
 
 MOB = nl.Mobility()
@@ -225,14 +226,14 @@ def _reference_residual(snaps, kernel, mobility, test_fn, c, n_space):
         lo, hi = test_fn.x_support
         acc, g_prev, initial = 0.0, None, None
         for k, (t, profile) in enumerate(snaps):
-            x, w = entropy._quad_grid(profile, lo, hi, n)
+            x, w, _ = entropy._quad_grid(profile, lo, hi, n)
             jumps = np.diff(profile.values, prepend=0.0, append=0.0)
             keep = jumps != 0.0
             d = x[:, None] - profile.breakpoints[keep][None, :]
             w1 = np.sum(jumps[keep][None, :] * kernel.value(d), axis=1)
             w2 = np.sum(jumps[keep][None, :] * kernel.d1(d), axis=1)
             rho = profile.value_at(x)
-            phi, dphi, fc = test_fn.phi(x), test_fn.dphi(x), mobility.flux(c)
+            (phi, dphi), fc = test_fn.phi_and_dphi(x), mobility.flux(c)
             s_abs = float(np.sum(w * np.abs(rho - c) * phi))
             s_flux = float(np.sum(w * np.sign(rho - c) * ((mobility.flux(rho) - fc) * w1 * dphi - fc * w2 * phi)))
             if initial is None:
@@ -257,27 +258,97 @@ def test_one_pass_over_constants_equals_one_constant_at_a_time(case, particle_au
     assert [r.c for r in multi] == list(cs)
 
 
-def test_spatial_integrals_are_taken_twice_per_distinct_profile(monkeypatch):
+def test_spatial_integrals_are_taken_once_per_distinct_profile(monkeypatch):
     # a frozen trajectory holds one profile object at every snapshot, so its
-    # spatial integrals are taken once on each grid; equal but distinct
-    # profile objects are each evaluated, and give the same reports
+    # spatial integrals are taken once, on both grids at once; equal but
+    # distinct profile objects are each evaluated, and give the same reports
     calls = []
     terms = entropy._snapshot_terms
     monkeypatch.setattr(entropy, "_snapshot_terms", lambda profile, *args: calls.append(profile) or terms(profile, *args))
     snaps, tf, kernel, mobility = frozen_split_jam_audit()
     cs = (0.0, 0.5, 1.0)
     frozen = nl.entropy_residuals(snaps, kernel, mobility, tf, cs)
-    assert len(snaps) == 35 and len(calls) == 2 and all(p is SPLIT_JAM for p in calls)
+    assert len(snaps) == 35 and len(calls) == 1 and calls[0] is SPLIT_JAM
     calls.clear()
     copies = [(t, replace(p)) for t, p in snaps]
     assert nl.entropy_residuals(copies, kernel, mobility, tf, cs) == frozen
-    assert len(calls) == 2 * len(snaps) and len({id(p) for p in calls}) == len(snaps)
+    assert len(calls) == len(snaps) and len({id(p) for p in calls}) == len(snaps)
     # two profiles in turns: each is evaluated on its first snapshot only
     calls.clear()
     other = nl.step_profile([(-1.0, 0.5, 0.8)])
     turns = [(t, SPLIT_JAM if k % 3 else other) for k, (t, _) in enumerate(snaps)]
     nl.entropy_residuals(turns, kernel, mobility, tf, cs)
-    assert [p is other for p in calls] == [True, True, False, False] and calls[2] is calls[3] is SPLIT_JAM
+    assert [p is other for p in calls] == [True, False] and calls[1] is SPLIT_JAM
+
+
+def per_grid_snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space):
+    """The spatial integrals of one snapshot on one grid, as entropy._snapshot_terms took
+    them before it evaluated both grids in one pass: the bitwise reference."""
+    lo, hi = test_fn.x_support
+    pts = profile.breakpoints
+    pts = pts[(pts > lo) & (pts < hi)]
+    edges = sorted_union(np.linspace(lo, hi, n_space + 1), pts)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    x = (mid[:, None] + half[:, None] * entropy._GL_NODES[None, :]).ravel()
+    w = (half[:, None] * entropy._GL_WEIGHTS[None, :]).ravel()
+    rho = profile.value_at(x)
+    f_rho = mobility.flux(rho)
+    w1, w2, terms = entropy._convolutions(kernel, profile, x)
+    phi = sum((b.value(x) for b in test_fn.bumps), np.zeros_like(x))
+    dphi = sum((b.deriv(x) for b in test_fn.bumps), np.zeros_like(x))
+    s_abs = np.empty(len(cs))
+    s_flux = np.empty(len(cs))
+    for j, (c, fc) in enumerate(zip(cs, fcs)):
+        dev = rho - c
+        s_abs[j] = np.sum(w * np.abs(dev) * phi)
+        s_flux[j] = np.sum(w * np.sign(dev) * ((f_rho - fc) * w1 * dphi - fc * w2 * phi))
+    return s_abs, s_flux, terms
+
+
+def godunov_audit():
+    cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "fv_cells": 300, "t_end": 2.0})
+    run = nl.run_godunov(replace(cfg, output_times=np.linspace(0.0, cfg.t_end, 81)))
+    return list(zip(run.times, run.profiles)), nl.default_test_function(cfg), nl.build_kernel(cfg), nl.build_mobility(cfg)
+
+
+# n_space = 4 and this bump put the two grids' farthest points on either
+# side of an order step: the coarse grid's jump sums take 22 terms, the fine
+# grid's 23
+ORDER_SPLIT_BUMP = nl.single_bump(1.0, center=0.0, width=3.14)
+
+
+def order_split_audit():
+    profile = perturbed_single_step(30)[0]
+    return frozen_snapshots(profile, ORDER_SPLIT_BUMP), ORDER_SPLIT_BUMP, KER, MOB
+
+
+@pytest.mark.parametrize("case", ["particles", "frozen-split-jam", "godunov", "order-split"])
+def test_one_pass_over_both_grids_equals_the_per_grid_reference_bitwise(case, particle_audit, monkeypatch):
+    audits = {"particles": lambda: particle_audit, "frozen-split-jam": frozen_split_jam_audit,
+              "godunov": godunov_audit, "order-split": order_split_audit}
+    snaps, tf, kernel, mobility = audits[case]()
+    n_space = 4 if case == "order-split" else entropy.N_SPACE
+    cs = (0.0, 0.3, 0.5, 1.0)
+    conv_calls, splits = [], []
+
+    def reference(profile, *args):
+        coarse, fine = (per_grid_snapshot_terms(profile, *args[:-1], n) for n in (args[-1], 2 * args[-1]))
+        splits.append(coarse[2] != fine[2])
+        return np.stack((coarse[0], fine[0])), np.stack((coarse[1], fine[1])), max(coarse[2], fine[2])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(entropy, "_snapshot_terms", reference)
+        want = nl.entropy_residuals(snaps, kernel, mobility, tf, cs, n_space=n_space)
+    conv = entropy._convolutions
+    monkeypatch.setattr(entropy, "_convolutions", lambda *args: conv_calls.append(args) or conv(*args))
+    got = nl.entropy_residuals(snaps, kernel, mobility, tf, cs, n_space=n_space)
+    assert repr(got) == repr(want)  # repr tells every float bit, signed zeros included
+    # one jump-sum call per distinct profile, two where the grids' orders differ
+    assert len(conv_calls) == len(splits) + sum(splits)
+    assert (got[0].jump_sum_terms == 0) == (case == "frozen-split-jam")
+    if case == "order-split":
+        assert splits == [True] and [r.jump_sum_terms for r in got] == [23] * len(cs)
 
 
 @pytest.mark.parametrize("case", ["particles", "frozen-split-jam"])
@@ -348,7 +419,7 @@ SECOND_KERNEL = nl.Kernel(amplitude=0.7, inv_width=2.0)
 def test_convolutions_equal_direct_kernel_sums(kernel, particle_audit):
     snaps, tf, _, _ = particle_audit
     profile = snaps[-1][1]
-    x, _ = entropy._quad_grid(profile, *tf.x_support, 64)
+    x, _, _ = entropy._quad_grid(profile, *tf.x_support, 64)
     *got, _ = entropy._convolutions(kernel, profile, x)
     assert max_rel_error(got, direct_kernel_sums(kernel, profile, x)) <= 1e-14
     # the direct blocks: many of them, the last one partial, bit for bit
@@ -375,7 +446,7 @@ def test_jump_sums_across_the_crossover(kernel, offset):
     n_bp = entropy._EXPANSION_MIN_BREAKPOINTS + offset
     profile, _ = perturbed_single_step(n_bp - 1)
     assert charged_breakpoints(profile)[0].size == n_bp
-    x, _ = entropy._quad_grid(profile, -3.0, 3.0, 256)
+    x, _, _ = entropy._quad_grid(profile, -3.0, 3.0, 256)
     w1, w2, terms = entropy._convolutions(kernel, profile, x)
     want = direct_kernel_sums(kernel, profile, x)
     if offset < 0:
@@ -398,7 +469,7 @@ def test_expanded_jump_sums_match_direct_sums_up_to_forty_thousand_cells(kernel,
     # the expansion runs on the whole grid; about 100 points, both ends
     # included, are checked against the dense reference in extended precision
     profile, tf = perturbed_single_step(n_cells)
-    x, _ = entropy._quad_grid(profile, *(window or tf.x_support), 512)
+    x, _, _ = entropy._quad_grid(profile, *(window or tf.x_support), 512)
     w1, w2, terms = entropy._convolutions(kernel, profile, x)
     assert 0 < terms <= entropy._EXPANSION_MAX_TERMS
     rows = np.unique(np.r_[np.linspace(0, x.size - 1, 100).astype(int), x.size - 1])
@@ -408,7 +479,7 @@ def test_expanded_jump_sums_match_direct_sums_up_to_forty_thousand_cells(kernel,
 
 def test_expanded_jump_sums_repeat_bitwise():
     profile, tf = perturbed_single_step(10_000, seed=3)
-    x, _ = entropy._quad_grid(profile, *tf.x_support, 512)
+    x, _, _ = entropy._quad_grid(profile, *tf.x_support, 512)
     first = entropy._convolutions(KER, profile, x)
     assert first[2] > 0
     for again in (entropy._convolutions(KER, profile, x), entropy._convolutions(KER, profile, x.copy())):
@@ -419,7 +490,7 @@ def test_jump_sums_above_the_term_cap_take_the_direct_blocks_bitwise():
     # the t_end = 10 test function spans [-22, 22]: R = 2B h_b h_x is about 22
     cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "t_end": 10.0})
     profile, _ = perturbed_single_step(300)
-    x, _ = entropy._quad_grid(profile, *nl.default_test_function(cfg).x_support, 64)
+    x, _, _ = entropy._quad_grid(profile, *nl.default_test_function(cfg).x_support, 64)
     bp, coef = charged_breakpoints(profile)
     assert bp.size >= entropy._EXPANSION_MIN_BREAKPOINTS
     w1, w2, terms = entropy._convolutions(KER, profile, x)
@@ -442,16 +513,27 @@ def traced_peak(fn, *args):
 def test_convolutions_memory_stays_bounded_at_two_thousand_cells():
     # the dense points x breakpoints matrices took 241 MB here
     profile, tf = perturbed_single_step(2000)
-    x, _ = entropy._quad_grid(profile, *tf.x_support, 512)
+    x, _, _ = entropy._quad_grid(profile, *tf.x_support, 512)
     (w1, w2, terms), peak = traced_peak(entropy._convolutions, KER, profile, x)
     assert terms > 0
     assert np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))
     assert peak < 8e6
 
 
+def test_snapshot_memory_stays_bounded_at_ten_thousand_space_cells(particle_audit):
+    # both grids' points sit in one array: 7.3 MB here against 5.8 MB for
+    # the larger of the two grids evaluated one at a time
+    snaps, tf, kernel, mobility = particle_audit
+    args = (snaps[-1][1], kernel, mobility, tf, (0.0, 0.5, 1.0), [mobility.flux(c) for c in (0.0, 0.5, 1.0)], 10_000)
+    entropy._snapshot_terms(*args)  # fills the held work area and the cached grid edges
+    (s_abs, s_flux, terms), peak = traced_peak(entropy._snapshot_terms, *args)
+    assert terms > 0 and np.all(np.isfinite(s_abs)) and np.all(np.isfinite(s_flux))
+    assert peak < 1.5 * 5.8e6
+
+
 def test_direct_jump_sums_memory_stays_bounded_at_two_thousand_cells():
     profile, tf = perturbed_single_step(2000)
-    x, _ = entropy._quad_grid(profile, *tf.x_support, 512)
+    x, _, _ = entropy._quad_grid(profile, *tf.x_support, 512)
     (w1, w2), peak = traced_peak(entropy._direct_jump_sums, KER, *charged_breakpoints(profile), x)
     assert np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))
     assert peak < 8e6

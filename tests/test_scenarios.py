@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlftl import __version__, entropy
+from nlftl import __version__, entropy, scenarios
 from nlftl.cli import main
 from nlftl.errors import ConfigError, InvariantViolation
 from nlftl.godunov import Grid
@@ -267,7 +267,12 @@ def extreme_values_run():
         states.append(ParticleState(float(t), x, 0.5, 1.0))
         profiles.append(DensityProfile(x, np.array(vals)))
     traj = replace(base.trajectory, states=tuple(states))
-    return replace(base, times=times, profiles=profiles, trajectory=traj)
+    run = replace(base, times=times, profiles=profiles, trajectory=traj)
+    # metric rows are computed on first access, from the run's own profiles,
+    # and their W1 renormalisation overflows on these; metrics.csv is not
+    # under test here, so the run keeps the base run's rows
+    run.__dict__["metric_rows"] = base.metric_rows
+    return run
 
 
 EMISSION_CASES = {
@@ -326,6 +331,7 @@ def test_emission_holds_one_snapshot_of_text_at_a_time(tmp_path):
                     trajectory=replace(run.trajectory, states=run.trajectory.states[:1]))
 
     def emit_peak(r):
+        r.metric_rows  # computed on first access: outside the emission measured here
         tracemalloc.start()
         try:
             emit_method_run(r, tmp_path)
@@ -465,11 +471,25 @@ def test_entropy_audit_meta_records_the_largest_jump_sum_order(tmp_path):
     orders = []
     for profile in run.profiles:
         for n in (16, 32):
-            x, _ = entropy._quad_grid(profile, *tf.x_support, n)
+            x, _, _ = entropy._quad_grid(profile, *tf.x_support, n)
             orders.append(entropy._convolutions(kernel, profile, x)[2])
     assert meta["jump_sum_terms"] == {tf.label: max(orders)}
     assert 0 < max(orders) <= entropy._EXPANSION_MAX_TERMS
     assert all(r.jump_sum_terms == max(orders) for r in reports)
+
+
+def test_entropy_audit_computes_no_metric_rows(monkeypatch):
+    # a run's metrics time series is taken on first access: emission reads
+    # it, an audit never does
+    def no_metric_rows(*args):
+        raise AssertionError("metric rows computed")
+
+    monkeypatch.setattr(scenarios, "_metric_rows", no_metric_rows)
+    cfg = small_config(t_end=2.0)
+    for method in ("particles", "godunov"):
+        assert len(run_entropy_audit(cfg, c_list=(0.0, 0.5), method=method, n_space=16)) == 2
+    with pytest.raises(AssertionError, match="metric rows"):
+        run_particles(cfg).metric_rows
 
 
 def test_harnesses_keep_their_own_snapshot_grid():
