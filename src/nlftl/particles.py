@@ -411,13 +411,13 @@ def integrate(
     The system is stiff: the mobility factors v(pm/gap) stiffen as gaps
     approach the floor.  The Newton matrix gets the tridiagonal Jacobian of
     :func:`_jacobian`, O(N) memory; the dense pair-sum part is never built.
-    The steps keep the relative tolerance ``_RTOL`` and an absolute one of
-    1e-10 times the initial support length.  After every accepted step the
-    ordering/gap-floor invariant is asserted
-    with slack eps_gap = 10 * _RTOL * (initial support length); a violation
-    beyond that slack raises :class:`InvariantViolation` since the analytic
-    maximum principle forbids it.  Snapshots at ``output_times`` come from
-    the integrator's dense output.  If ``settle_tol`` (positive and finite)
+    Every step error is measured in the solver's one length ``scale``,
+    ``_RTOL`` times the initial support length, wherever the particles lie.
+    After every accepted step the ordering/gap-floor invariant is asserted
+    with slack eps_gap = 10 * ``scale``; a violation beyond that slack raises
+    :class:`InvariantViolation` since the analytic maximum principle forbids
+    it.  Snapshots at ``output_times`` come from the integrator's dense
+    output.  If ``settle_tol`` (positive and finite)
     is given, the run stops after the first accepted step where
     max|dx/dt| < ``settle_tol`` and appends that state.  The full check is
     skipped where :func:`_direct_velocities` at both ends and at the last
@@ -429,7 +429,7 @@ def integrate(
     # imported here and in init_particles rather than with the package: a
     # finite-volume run never needs it, and compiling it, where no bytecode is
     # cached, takes about 5 ms of every process that imports it
-    from .stiff import _RTOL, BDF
+    from .stiff import BDF
 
     if not t_end > state.time:
         raise ValueError("t_end must exceed the state time")
@@ -437,8 +437,6 @@ def integrate(
         raise ValueError("settle_tol must be positive and finite")
     x0 = state.positions
     pm = state.particle_mass
-    support0 = float(x0[-1] - x0[0])
-    eps_gap = 10.0 * _RTOL * support0
     floor = state.gap_floor
 
     outputs = snapshot_schedule(state.time, t_end, output_times)
@@ -450,6 +448,7 @@ def integrate(
         return _jacobian(y, pm, kernel, mobility)
 
     solver = BDF(fun, state.time, x0, t_end, jac)
+    eps_gap = 10.0 * solver.scale
 
     def check(y: np.ndarray, t: float) -> float:
         gaps = np.diff(y)

@@ -13,9 +13,9 @@ four ways:
   matrix I - cJ is factored without pivoting (:class:`TridiagonalLU`);
 - every product and norm is a plain numpy reduction in a fixed order, never
   BLAS, so results repeat bitwise;
-- the tolerances are this module's constants, not parameters: the relative
-  tolerance ``_RTOL`` and an absolute tolerance of ``_ATOL_PER_SPAN`` times
-  the span y0[-1] - y0[0] of the (ordered) initial state;
+- the error scale is one length, not a parameter: ``_RTOL`` times the span
+  y0[-1] - y0[0] of the (ordered) initial state for every component, where
+  scipy's ``atol + rtol * |y|`` would depend on where the origin lies;
 - it keeps only what :func:`nlftl.particles.integrate` reads, not the
   ``OdeSolver`` interface: no status strings, and a step that cannot be
   taken raises :class:`InvariantViolation`.
@@ -31,11 +31,10 @@ import numpy as np
 
 from .errors import InvariantViolation
 
-# Relative tolerance of the BDF steps.  It also sets the slack of the gap-floor
-# check in ``particles.integrate``, so it is fixed here and no caller can
-# loosen that check.
+# Error length of the BDF steps per unit of the initial span (``BDF.scale``).
+# It also sets the slack of the gap-floor check in ``particles.integrate``, so
+# it is fixed here and no caller can loosen that check.
 _RTOL = 1e-8
-_ATOL_PER_SPAN = 1e-10  # absolute tolerance per unit of the initial span
 
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
@@ -125,6 +124,13 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(float(np.sum(x * x)) / x.size)
 
 
+def _positive_step(h: float) -> float:
+    """``h``, checked to be a positive finite step."""
+    if not 0.0 < h < math.inf:
+        raise InvariantViolation(f"integrator failed at the start: step {h!r} is not a positive finite number")
+    return h
+
+
 def _compute_r(order: int, factor: float) -> np.ndarray:
     """The matrix that rescales the differences array for a step-size ratio ``factor``."""
     i = np.arange(1, order + 1)[:, None]
@@ -143,7 +149,7 @@ class BDF:
     one ending at t_bound exactly; ``t`` and ``y`` are its end (each accepted
     step gets a new ``y`` array), :meth:`dense_output` interpolates over it,
     and ``nfev``, ``njev`` and ``nlu`` count right-hand sides, Jacobians and
-    factorizations.
+    factorizations.  Every error and Newton norm is in units of ``scale``.
     """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, jac) -> None:
@@ -152,7 +158,7 @@ class BDF:
         self.t_bound = t_bound
         self.nfev = self.njev = self.nlu = 0
         self._fun, self._jac = fun, jac
-        self.atol = _ATOL_PER_SPAN * float(y0[-1] - y0[0])
+        self.scale = _RTOL * float(y0[-1] - y0[0])
         f = self.fun(t0, y0)
         self.h_abs = self._initial_step(f)
         self.J = self.jac(t0, y0)
@@ -178,22 +184,25 @@ class BDF:
         return TridiagonalLU(c, *J)
 
     def _initial_step(self, f0: np.ndarray) -> float:
-        """Hairer, Norsett & Wanner's starting step for an order-1 error estimate."""
-        t0, y0 = self.t, self.y
+        """Hairer, Norsett & Wanner's starting step for an order-1 error estimate,
+        whose d0 measures y0 itself, as in scipy.  A norm that overflows leaves a
+        step of 0, and a step not positive and finite raises :class:`InvariantViolation`."""
+        t0, y0, scale = self.t, self.y, self.scale
         interval_length = abs(self.t_bound - t0)
-        scale = self.atol + np.abs(y0) * _RTOL
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
+        with np.errstate(over="ignore"):
+            d0 = _rms(y0) / scale
+            d1 = _rms(f0) / scale
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
+        h0 = _positive_step(min(h0, interval_length))
         y1 = y0 + h0 * f0
         f1 = self.fun(t0 + h0, y1)
-        d2 = _rms((f1 - f0) / scale) / h0
+        with np.errstate(over="ignore"):
+            d2 = _rms(f1 - f0) / scale / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 2)
-        return min(100 * h0, h1, interval_length)
+        return _positive_step(min(100 * h0, h1, interval_length))
 
     def _change_d(self, order: int, factor: float) -> None:
         """Rescale the differences array in place for a step size ``factor`` times the old."""
@@ -207,25 +216,24 @@ class BDF:
             np.sum(rows, axis=0, out=new[i])
         D[...] = new
 
-    def _solve_bdf_system(self, t_new, y_predict, c, psi, LU, scale):
+    def _solve_bdf_system(self, t_new, y_predict, c, psi, LU):
         """The Newton iteration for the implicit step: (converged, iterations, y, d)."""
         d = 0
         y = y_predict.copy()
         dy_norm_old = None
         converged = False
-        tol = _NEWTON_TOL
         for k in range(_NEWTON_MAXITER):
             f = self.fun(t_new, y)
             if not np.all(np.isfinite(f)):
                 break
             dy = LU.solve(c * f - psi - d)
-            dy_norm = _rms(dy / scale)
+            dy_norm = _rms(dy) / self.scale
             rate = None if dy_norm_old is None else dy_norm / dy_norm_old
-            if rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol):
+            if rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > _NEWTON_TOL):
                 break
             y += dy
             d += dy
-            if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
+            if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < _NEWTON_TOL:
                 converged = True
                 break
             dy_norm_old = dy_norm
@@ -244,7 +252,7 @@ class BDF:
         else:
             h_abs = self.h_abs
 
-        atol, order = self.atol, self.order
+        scale, order = self.scale, self.order
         J = self.J
         LU = self.LU
         current_jac = False
@@ -262,7 +270,6 @@ class BDF:
             h = h_abs = t_new - t
 
             y_predict = np.sum(D[: order + 1], axis=0)
-            scale = atol + _RTOL * np.abs(y_predict)
             rows = np.multiply(D[1 : order + 1], _GAMMA[1 : order + 1, None], out=self._rows[:order])
             psi = np.sum(rows, axis=0)
             psi /= _ALPHA[order]
@@ -272,7 +279,7 @@ class BDF:
             while not converged:
                 if LU is None:
                     LU = self.lu(c, J)
-                converged, n_iter, y_new, d = self._solve_bdf_system(t_new, y_predict, c, psi, LU, scale)
+                converged, n_iter, y_new, d = self._solve_bdf_system(t_new, y_predict, c, psi, LU)
                 if not converged:
                     if current_jac:
                         break
@@ -289,9 +296,7 @@ class BDF:
                 continue
 
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-            scale = atol + _RTOL * np.abs(y_new)
-            error = _ERROR_CONST[order] * d
-            error_norm = _rms(error / scale)
+            error_norm = _rms(_ERROR_CONST[order] * d) / scale
             if error_norm > 1:
                 factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
                 h_abs *= factor
@@ -317,16 +322,8 @@ class BDF:
         if self.n_equal_steps < order + 1:
             return
 
-        if order > 1:
-            error_m = _ERROR_CONST[order - 1] * D[order]
-            error_m_norm = _rms(error_m / scale)
-        else:
-            error_m_norm = np.inf
-        if order < _MAX_ORDER:
-            error_p = _ERROR_CONST[order + 1] * D[order + 2]
-            error_p_norm = _rms(error_p / scale)
-        else:
-            error_p_norm = np.inf
+        error_m_norm = _rms(_ERROR_CONST[order - 1] * D[order]) / scale if order > 1 else np.inf
+        error_p_norm = _rms(_ERROR_CONST[order + 1] * D[order + 2]) / scale if order < _MAX_ORDER else np.inf
 
         error_norms = np.array([error_m_norm, error_norm, error_p_norm])
         with np.errstate(divide="ignore"):

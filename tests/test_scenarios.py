@@ -697,6 +697,17 @@ def test_cli_invariant_violation_exit_two(monkeypatch, capsys):
     assert "invariant violation: gap collapsed" in capsys.readouterr().err
 
 
+def test_cli_overflowing_starting_step_exits_two(tmp_path, capsys):
+    # the first right-hand side is finite (up to 1.8e299), but its norm over
+    # the error scale overflows, so the integrator's trial step is 0
+    config = tmp_path / "amplitude.json"
+    config.write_text(json.dumps({"scenario": "single-step", "amplitude": 1e300}))
+    out = tmp_path / "out"
+    assert main(["particles", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "invariant violation: integrator failed at the start: step 0.0" in capsys.readouterr().err
+
+
 def test_cli_scenario_list(capsys):
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out

@@ -8,9 +8,10 @@ from scipy.integrate import BDF as ScipyBDF
 from scipy.sparse import diags_array
 
 import nlftl as nl
+from nlftl import stiff
 from nlftl.errors import InvariantViolation
 from nlftl.particles import _jacobian, _velocities
-from nlftl.stiff import _ATOL_PER_SPAN, _RTOL, BDF, TridiagonalLU
+from nlftl.stiff import _RTOL, BDF, TridiagonalLU
 
 
 def particle_like_jacobian(rng, n):
@@ -108,8 +109,14 @@ def test_difference_rows_past_the_first_start_at_zero():
 
 def scipy_integrate(state, kernel, mobility, t_end, output_times):
     """Snapshots and counters of scipy's ``BDF`` with the CSC Jacobian, as
-    ``particles.integrate`` ran it: the same tolerances, and snapshots from
-    the dense output of the step that reaches each output time."""
+    ``particles.integrate`` ran it, with snapshots from the dense output of
+    the step that reaches each output time.
+
+    The error scale is ``nlftl.stiff``'s as near as scipy allows: ``atol`` is
+    its one length ``_RTOL`` times the span, and ``rtol`` scipy's floor of
+    100 eps, which leaves a 2.2e-14 |y| term that ``nlftl.stiff`` lacks.
+    scipy derives its Newton tolerance from ``rtol``, 0.1 at that floor, so
+    it is set back to ``nlftl.stiff``'s, 1e-4, after construction."""
     x0, pm = state.positions, state.particle_mass
 
     def jac(t, y):
@@ -121,10 +128,11 @@ def scipy_integrate(state, kernel, mobility, t_end, output_times):
         state.time,
         x0,
         t_bound=t_end,
-        rtol=_RTOL,
-        atol=_ATOL_PER_SPAN * float(x0[-1] - x0[0]),
+        rtol=100 * np.finfo(float).eps,
+        atol=_RTOL * float(x0[-1] - x0[0]),
         jac=jac,
     )
+    solver.newton_tol = stiff._NEWTON_TOL
     outputs = sorted({float(t) for t in output_times if state.time < t <= t_end} | {t_end})
     snapshots, steps = [(state.time, x0)], 0
     while solver.status == "running":
@@ -152,3 +160,29 @@ def test_runs_match_scipy_bdf(name):
     support = state.positions[-1] - state.positions[0]
     for s, (_, y) in zip(traj.states, snapshots):
         assert np.max(np.abs(s.positions - y)) <= 1e-9 * support
+
+
+def shifted_single_step_run(shift):
+    """single-step at N = 300 to t = 40, snapshots every 5, its initial state moved by ``shift``."""
+    cfg = nl.builtin_scenario("single-step")
+    kernel, mobility = nl.build_kernel(cfg), nl.build_mobility(cfg)
+    state = nl.init_particles(nl.build_profile(cfg), 300, mobility)
+    state = nl.ParticleState(state.time, state.positions + shift, state.particle_mass, state.cap)
+    return nl.integrate(state, kernel, mobility, 40.0, output_times=np.arange(5.0, 41.0, 5.0))
+
+
+def test_runs_do_not_depend_on_where_the_origin_lies(monkeypatch):
+    # with a term in |y| in the error scale the run at the origin took 138
+    # steps and the one shifted by 10 took 88, 1.55e-7 of the span off a
+    # tight run; one length for every particle takes 108 steps at both
+    runs = {shift: shifted_single_step_run(shift) for shift in (0.0, 10.0)}
+    assert abs(runs[0.0].steps - runs[10.0].steps) <= 0.1 * runs[0.0].steps
+    tight_rtol = 1e-10  # and the Newton tolerance nlftl.stiff derives from it
+    monkeypatch.setattr(stiff, "_RTOL", tight_rtol)
+    monkeypatch.setattr(stiff, "_NEWTON_TOL", max(10 * stiff._EPS / tight_rtol, min(0.03, tight_rtol**0.5)))
+    for shift, traj in runs.items():
+        tight = shifted_single_step_run(shift)
+        assert [s.time for s in traj.states] == [s.time for s in tight.states]
+        span = traj.states[0].positions[-1] - traj.states[0].positions[0]
+        off = max(np.max(np.abs(s.positions - r.positions)) for s, r in zip(traj.states, tight.states))
+        assert off <= 1e-7 * span, f"shift {shift:g}: {off / span:.2e} of the span"
