@@ -8,8 +8,8 @@ nonlocal field W = K' conv rho is split into its leftward-driving part K+
 (mass right of it, K- <= 0).  Each part freezes into a local scalar
 conservation law with flux -K* f(rho), upwinded with the exact Godunov flux
 of the unimodal f.  The interface flux telescopes, so mass is conserved to
-rounding; no flux crosses the domain edge because K+ vanishes on the left
-edge and K- on the right one.
+rounding.  No flux leaves the charged window, the cells from the first to
+the last nonzero one, so none crosses the domain edge either.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .model import Kernel, Mobility
 from .profiles import DensityProfile, snapshot_schedule
 
@@ -127,7 +128,7 @@ def _d1_spectrum(grid: Grid, kernel: Kernel, size: int) -> np.ndarray:
     T = min(J, ceil(size/2)) entries: a window of L <= ceil(size/2) cells
     convolved with it gives L + T - 1 <= size sums, so the product never
     wraps, and the sums at interfaces inside the window reach offsets
-    0..L-1 only.  T depends on ``size`` alone, so the entry is built once
+    0..L-2 only.  T depends on ``size`` alone, so the entry is built once
     per (grid, kernel, size), all three frozen or immutable, and is
     read-only because every caller shares it.  A run whose charged window
     keeps its length uses one size, so one entry.
@@ -150,13 +151,11 @@ class _FieldWork(NamedTuple):
 def _field_work(grid: Grid) -> _FieldWork:
     """The work buffers for every window on ``grid``, built once per grid.
 
-    They are sized for the longest window, a fully charged grid (L = J),
-    whose transform length is _next_fast_len(2J - 1); a shorter window's
-    transform takes their leading parts, so a step allocates no FFT work
-    array whatever its window.  At J = 4800 the sums take 154 KB, above
-    glibc's 128 KB mmap threshold: allocated per call, such an array's
-    pages go back to the OS when it is freed and fault in again on the
-    next step.
+    They are sized for a fully charged grid (L = J), transform length
+    _next_fast_len(2J - 1); a shorter window's transform takes their leading
+    parts, so a step allocates no FFT work array.  At J = 4800 the sums take
+    154 KB, above glibc's 128 KB mmap threshold, where an array allocated
+    per call faults its pages in again on every step.
     """
     size = _next_fast_len(2 * grid.cells - 1)
     return _FieldWork(np.empty(size // 2 + 1, dtype=complex), np.empty((2, size)))
@@ -177,25 +176,22 @@ def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
     K+ at interface i sums K'(x_i - x_m) rho_m dx over the cells m < i left
     of it; K- sums the cells m >= i right of it.  Only the charged window
     rho[first..last], from the first to the last nonzero cell, carries mass,
-    and since f(0) = 0 a flux can cross only the interfaces first..last+1,
-    the window's own and its two edges.  The fields are computed there and
-    are exactly 0 at every other interface, where the direct sums need not
-    be.  On those interfaces the sums reach table offsets 0..L-1 only,
+    and since f(0) = 0 a flux can cross only its interior interfaces
+    first+1..last: at interface first K+ sums no mass and F- flows out of a
+    vacuum cell, and the mirror holds at last+1, so the window never grows.
+    The fields are computed on first+1..last and are exactly 0 at every
+    other interface.  There the sums reach table offsets 0..L-2 only,
     L = last - first + 1, so both sides are real-FFT convolutions of the
     window and of the reversed window at length n = _next_fast_len(2L - 1)
     with the cached spectrum of the half-offset table
     (:func:`_d1_spectrum`), which never wrap around.  The transforms run in
     the grid's cached work buffers; K+ and K- are fresh arrays.  The two
-    rows go through numpy's FFT one at a time: a call on both rows takes a
-    scratch area twice a row's size inside pocketfft, which on a long
-    transform is mapped and unmapped on every call (76 minor page faults
-    per call at n = 9,600, a fully charged grid at J = 4800; row by row,
-    none).  The FFT leaves rounding noise of order eps max|K| on every sum,
-    also where the direct sums are exactly 0 or sign-definite, so two
-    guards restore what the direct sums give: K+ at interface first and K-
-    at interface last+1 are exactly 0 (no mass on their side), and K+ >= 0,
-    K- <= 0 are enforced by clamping.  The first guard keeps a saturated
-    block bitwise steady.
+    rows go through numpy's FFT one at a time: on both rows at once,
+    pocketfft maps and unmaps a scratch area twice a row's size on every
+    long transform (76 minor page faults per call at n = 9,600, a fully
+    charged grid at J = 4800).  The FFT leaves rounding noise of order
+    eps max|K| on every sum, also where the direct sums are sign-definite,
+    so K+ >= 0 and K- <= 0 are enforced by clamping.
     """
     cells = grid.cells
     kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
@@ -214,10 +210,10 @@ def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
         np.multiply(product, spectrum, out=product)
         np.fft.irfft(product, n=size, out=work.sums[row, :size])
     # sums[0, k] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m dx at interface i = first + 1 + k
-    np.maximum(work.sums[0, :width], 0.0, out=kplus[first + 1 : last + 2])
+    np.maximum(work.sums[0, : width - 1], 0.0, out=kplus[first + 1 : last + 1])
     # sums[1, k] = sum_{m>=i} K'((m-i+1/2) dx) rho_m dx at interface i = last - k
-    right = kminus[first : last + 1]
-    np.negative(work.sums[1, width - 1 :: -1], out=right)
+    right = kminus[first + 1 : last + 1]
+    np.negative(work.sums[1, : width - 1][::-1], out=right)
     np.minimum(right, 0.0, out=right)
     return kplus, kminus
 
@@ -229,9 +225,9 @@ def cfl_dt(grid: Grid, fields, mobility: Mobility, cap_dt: float) -> float:
     f(rho) <= v_max * min(rho, cap - rho), a cell loses at most
     2 * _CFL * rho and gains at most 2 * _CFL * (cap - rho) in one step, so
     with _CFL < 1/2 this bound alone keeps the values in [0, cap].  The
-    argument needs the speed only where a flux crosses; the fields of
-    :func:`compute_fields` are exactly 0 at every other interface, so the
-    maximum over all of them is the maximum over interfaces first..last+1.
+    argument needs the speed only where a flux crosses, and the fields of
+    :func:`compute_fields` vanish everywhere else, so the maximum is over
+    the charged window's interior interfaces first+1..last.
     """
     kplus, kminus = fields
     dt = float(cap_dt)
@@ -242,14 +238,14 @@ def cfl_dt(grid: Grid, fields, mobility: Mobility, cap_dt: float) -> float:
 
 
 def _window_flux(rho: np.ndarray, fields, mobility: Mobility, first: int, last: int) -> np.ndarray:
-    """G at interfaces first..last+1 for the charged window rho[first..last]; see :func:`interface_flux`."""
+    """G at the interior interfaces first+1..last of the charged window rho[first..last]; see :func:`interface_flux`."""
     kplus, kminus = fields
-    ext = np.clip(np.concatenate(([0.0], rho[first : last + 1], [0.0])), 0.0, mobility.cap)
+    window = np.clip(rho[first : last + 1], 0.0, mobility.cap)
     sigma = mobility.flux_argmax
-    demand, supply = mobility.flux_unchecked(np.stack((np.minimum(ext, sigma), np.maximum(ext, sigma))))
-    f_left = np.minimum(demand[1:], supply[:-1])  # F+ at interfaces first..last+1
-    f_right = np.minimum(demand[:-1], supply[1:])  # F- at interfaces first..last+1
-    span = slice(first, last + 2)
+    demand, supply = mobility.flux_unchecked(np.stack((np.minimum(window, sigma), np.maximum(window, sigma))))
+    f_left = np.minimum(demand[1:], supply[:-1])  # F+ at interfaces first+1..last
+    f_right = np.minimum(demand[:-1], supply[1:])  # F- at interfaces first+1..last
+    span = slice(first + 1, last + 1)
     return kplus[span] * f_left + kminus[span] * f_right
 
 
@@ -261,18 +257,18 @@ def interface_flux(rho: np.ndarray, fields, mobility: Mobility) -> np.ndarray:
     D(u) = f(min(u, sigma)) against the supply S(u) = f(max(u, sigma))
     (Lebacque, ISTTT 1996).  F- transports rightward, from the left cell to
     the right one; F+ leftward, from the right cell to the left one.  Both
-    vanish between two vacuum cells, where K+ F+ + K- F- is +0.0, so D and S
-    are evaluated only on the charged window rho[first..last], padded with
-    its two vacuum neighbours and clamped to [0, cap], with f unchecked on
-    the clamped values, and only the interfaces first..last+1 get a flux;
-    every other G is +0.0.  G also vanishes between two cells at the cap,
-    where S = f(cap) = 0.
+    vanish where their upstream cell is vacuum, and the fields vanish off the
+    interior interfaces first+1..last of the charged window rho[first..last]
+    (:func:`compute_fields`), so D and S are evaluated on the window alone,
+    clamped to [0, cap], with f unchecked on the clamped values, and only
+    the interior interfaces get a flux; every other G is +0.0.  G also
+    vanishes between two cells at the cap, where S = f(cap) = 0.
     """
     g = np.zeros(rho.size + 1)
     charged = _charged_window(rho)
     if charged is not None:
         first, last = charged
-        g[first : last + 2] = _window_flux(rho, fields, mobility, first, last)
+        g[first + 1 : last + 1] = _window_flux(rho, fields, mobility, first, last)
     return g
 
 
@@ -280,11 +276,11 @@ def gd_step(grid: Grid, state: FVState, kernel: Kernel, mobility: Mobility, dt: 
     """One forward-Euler step of the flux form; returns (state, clamped mass).
 
     rho_j' = (G_{j+1/2} - G_{j-1/2}) / dx with G from :func:`interface_flux`.
-    G is +0.0 outside interfaces first..last+1 of the charged window, so only
-    cells first-1..last+1 can change: the update, the clamp to [0, cap] and
-    the clamped-mass sum run on those cells alone, and every other cell, all
-    vacuum, comes out +0.0, as the update over all J cells gives it.  The
-    clamped mass is returned as a diagnostic.
+    G is +0.0 outside the interior interfaces first+1..last of the charged
+    window, so only cells first..last can change: the update, the clamp to
+    [0, cap] and the clamped-mass sum run on those cells alone, and every
+    other cell stays vacuum.  An update that is not finite raises
+    :class:`InvariantViolation`.  The clamped mass is a diagnostic.
     """
     rho = state.values
     values = np.zeros(rho.size)
@@ -294,12 +290,12 @@ def gd_step(grid: Grid, state: FVState, kernel: Kernel, mobility: Mobility, dt: 
         first, last = charged
         if fields is None:
             fields = compute_fields(rho, grid, kernel)
-        g = np.zeros(last - first + 4)  # G at interfaces first-1..last+2; no flux crosses the outer two
+        g = np.zeros(last - first + 2)  # G at interfaces first..last+1; no flux crosses the outer two
         g[1:-1] = _window_flux(rho, fields, mobility, first, last)
-        lo, hi = max(first - 1, 0), min(last + 2, rho.size)  # cells first-1..last+1 inside the domain
-        g = g[lo - first + 1 : hi - first + 2]  # G at interfaces lo..hi
-        raw = rho[lo:hi] + dt * ((g[1:] - g[:-1]) / grid.dx)
-        clipped = np.clip(raw, 0.0, mobility.cap, out=values[lo:hi])
+        raw = rho[first : last + 1] + dt * ((g[1:] - g[:-1]) / grid.dx)
+        if not np.isfinite(raw).all():
+            raise InvariantViolation(f"finite-volume step at t={state.time:.6g} gave a value that is not finite")
+        clipped = np.clip(raw, 0.0, mobility.cap, out=values[first : last + 1])
         clamp_mass = float(np.sum(np.abs(raw - clipped)) * grid.dx)
     return FVState(state.time + dt, values, mobility.cap), clamp_mass
 

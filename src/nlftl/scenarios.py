@@ -242,12 +242,15 @@ def build_mobility(config: ScenarioConfig) -> Mobility:
 
 
 def _w1_renormalized(p: DensityProfile, ref: DensityProfile) -> float:
-    """d1 after scaling p to the reference mass (covers reconstructions whose
-    mass differs from the reference's, such as the centered particle one)."""
+    """d1 after scaling p to the reference mass, as for the centered particle
+    reconstruction; nan when a mass is not positive or the scaled values overflow."""
     if not p.mass > 0.0 or not ref.mass > 0.0:
         return math.nan
     if abs(p.mass - ref.mass) > _MASS_MATCH:
-        p = DensityProfile(p.breakpoints, p.values * (ref.mass / p.mass))
+        ratio = ref.mass / p.mass
+        if not math.isfinite(float(p.values.max()) * ratio):
+            return math.nan
+        p = DensityProfile(p.breakpoints, p.values * ratio)
     return wasserstein1(p, ref)
 
 

@@ -74,11 +74,10 @@ def scipy_fields(rho, grid, kernel):
     """(K+, K-) by the batched ``scipy.fft`` convolution of all of rho at length _next_fast_len(2J), the path
     :func:`compute_fields` ran before it moved to ``np.fft``, cached work buffers and the charged window.
 
-    Fresh arrays everywhere and the same two guards (exact zeros over vacuum,
-    sign clamps), at all J+1 interfaces.  The window changes the transform
-    length, so this path agrees with :func:`compute_fields` on
-    :func:`flux_span` to the FFT bound of :func:`assert_fields_match_direct`,
-    no longer bitwise.
+    Fresh arrays everywhere and the same sign clamps, on :func:`flux_span`
+    and exactly 0 elsewhere.  The window changes the transform length, so
+    this path agrees with :func:`compute_fields` to the FFT bound of
+    :func:`assert_fields_match_direct`, no longer bitwise.
     """
     cells, dx = grid.cells, grid.dx
     kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
@@ -89,15 +88,16 @@ def scipy_fields(rho, grid, kernel):
     size = scipy.fft.next_fast_len(2 * cells, real=True)
     spectrum = scipy.fft.rfft(dx * kernel.d1((np.arange(cells) + 0.5) * dx), n=size)
     sums = scipy.fft.irfft(scipy.fft.rfft(np.stack((rho, rho[::-1])), n=size) * spectrum, n=size)
-    np.maximum(sums[0, first:cells], 0.0, out=kplus[first + 1 :])
-    np.minimum(np.negative(sums[1, cells - 1 - last : cells][::-1]), 0.0, out=kminus[: last + 1])
+    np.maximum(sums[0, first:last], 0.0, out=kplus[first + 1 : last + 1])
+    np.minimum(np.negative(sums[1, cells - 1 - last : cells - 1 - first][::-1]), 0.0, out=kminus[first + 1 : last + 1])
     return kplus, kminus
 
 
 def flux_span(rho):
-    """The interfaces first..last+1 of the charged window of rho, the only ones a flux can cross, as a slice."""
+    """The interior interfaces first+1..last of the charged window of rho, the only ones a flux can cross, as a
+    slice: at interface first K+ sums no mass and F- flows out of a vacuum cell, and the mirror holds at last+1."""
     charged = np.flatnonzero(rho)
-    return slice(charged[0], charged[-1] + 2) if charged.size else slice(0, 0)
+    return slice(charged[0] + 1, charged[-1] + 1) if charged.size else slice(0, 0)
 
 
 def on_flux_span(fields, rho):
@@ -127,7 +127,7 @@ def window_fields(rho, grid, kernel):
     min(J, ceil(n/2))-entry table, zero-padded to n = :func:`window_size`, on :func:`flux_span` and exactly 0
     elsewhere, in fresh arrays: the bitwise reference of :func:`compute_fields`.
 
-    The same guards as :func:`scipy_fields`: exact zeros over vacuum, sign clamps.
+    The same sign clamps as :func:`scipy_fields`.
     """
     cells, dx = grid.cells, grid.dx
     kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
@@ -141,8 +141,8 @@ def window_fields(rho, grid, kernel):
     spectrum = scipy.fft.rfft(table, n=size)
     causal = scipy.fft.irfft(scipy.fft.rfft(window, n=size) * spectrum, n=size)
     anticausal = scipy.fft.irfft(scipy.fft.rfft(window[::-1], n=size) * spectrum, n=size)
-    kplus[first + 1 : last + 2] = np.maximum(causal[: window.size], 0.0)
-    kminus[first : last + 1] = np.minimum(-anticausal[window.size - 1 :: -1], 0.0)
+    kplus[first + 1 : last + 1] = np.maximum(causal[: window.size - 1], 0.0)
+    kminus[first + 1 : last + 1] = np.minimum(-anticausal[: window.size - 1][::-1], 0.0)
     return kplus, kminus
 
 
@@ -158,7 +158,7 @@ def full_interface_flux(rho, fields, mobility):
 
 def full_gd_step(grid, state, mobility, dt, fields):
     """(values, clamped mass, raw values) of one forward-Euler step over all J cells, as :func:`gd_step` took it
-    before it ran on cells first-1..last+1 only: the bitwise reference of the windowed update."""
+    before it ran on the charged window's cells first..last only: the bitwise reference of the windowed update."""
     rho = state.values
     g = interface_flux(rho, fields, mobility)
     raw = rho + dt * ((g[1:] - g[:-1]) / grid.dx)
@@ -351,24 +351,27 @@ def test_fields_single_charged_cell():
     grid = nl.Grid(-2.5, 2.5, 10)  # dx = 0.5, centers at -2.25 + 0.5 k
     vals = np.zeros(10)
     vals[2] = 0.8
+    # a lone cell has no interior interface: its pull on either face drives
+    # a flux out of a vacuum cell, so no field is computed and nothing moves
     kplus, kminus = fields_of(grid, vals)
-    xe, xc = grid.edges, grid.centers
-    for i in range(11):
-        expect = KER.d1(xe[i] - xc[2]) * 0.8 * grid.dx
-        if i == 3:  # the interface right of the charged cell
-            assert kplus[i] == pytest.approx(expect, abs=1e-16)
-            assert kminus[i] == 0.0
-        elif i == 2:  # the one left of it
-            assert kminus[i] == pytest.approx(expect, abs=1e-16)
-            assert kplus[i] == 0.0
-        else:  # no flux crosses between two vacuum cells
-            assert kplus[i] == kminus[i] == 0.0
+    assert np.all(kplus == 0.0) and np.all(kminus == 0.0)
+    assert np.all(interface_flux(vals, (kplus, kminus), MOB) == 0.0)
+    new, clamp = nl.gd_step(grid, nl.FVState(0.0, vals, MOB.cap), KER, MOB, 0.1)
+    assert bitwise_equal((new.values,), (vals,)) and clamp == 0.0
     # the cell pulls on its two faces with equal and opposite strength: exactly
-    # in the direct sums, to rounding through the FFT
+    # in the direct sums, to rounding through the FFT once a second cell opens
+    # the interface between them
+    expect = KER.d1(0.5 * grid.dx) * 0.8 * grid.dx
     dplus, dminus = direct_fields(vals, grid, KER)
     assert dplus[3] == -dminus[2]
-    assert kplus[3] == pytest.approx(-kminus[2], rel=1e-15)
-    assert kplus[3] == pytest.approx(KER.d1(0.5 * grid.dx) * 0.8 * grid.dx, rel=1e-14)
+    assert dplus[3] == pytest.approx(expect, rel=1e-14)
+    vals[3] = 0.8
+    kplus, kminus = fields_of(grid, vals)
+    assert kplus[3] == pytest.approx(expect, rel=1e-14)
+    assert kplus[3] == pytest.approx(-kminus[3], rel=1e-15)
+    zero = np.ones(11, dtype=bool)
+    zero[3] = False
+    assert np.all(kplus[zero] == 0.0) and np.all(kminus[zero] == 0.0)
 
 
 def test_fields_signs_and_symmetry():
@@ -445,7 +448,7 @@ def assert_fields_match_direct(rho, grid):
     reference for this bound: on a 2-cell grid the FFT lies 1.5 ulps from
     the exact sums, within the bound, but 2 ulps from the direct ones.  The
     same bound holds the former full-length path, :func:`scipy_fields`, at
-    its own length and at all J+1 interfaces.
+    its own length.
     """
     kplus, kminus = compute_fields(rho, grid, KER)
     eplus, eminus = exact_fields(rho, grid, KER)
@@ -455,7 +458,7 @@ def assert_fields_match_direct(rho, grid):
     assert_zero_off_flux_span((kplus, kminus), rho)
     old = scipy_fields(rho, grid, KER)
     old_size = scipy.fft.next_fast_len(2 * grid.cells, real=True)
-    assert fields_error(old, (eplus, eminus)) <= fft_tolerance(old_size, scale)
+    assert fields_error(old, window_exact) <= fft_tolerance(old_size, scale)
     charged = np.flatnonzero(rho)
     first, last = (charged[0], charged[-1]) if charged.size else (grid.cells, -1)
     assert np.all(kplus[: first + 1] == 0.0)  # no mass left of these interfaces
@@ -581,7 +584,7 @@ def test_fields_equal_the_scipy_fft_reference_bitwise_call_after_call(cells):
         assert bitwise_equal(got, window_fields(rho, grid, KER))
         old = scipy_fields(rho, grid, KER)
         scale = max(float(np.max(np.abs(a))) for a in old)
-        assert fields_error(got, on_flux_span(old, rho)) <= fft_tolerance(scipy.fft.next_fast_len(2 * cells, real=True), scale)
+        assert fields_error(got, old) <= fft_tolerance(scipy.fft.next_fast_len(2 * cells, real=True), scale)
         assert_zero_off_flux_span(got, rho)
         results.append((got, tuple(a.copy() for a in got)))
     product, sums = godunov._field_work(grid)
@@ -614,7 +617,7 @@ def edge_windows(cells):
 def test_fields_and_flux_on_windows_at_the_domain_edges(cells, case):
     # charged cells at 0 and at J-1: the window starts at the first cell or
     # ends at the last, the shortest and the longest transform lengths, and
-    # the step's cells first-1 or last+1 fall outside the domain
+    # a one-cell window at either edge has no interior interface at all
     grid = nl.Grid(-3.0, 3.0, cells)
     rho = edge_windows(cells)[case]
     assert_fields_match_direct(rho, grid)  # and its mirror, bitwise
@@ -889,13 +892,14 @@ def test_step_conserves_mass_and_stays_in_bounds(cells):
 
 def assert_step_equals_the_full_update(grid, rho, dt):
     """gd_step on rho against :func:`full_gd_step`: values bitwise, clamped mass bitwise against the sum over
-    cells first-1..last+1 and within its summation rounding of the sum over all J cells; returns the mass."""
+    the charged window's cells first..last and within its summation rounding of the sum over all J cells; returns
+    the mass."""
     fields = compute_fields(rho, grid, KER)
     new, clamp = nl.gd_step(grid, nl.FVState(0.0, rho, MOB.cap), KER, MOB, dt, fields)
     values, full_clamp, raw = full_gd_step(grid, nl.FVState(0.0, rho, MOB.cap), MOB, dt, fields)
     assert bitwise_equal((new.values,), (values,))
     charged = np.flatnonzero(rho)
-    cells = slice(max(charged[0] - 1, 0), charged[-1] + 2) if charged.size else slice(0, 0)
+    cells = slice(charged[0], charged[-1] + 1) if charged.size else slice(0, 0)
     window_clamp = float(np.sum(np.abs(raw[cells] - values[cells])) * grid.dx)
     assert bitwise_equal((clamp,), (window_clamp,))
     # |sum| of J non-negative terms in two orders: each within (J - 1) u of the exact sum
@@ -937,6 +941,86 @@ def test_one_step_at_the_flux_span_bound_clamps_nothing(case):
     raw = full_gd_step(grid, nl.FVState(0.0, rho, MOB.cap), MOB, dt, fields)[2]
     assert clamp == 0.0
     assert np.all(raw >= 0.0) and np.all(raw <= MOB.cap)
+
+
+def charged_window(rho):
+    charged = np.flatnonzero(rho)
+    return (charged[0], charged[-1]) if charged.size else None
+
+
+def march_checking_every_step(monkeypatch, march):
+    """Call ``march()``, which ends in :func:`godunov.gd_run`, and check each step it takes; returns the run.
+
+    The kernel is attractive, so the charged window can only shrink: its
+    first cell never decreases and its last never increases.  G is +0.0 off
+    :func:`flux_span`, and so is the flux of the direct fields, taken at
+    every interface, on the first state.  The Courant step is
+    0.45 dx / (max interior speed * dflux_bound), or the cap when that speed
+    is 0, and a one-cell window, which has no interior interface, stays put
+    bitwise.
+    """
+    steps = []
+    step = godunov.gd_step
+
+    def recorded(grid, state, kernel, mobility, dt, fields=None):
+        new, clamp = step(grid, state, kernel, mobility, dt, fields)
+        steps.append((grid, kernel, mobility, state.values, fields, dt, new.values))
+        return new, clamp
+
+    monkeypatch.setattr(godunov, "gd_step", recorded)
+    run = march()
+    assert len(steps) == run.steps
+    for k, (grid, kernel, mobility, rho, fields, dt, new) in enumerate(steps):
+        window, after = charged_window(rho), charged_window(new)
+        if window is None:
+            assert after is None
+            continue
+        if after is not None:
+            assert window[0] <= after[0] and after[1] <= window[1]
+        span = flux_span(rho)
+        off = np.ones(rho.size + 1, dtype=bool)
+        off[span] = False
+        assert np.all(interface_flux(rho, fields, mobility)[off].view(np.uint64) == 0)  # +0.0, not -0.0
+        if k == 0:
+            assert np.all(full_interface_flux(rho, direct_fields(rho, grid, kernel), mobility)[off] == 0.0)
+        speed = np.max((np.abs(fields[0]) + np.abs(fields[1]))[span], initial=0.0) * mobility.dflux_bound
+        with np.errstate(over="ignore"):  # a tiny speed makes the quotient inf, and min(1, inf) is 1
+            courant = 0.45 * grid.dx / speed if speed > 0.0 else np.inf
+        assert cfl_dt(grid, fields, mobility, cap_dt=1.0) == min(1.0, courant)
+        assert dt <= courant
+        if window[0] == window[1]:
+            assert bitwise_equal((new,), (rho,))
+    return run
+
+
+@pytest.mark.parametrize("name", nl.builtin_names())
+def test_builtin_runs_never_grow_the_charged_window(monkeypatch, name):
+    cfg = nl.builtin_scenario(name)
+    run = march_checking_every_step(monkeypatch, lambda: nl.run_godunov(cfg).fv)
+    assert run.steps > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(block_profiles(), st.sampled_from([2.0, 10.0]))
+def test_runs_never_grow_the_charged_window(case, courant_steps):
+    # to a horizon of a few Courant steps of the first state
+    grid, rho = case
+    t_end = courant_steps * cfl_dt(grid, compute_fields(rho, grid, KER), MOB, cap_dt=1.0)
+    profile = nl.DensityProfile(grid.edges, rho)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        run = march_checking_every_step(monkeypatch, lambda: nl.gd_run(grid, profile, KER, MOB, t_end))
+    assert np.array_equal(run.states[0].values, rho)
+
+
+@pytest.mark.parametrize("cell, value", [(0, 0.7), (17, MOB.cap), (39, MOB.cap)], ids=["left-edge", "inside", "right-edge"])
+def test_a_one_cell_window_stays_put_bitwise(monkeypatch, cell, value):
+    grid = nl.Grid(-1.0, 1.0, 40)
+    rho = np.zeros(40)
+    rho[cell] = value
+    profile = nl.DensityProfile(grid.edges, rho)
+    run = march_checking_every_step(monkeypatch, lambda: nl.gd_run(grid, profile, KER, MOB, 1.0, output_times=[0.5]))
+    assert run.steps == run.output_limited_steps == 2  # no field, so the cap: one step per output time
+    assert all(bitwise_equal((state.values,), (rho,)) for state in run.states)
 
 
 def test_fv_march_counters():

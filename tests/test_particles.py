@@ -613,9 +613,10 @@ def test_settle_run_never_dips_below_the_gap_floor(settled_run):
 
 
 @pytest.mark.parametrize("name", ["two-step-11", "stationary-weak"])
-def test_runs_from_cells_at_the_floor_dip_by_rounding_only(name):
-    # their cells start at the floor; the runtime check's slack 10 * _RTOL *
-    # support would let the gap ratio fall to about 0.99995 unnoticed
+def test_runs_from_cells_at_the_floor_dip_by_the_step_error_only(name):
+    # their cells start at the floor and dip below it by the step error
+    # (5e-8 of the floor on two-step-11); the runtime check's slack
+    # 10 * _RTOL * support would let the gap ratio fall to about 0.99995 unnoticed
     traj = nl.run_particles(nl.builtin_scenario(name)).trajectory
     assert traj.final.time == 1.0
     assert traj.min_gap_ratio >= 1.0 - 1e-6

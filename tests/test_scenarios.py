@@ -267,12 +267,19 @@ def extreme_values_run():
         states.append(ParticleState(float(t), x, 0.5, 1.0))
         profiles.append(DensityProfile(x, np.array(vals)))
     traj = replace(base.trajectory, states=tuple(states))
-    run = replace(base, times=times, profiles=profiles, trajectory=traj)
-    # metric rows are computed on first access, from the run's own profiles,
-    # and their W1 renormalisation overflows on these; metrics.csv is not
-    # under test here, so the run keeps the base run's rows
-    run.__dict__["metric_rows"] = base.metric_rows
-    return run
+    return replace(base, times=times, profiles=profiles, trajectory=traj)
+
+
+def test_w1_renormalization_that_overflows_is_nan():
+    # a 1e308 cell of width 1e-8 holds mass 1e300; scaled up to a reference
+    # of mass 1e301, its value overflows
+    p = DensityProfile(np.array([0.0, 1e-8]), np.array([1e308]))
+    ref = DensityProfile(np.array([0.0, 1.0]), np.array([1e301]))
+    assert math.isnan(scenarios._w1_renormalized(p, ref))
+    # the extreme-values run's second snapshot, mass 1e-23 against 1e300,
+    # scales by an infinite ratio; its metrics.csv is its own
+    rows = extreme_values_run().metric_rows
+    assert rows[0][4] == 0.0 and math.isnan(rows[1][4])
 
 
 EMISSION_CASES = {
@@ -706,6 +713,21 @@ def test_cli_overflowing_starting_step_exits_two(tmp_path, capsys):
     assert main(["particles", "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()
     assert "invariant violation: integrator failed at the start: step 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_cli_godunov_overflowing_update_exits_two(tmp_path, capsys):
+    # a block of height 1e300 under a cap of 1e301: K f overflows on the
+    # first step, and inf - inf in the flux gives nan, so the window's
+    # update is not finite
+    config = tmp_path / "huge.json"
+    profile = {"kind": "uniform-step", "left": -0.5, "right": 0.5, "height": 1e300}
+    config.write_text(json.dumps({"scenario": "huge", "profile": profile, "cap": 1e301}))
+    out = tmp_path / "out"
+    assert main(["godunov", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "invariant violation: finite-volume step at t=0 gave a value that is not finite" in capsys.readouterr().err
 
 
 def test_cli_scenario_list(capsys):
