@@ -261,25 +261,6 @@ def _charged_breakpoints(profile: DensityProfile) -> tuple[np.ndarray, np.ndarra
     return profile.breakpoints[keep], jumps[keep]
 
 
-def _jump_sum_terms(kernel: Kernel, bp: np.ndarray, x: np.ndarray) -> int:
-    """Order p of the Gauss-Taylor expansion :func:`_convolutions` uses, 0 for the direct blocks.
-
-    p is the smallest order whose first omitted term R^p / p! is at most
-    2^-56, with R = 2B h_b h_x: h_b is the half-span of the charged
-    breakpoints ``bp`` (sorted) and h_x the distance of the farthest point
-    from their middle.  The direct blocks run below the crossover of
-    ``_EXPANSION_MIN_BREAKPOINTS`` and when p exceeds ``_EXPANSION_MAX_TERMS``.
-    Since R grows with h_x, several grids whose own orders agree get that
-    order on all their points at once.
-    """
-    if bp.size < _EXPANSION_MIN_BREAKPOINTS:
-        return 0
-    c = 0.5 * (bp[0] + bp[-1])
-    h_x = max(abs(float(np.min(x)) - c), abs(float(np.max(x)) - c))
-    r = 2.0 * kernel.inv_width * (0.5 * (bp[-1] - bp[0])) * h_x
-    return gauss_sums.terms(r, _EXPANSION_MAX_TERMS)
-
-
 def _direct_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray):
     """The jump sums of :func:`_convolutions`, one kernel evaluation per (point, breakpoint).
 
@@ -307,8 +288,8 @@ def _direct_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.nd
     return w1, w2
 
 
-def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray, p: int):
-    """The jump sums of :func:`_convolutions` by a p-term expansion about the middle c of ``bp``.
+def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray, p: int, c: float):
+    """The jump sums of :func:`_convolutions` by a p-term expansion about the centre ``c``.
 
     With u = . - c and e, a_n as in :mod:`nlftl.gauss_sums`, the p+1 global
     moments M_n = sum_j coef_j e_j a_n(u_j) give
@@ -321,7 +302,6 @@ def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.
     by Horner's rule on all points at once, W1's and W2's in the two rows
     of one array: O(points) memory, 2p passes.
     """
-    c = 0.5 * (bp[0] + bp[-1])
     step, twin = gauss_sums.factors(p, kernel.inv_width)
     cols = max(1, gauss_sums.BLOCK // (p + 1))
     a_buf = gauss_sums.work_arrays((p + 1, min(cols, bp.size)))[0]
@@ -356,21 +336,27 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
 
     sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into jump coefficients at the
     breakpoints: W1(x) = sum_j coef_j K(x - b_j), W2(x) = sum_j coef_j K'(x - b_j).
-    Above the crossover, and while the expansion needs at most the term cap
-    (see :func:`_jump_sum_terms`), the sums come from the Gauss-Taylor
-    expansion of :func:`_expanded_jump_sums`, O((points + breakpoints) p)
-    work; otherwise from :func:`_direct_jump_sums`, O(points x breakpoints).
-    Both use O(points + breakpoints) memory and plain numpy reductions in a
-    fixed order, so results repeat bitwise.  Returns (W1, W2, p), p = 0 on
-    the direct path.
+    From ``_EXPANSION_MIN_BREAKPOINTS`` charged breakpoints on, and while the
+    order :func:`nlftl.gauss_sums.plan` picks for the breakpoints as sources
+    and the span of ``x`` as targets is at most ``_EXPANSION_MAX_TERMS``, the
+    sums come from the Gauss-Taylor expansion of :func:`_expanded_jump_sums`,
+    O((points + breakpoints) p) work; otherwise from
+    :func:`_direct_jump_sums`, O(points x breakpoints).  Both use
+    O(points + breakpoints) memory and plain numpy reductions in a fixed
+    order, so results repeat bitwise.  Returns (W1, W2, p), p = 0 on the
+    direct path.
     """
     bp, coef = _charged_breakpoints(profile)
     if bp.size == 0:
         return np.zeros_like(x), np.zeros_like(x), 0
-    p = _jump_sum_terms(kernel, bp, x)
+    p, c = 0, 0.0
+    if bp.size >= _EXPANSION_MIN_BREAKPOINTS:
+        p, c = gauss_sums.plan(
+            kernel.inv_width, float(bp[0]), float(bp[-1]), float(np.min(x)), float(np.max(x)), _EXPANSION_MAX_TERMS
+        )
     if p == 0:
         return (*_direct_jump_sums(kernel, bp, coef, x), 0)
-    return (*_expanded_jump_sums(kernel, bp, coef, x, p), p)
+    return (*_expanded_jump_sums(kernel, bp, coef, x, p, c), p)
 
 
 def _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space):
@@ -383,12 +369,16 @@ def _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space):
       S_flux = int sign(rho - c) [ (f(rho) - f(c)) W1 phi' - f(c) W2 phi ] dx,
     and the largest expansion order of the jump sums (0 when they ran
     direct).  Both grids' points sit in one array, so everything that does
-    not depend on c is evaluated in one pass; each integral sums its own
-    grid's contiguous slice, in the order a grid of its own would.
+    not depend on c is evaluated in one pass, the jump sums included.  The
+    fine grid's end cells are no wider than the coarse grid's, so its
+    outermost points lie farther out and every point takes the order the
+    fine grid alone would.
+    Each integral sums its own grid's contiguous slice, in the order a grid
+    of its own would.
     """
     x, w, (split, _) = _quad_grid(profile, *test_fn.x_support, n_space, 2 * n_space)
     phi, dphi = test_fn.phi_and_dphi(x)
-    w1, w2, terms = _grid_convolutions(kernel, profile, x, split)
+    w1, w2, terms = _convolutions(kernel, profile, x)
     rho = profile.value_at(x)
     del x  # frees the points before the per-constant buffers
     f_rho = mobility.flux(rho)
@@ -415,24 +405,6 @@ def _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space):
         for g, cells in enumerate(grids):
             s_flux[g, j] = np.add.reduce(b[cells])
     return s_abs, s_flux, terms
-
-
-def _grid_convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray, split: int):
-    """:func:`_convolutions` on two grids' points, ``x[:split]`` and ``x[split:]``.
-
-    One call takes both grids when their expansion orders agree, so each
-    point gets the order its own grid would give it; otherwise one call per
-    grid.  Returns (W1, W2, the larger order).
-    """
-    bp, _ = _charged_breakpoints(profile)
-    if _jump_sum_terms(kernel, bp, x[:split]) == _jump_sum_terms(kernel, bp, x[split:]):
-        return _convolutions(kernel, profile, x)
-    w = np.empty((2, x.size))
-    terms = 0
-    for cells in (slice(0, split), slice(split, None)):
-        w[0, cells], w[1, cells], p = _convolutions(kernel, profile, x[cells])
-        terms = max(terms, p)
-    return w[0], w[1], terms
 
 
 def _time_quadrature(times, s_abs, s_flux, test_fn) -> np.ndarray:

@@ -10,10 +10,12 @@ a_n(u) = (sqrt(2B) u)^n / sqrt(n!),
 A p-term sum leaves out terms of size at most e(u) e(v) R^n / n! for n >= p,
 where R bounds 2B |u v|.  Since e(u) e(v) exp(2B |u v|) <= 1, every term of
 the expansion is at most 1 whatever R is, so rounding stays near eps times
-the sum of the absolute weights; only p grows with R.  Each caller keeps its
-own contraction: prefix sums of the source weights for the one-sided particle
-sums, global moments for the full entropy sums.  Every sum takes its block
-arrays from one work area held here (:func:`work_arrays`).
+the sum of the absolute weights; only p grows with R.  :func:`plan` picks the
+centre and the order for both sums; each caller keeps only its contraction
+(prefix sums of the source weights for the one-sided particle sums, global
+moments for the full entropy sums) and its measured crossover and term cap.
+Every sum takes its block arrays from one work area held here
+(:func:`work_arrays`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,20 @@ def terms(r: float, max_terms: int) -> int:
             return 0
         term *= r / p
     return p
+
+
+def plan(
+    inv_width: float, sources_lo: float, sources_hi: float, targets_lo: float, targets_hi: float, max_terms: int
+) -> tuple[int, float]:
+    """Order p and centre c of an expansion of sources in [sources_lo, sources_hi] at targets in [targets_lo, targets_hi].
+
+    c is the middle of the sources' span and R = 2B h_s h_t, with h_s the
+    sources' half-span and h_t the distance from c to the farther target
+    end; p is :func:`terms` (R, ``max_terms``), 0 above the cap.
+    """
+    centre = 0.5 * (sources_lo + sources_hi)
+    reach = max(abs(targets_lo - centre), abs(targets_hi - centre))
+    return terms(2.0 * inv_width * (0.5 * (sources_hi - sources_lo)) * reach, max_terms), centre
 
 
 @functools.lru_cache(maxsize=256)

@@ -70,9 +70,15 @@ def wasserstein1(a, b) -> float:
     g0 = _cdf(a, p, "right") - _cdf(b, p, "right")
     g1 = _cdf(a, q, "left") - _cdf(b, q, "left")
     w = q - p
-    same_sign = g0 * g1 >= 0.0
     span = np.abs(g0) + np.abs(g1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        crossing = np.where(span > 0.0, w * (g0 * g0 + g1 * g1) / (2.0 * np.where(span > 0.0, span, 1.0)), 0.0)
-    segments = np.where(same_sign, 0.5 * w * span, crossing)
+    segments = 0.5 * w * span
+    cross = np.sign(g0) * np.sign(g1) < 0.0  # by the signs: g0 * g1 overflows beyond about 1e154
+    g0, g1, w, span = g0[cross], g1[cross], w[cross], span[cross]
+    with np.errstate(over="ignore"):
+        crossing = w * (g0 * g0 + g1 * g1) / (2.0 * span)
+    big = ~np.isfinite(crossing)
+    if big.any():  # each gap over the span squares to at most 1
+        a0, a1 = g0[big] / span[big], g1[big] / span[big]
+        crossing[big] = 0.5 * w[big] * (a0 * a0 + a1 * a1) * span[big]
+    segments[cross] = crossing
     return float(np.sum(segments))

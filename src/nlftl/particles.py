@@ -131,17 +131,15 @@ def _densities(gaps: np.ndarray, pm: float) -> np.ndarray:
 def _expansion(x: np.ndarray, kernel: Kernel) -> tuple[int, float]:
     """Order p and centre c of the Gauss-Taylor expansion :func:`_pair_sums` uses on ``x``; p = 0 for the strips.
 
-    p is the smallest order whose first omitted term R^p / p! is at most
-    2^-56, with R = 2B h^2 and h the half-span of the particles, and c is
-    the middle of the span.  The strips run below the crossover of
+    The particles are both the sources and the targets of
+    :func:`nlftl.gauss_sums.plan`.  The strips run below the crossover of
     ``_EXPANSION_MIN_N`` cells and when p exceeds ``_EXPANSION_MAX_TERMS``
     (narrow kernels or wide spans).
     """
     if x.size - 1 < _EXPANSION_MIN_N:
         return 0, 0.0
     lo, hi = float(x.min()), float(x.max())  # trial states of the integrator may be out of order
-    half = 0.5 * (hi - lo)
-    return gauss_sums.terms(2.0 * kernel.inv_width * half * half, _EXPANSION_MAX_TERMS), 0.5 * (lo + hi)
+    return gauss_sums.plan(kernel.inv_width, lo, hi, lo, hi, _EXPANSION_MAX_TERMS)
 
 
 def _pair_sum_terms(x: np.ndarray, kernel: Kernel) -> int:

@@ -152,6 +152,15 @@ def test_w1_triangle_inequality_on_random_triples():
         assert dac <= dab + dbc + 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_w1_stays_finite_where_the_cdf_gaps_square_beyond_the_double_range(scale):
+    # the CDFs cross on [0.25, 0.75]; at 1e300 the squared gaps there overflow
+    # and the crossing term falls back to the gaps over the span
+    wide = nl.uniform_profile(0.0, 1.0, scale)
+    narrow = nl.uniform_profile(0.25, 0.75, 2.0 * scale)
+    assert nl.wasserstein1(wide, narrow) == nl.wasserstein1(narrow, wide) == 0.125 * scale
+
+
 def test_w1_rejects_mass_mismatch():
     a = nl.uniform_profile(0.0, 1.0, 1.0)
     b = nl.uniform_profile(0.0, 1.0, 0.9)
