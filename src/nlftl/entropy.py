@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gauss_sums
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .model import Kernel, Mobility
 from .profiles import DensityProfile, sorted_union
 
@@ -207,18 +206,19 @@ class EntropyReport:
         }
 
 
-def check_audit_inputs(c_list, n_space) -> list[float]:
-    """The constants of an audit as floats; raises ConfigError (a ValueError)
-    unless there is at least one, each is finite and non-negative, and
-    n_space is an integer in [1, MAX_N_SPACE]."""
-    cs = [float(c) for c in c_list]
+def check_audit_inputs(c_list, n_space) -> tuple[list[float], int]:
+    """The constants of an audit as floats and n_space as an int, each through
+    :func:`errors.number`; raises ConfigError (a ValueError) unless there is at
+    least one constant, each is non-negative, and n_space is in [1, MAX_N_SPACE]."""
+    cs = [number("c", c) for c in c_list]
     if not cs:
         raise ConfigError("need at least one constant c")
-    if not all(c >= 0.0 and math.isfinite(c) for c in cs):
+    if not all(c >= 0.0 for c in cs):
         raise ConfigError("c must be a finite non-negative constant")
-    if not (isinstance(n_space, numbers.Integral) and 1 <= n_space <= MAX_N_SPACE):
+    n = number("n_space", n_space, integer=True)
+    if not 1 <= n <= MAX_N_SPACE:
         raise ConfigError(f"n_space must be an integer in [1, {MAX_N_SPACE}], got {n_space!r}")
-    return cs
+    return cs, n
 
 
 @functools.lru_cache(maxsize=8)
@@ -447,7 +447,7 @@ def entropy_residuals(
     holds, as on every snapshot of a frozen trajectory, reuses that
     snapshot's spatial integrals, so each distinct profile is evaluated once.
     """
-    cs = check_audit_inputs(c_list, n_space)
+    cs, n_space = check_audit_inputs(c_list, n_space)
     snaps = [(float(t), p) for t, p in snapshots]
     if not snaps:
         raise ValueError("need at least one snapshot")

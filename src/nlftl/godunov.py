@@ -170,8 +170,21 @@ def _charged_window(rho: np.ndarray):
     return first, rho.size - 1 - int(charged[::-1].argmax())
 
 
-def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
-    """(K+, K-) at the J+1 interfaces by midpoint-rule convolution, where flux can cross.
+class Fields(NamedTuple):
+    """K+ and K- at the interior interfaces first+1..first+n of the charged window rho[first..first+n].
+
+    :func:`compute_fields` finds the window, and every later layer of a step
+    reads it from here.  Vacuum has ``Fields(0, empty, empty)``, a one-cell
+    window, which no flux crosses.
+    """
+
+    first: int
+    kplus: np.ndarray  # (n,), >= 0
+    kminus: np.ndarray  # (n,), <= 0
+
+
+def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel) -> Fields:
+    """(first, K+, K-) of rho by midpoint-rule convolution, where flux can cross.
 
     K+ at interface i sums K'(x_i - x_m) rho_m dx over the cells m < i left
     of it; K- sums the cells m >= i right of it.  Only the charged window
@@ -179,25 +192,23 @@ def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
     and since f(0) = 0 a flux can cross only its interior interfaces
     first+1..last: at interface first K+ sums no mass and F- flows out of a
     vacuum cell, and the mirror holds at last+1, so the window never grows.
-    The fields are computed on first+1..last and are exactly 0 at every
-    other interface.  There the sums reach table offsets 0..L-2 only,
-    L = last - first + 1, so both sides are real-FFT convolutions of the
-    window and of the reversed window at length n = _next_fast_len(2L - 1)
-    with the cached spectrum of the half-offset table
-    (:func:`_d1_spectrum`), which never wrap around.  The transforms run in
-    the grid's cached work buffers; K+ and K- are fresh arrays.  The two
-    rows go through numpy's FFT one at a time: on both rows at once,
+    The fields are computed and held on first+1..last only; they are
+    exactly 0 at every other interface.  There the sums reach table offsets
+    0..L-2 only, L = last - first + 1, so both sides are real-FFT
+    convolutions of the window and of the reversed window at length
+    n = _next_fast_len(2L - 1) with the cached spectrum of the half-offset
+    table (:func:`_d1_spectrum`), which never wrap around.  The transforms
+    run in the grid's cached work buffers; K+ and K- are fresh arrays.  The
+    two rows go through numpy's FFT one at a time: on both rows at once,
     pocketfft maps and unmaps a scratch area twice a row's size on every
     long transform (76 minor page faults per call at n = 9,600, a fully
     charged grid at J = 4800).  The FFT leaves rounding noise of order
     eps max|K| on every sum, also where the direct sums are sign-definite,
     so K+ >= 0 and K- <= 0 are enforced by clamping.
     """
-    cells = grid.cells
-    kplus, kminus = np.zeros(cells + 1), np.zeros(cells + 1)
     charged = _charged_window(rho)
     if charged is None:
-        return kplus, kminus
+        return Fields(0, np.empty(0), np.empty(0))
     first, last = charged
     window = rho[first : last + 1]
     width = window.size
@@ -210,93 +221,77 @@ def compute_fields(rho: np.ndarray, grid: Grid, kernel: Kernel):
         np.multiply(product, spectrum, out=product)
         np.fft.irfft(product, n=size, out=work.sums[row, :size])
     # sums[0, k] = sum_{m<i} K'((i-1-m+1/2) dx) rho_m dx at interface i = first + 1 + k
-    np.maximum(work.sums[0, : width - 1], 0.0, out=kplus[first + 1 : last + 1])
+    kplus = np.maximum(work.sums[0, : width - 1], 0.0)
     # sums[1, k] = sum_{m>=i} K'((m-i+1/2) dx) rho_m dx at interface i = last - k
-    right = kminus[first + 1 : last + 1]
-    np.negative(work.sums[1, : width - 1][::-1], out=right)
-    np.minimum(right, 0.0, out=right)
-    return kplus, kminus
+    kminus = np.negative(work.sums[1, : width - 1][::-1])
+    np.minimum(kminus, 0.0, out=kminus)
+    return Fields(first, kplus, kminus)
 
 
-def cfl_dt(grid: Grid, fields, mobility: Mobility, cap_dt: float) -> float:
+def cfl_dt(grid: Grid, fields: Fields, mobility: Mobility, cap_dt: float) -> float:
     """Stable step from the transport speeds, or ``cap_dt`` when the fields vanish.
 
     dt <= _CFL * dx / (max_i (|K+_i| + |K-_i|) * max|f'|).  Since
     f(rho) <= v_max * min(rho, cap - rho), a cell loses at most
     2 * _CFL * rho and gains at most 2 * _CFL * (cap - rho) in one step, so
     with _CFL < 1/2 this bound alone keeps the values in [0, cap].  The
-    argument needs the speed only where a flux crosses, and the fields of
-    :func:`compute_fields` vanish everywhere else, so the maximum is over
-    the charged window's interior interfaces first+1..last.
+    argument needs the speed only where a flux crosses, the interior
+    interfaces first+1..last that ``fields`` holds.
     """
-    kplus, kminus = fields
+    _, kplus, kminus = fields
     dt = float(cap_dt)
-    speed = float(np.max(np.abs(kplus) + np.abs(kminus))) * mobility.dflux_bound
+    speed = float(np.max(np.abs(kplus) + np.abs(kminus), initial=0.0)) * mobility.dflux_bound
     if speed > 0.0:
         dt = min(dt, _CFL * grid.dx / speed)
     return dt
 
 
-def _window_flux(rho: np.ndarray, fields, mobility: Mobility, first: int, last: int) -> np.ndarray:
-    """G at the interior interfaces first+1..last of the charged window rho[first..last]; see :func:`interface_flux`."""
-    kplus, kminus = fields
-    window = np.clip(rho[first : last + 1], 0.0, mobility.cap)
-    sigma = mobility.flux_argmax
-    demand, supply = mobility.flux_unchecked(np.stack((np.minimum(window, sigma), np.maximum(window, sigma))))
-    f_left = np.minimum(demand[1:], supply[:-1])  # F+ at interfaces first+1..last
-    f_right = np.minimum(demand[:-1], supply[1:])  # F- at interfaces first+1..last
-    span = slice(first + 1, last + 1)
-    return kplus[span] * f_left + kminus[span] * f_right
-
-
-def interface_flux(rho: np.ndarray, fields, mobility: Mobility) -> np.ndarray:
-    """G_i = K+_i F+_i + K-_i F-_i at the J+1 interfaces, for the fields of ``rho``.
+def _window_flux(rho: np.ndarray, fields: Fields, mobility: Mobility) -> np.ndarray:
+    """G_i = K+_i F+_i + K-_i F-_i at the interior interfaces first+1..first+n that ``fields`` holds.
 
     The exact Godunov flux of the unimodal f, peak at sigma, from an upstream
     state a to a downstream state b is min(D(a), S(b)): the demand
     D(u) = f(min(u, sigma)) against the supply S(u) = f(max(u, sigma))
     (Lebacque, ISTTT 1996).  F- transports rightward, from the left cell to
-    the right one; F+ leftward, from the right cell to the left one.  Both
-    vanish where their upstream cell is vacuum, and the fields vanish off the
-    interior interfaces first+1..last of the charged window rho[first..last]
-    (:func:`compute_fields`), so D and S are evaluated on the window alone,
-    clamped to [0, cap], with f unchecked on the clamped values, and only
-    the interior interfaces get a flux; every other G is +0.0.  G also
+    the right one; F+ leftward, from the right cell to the left one.  D and
+    S are evaluated on the window rho[first..first+n] alone, clamped to
+    [0, cap], with f unchecked on the clamped values.  At every other
+    interface G is +0.0: both fluxes vanish where their upstream cell is
+    vacuum, and the fields vanish there (:func:`compute_fields`).  G also
     vanishes between two cells at the cap, where S = f(cap) = 0.
     """
-    g = np.zeros(rho.size + 1)
-    charged = _charged_window(rho)
-    if charged is not None:
-        first, last = charged
-        g[first + 1 : last + 1] = _window_flux(rho, fields, mobility, first, last)
-    return g
+    first, kplus, kminus = fields
+    window = np.clip(rho[first : first + kplus.size + 1], 0.0, mobility.cap)
+    sigma = mobility.flux_argmax
+    demand, supply = mobility.flux_unchecked(np.stack((np.minimum(window, sigma), np.maximum(window, sigma))))
+    f_left = np.minimum(demand[1:], supply[:-1])  # F+ at interfaces first+1..first+n
+    f_right = np.minimum(demand[:-1], supply[1:])  # F- at interfaces first+1..first+n
+    return kplus * f_left + kminus * f_right
 
 
-def gd_step(grid: Grid, state: FVState, kernel: Kernel, mobility: Mobility, dt: float, fields=None):
+def gd_step(grid: Grid, state: FVState, kernel: Kernel, mobility: Mobility, dt: float, fields: Fields | None = None):
     """One forward-Euler step of the flux form; returns (state, clamped mass).
 
-    rho_j' = (G_{j+1/2} - G_{j-1/2}) / dx with G from :func:`interface_flux`.
-    G is +0.0 outside the interior interfaces first+1..last of the charged
-    window, so only cells first..last can change: the update, the clamp to
-    [0, cap] and the clamped-mass sum run on those cells alone, and every
-    other cell stays vacuum.  An update that is not finite raises
+    rho_j' = (G_{j+1/2} - G_{j-1/2}) / dx with G from :func:`_window_flux`
+    on the charged window that ``fields`` (computed here when not given)
+    holds.  G is +0.0 outside its interior interfaces, so only its cells
+    first..first+n can change: the update, the clamp to [0, cap] and the
+    clamped-mass sum run on those cells alone, and every other cell stays
+    vacuum.  An update that is not finite raises
     :class:`InvariantViolation`.  The clamped mass is a diagnostic.
     """
     rho = state.values
+    if fields is None:
+        fields = compute_fields(rho, grid, kernel)
+    cells = slice(fields.first, fields.first + fields.kplus.size + 1)
+    g = np.zeros(fields.kplus.size + 2)  # G at the window's interfaces; no flux crosses the outer two
+    g[1:-1] = _window_flux(rho, fields, mobility)
+    raw = rho[cells] + dt * ((g[1:] - g[:-1]) / grid.dx)
+    if not np.isfinite(raw).all():
+        raise InvariantViolation(f"finite-volume step at t={state.time:.6g} gave a value that is not finite")
     values = np.zeros(rho.size)
-    clamp_mass = 0.0
-    charged = _charged_window(rho)
-    if charged is not None:
-        first, last = charged
-        if fields is None:
-            fields = compute_fields(rho, grid, kernel)
-        g = np.zeros(last - first + 2)  # G at interfaces first..last+1; no flux crosses the outer two
-        g[1:-1] = _window_flux(rho, fields, mobility, first, last)
-        raw = rho[first : last + 1] + dt * ((g[1:] - g[:-1]) / grid.dx)
-        if not np.isfinite(raw).all():
-            raise InvariantViolation(f"finite-volume step at t={state.time:.6g} gave a value that is not finite")
-        clipped = np.clip(raw, 0.0, mobility.cap, out=values[first : last + 1])
-        clamp_mass = float(np.sum(np.abs(raw - clipped)) * grid.dx)
+    clipped = np.clip(raw, 0.0, mobility.cap, out=values[cells])
+    clamp_mass = float(np.sum(np.abs(raw - clipped)) * grid.dx)
     return FVState(state.time + dt, values, mobility.cap), clamp_mass
 
 

@@ -15,7 +15,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .entropy import N_SPACE, EntropyReport, TestFunction, bump_pair, check_audit_inputs, entropy_residual, entropy_residuals, single_bump
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .godunov import GodunovRun, Grid, gd_run
 from .metrics import _MASS_MATCH, l1_distance, total_variation, wasserstein1
 from .model import GAUSSIAN_AMPLITUDE, Kernel, Mobility
@@ -78,25 +77,25 @@ MAX_SNAPSHOT_CELLS = 16_000_000
 def _profile_from_spec(spec) -> DensityProfile:
     """Initial profile from its JSON spec: explicit cells or an analytic family.
 
-    Every scalar of the spec goes through :func:`_number`, as the config's own
-    scalars do.
+    Every scalar of the spec goes through :func:`errors.number`, as the
+    config's own scalars do.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("profile spec must be a mapping with a 'kind' key")
     kind = spec["kind"]
     try:
         if kind == "uniform-step":
-            return uniform_profile(*(_number(f"profile {key}", spec[key]) for key in ("left", "right", "height")))
+            return uniform_profile(*(number(f"profile {key}", spec[key]) for key in ("left", "right", "height")))
         if kind in ("two-step", "segments"):
-            segs = [tuple(_number("profile segment", v) for v in (a, b, h)) for a, b, h in spec["segments"]]
+            segs = [tuple(number("profile segment", v) for v in (a, b, h)) for a, b, h in spec["segments"]]
             if kind == "two-step" and len(segs) != 2:
                 raise ConfigError("two-step profile needs exactly two segments")
             return step_profile(segs)
         if kind == "parabola":
-            scale = _number("profile scale", spec.get("scale", 0.75))
-            left = _number("profile left", spec.get("left", -1.0))
-            right = _number("profile right", spec.get("right", 1.0))
-            cells = _number("profile cells", spec.get("cells", 10_000), integer=True)
+            scale = number("profile scale", spec.get("scale", 0.75))
+            left = number("profile left", spec.get("left", -1.0))
+            right = number("profile right", spec.get("right", 1.0))
+            cells = number("profile cells", spec.get("cells", 10_000), integer=True)
             if not 1 <= cells <= MAX_CELLS:
                 raise ConfigError(f"profile cells must be in [1, {MAX_CELLS}], got {cells}")
             edges = np.linspace(left, right, cells + 1)
@@ -106,28 +105,14 @@ def _profile_from_spec(spec) -> DensityProfile:
             return DensityProfile(edges, vals)
         if kind == "cells":
             return DensityProfile(
-                np.array([_number("profile breakpoint", v) for v in spec["breakpoints"]], dtype=float),
-                np.array([_number("profile value", v) for v in spec["values"]], dtype=float),
+                np.array([number("profile breakpoint", v) for v in spec["breakpoints"]], dtype=float),
+                np.array([number("profile value", v) for v in spec["values"]], dtype=float),
             )
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind!r} profile spec: {exc}") from exc
     raise ConfigError(f"unknown profile kind {kind!r}")
-
-
-def _number(name: str, value, integer: bool = False) -> float | int:
-    """A config scalar as a finite float, or an int when ``integer``; ConfigError
-    for anything else: strings, null, booleans, NaN and infinities."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an integer too large for a float
-        x = math.inf
-    if not math.isfinite(x) or (integer and not x.is_integer()):
-        raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
-    return int(value) if integer else x
 
 
 @dataclass(frozen=True)
@@ -153,12 +138,12 @@ class ScenarioConfig:
         if not isinstance(scenario, str) or scenario in ("", ".", "..") or any(ch in scenario for ch in "/\\\0"):
             raise err(f"scenario must be a single path component, got {scenario!r}")
         for name in ("amplitude", "inv_width", "cap", "v_max", "t_end"):
-            value = _number(name, getattr(self, name))
+            value = number(name, getattr(self, name))
             if not value > 0.0:
                 raise err(f"{name} must be positive")
             object.__setattr__(self, name, value)
         for name in ("n_cells", "fv_cells"):
-            value = _number(name, getattr(self, name), integer=True)
+            value = number(name, getattr(self, name), integer=True)
             if not 1 <= value <= MAX_CELLS:
                 raise err(f"{name} must be an integer in [1, {MAX_CELLS}], got {value}")
             object.__setattr__(self, name, value)
@@ -168,7 +153,7 @@ class ScenarioConfig:
             lo, hi = self.domain
         except (TypeError, ValueError) as exc:
             raise err(f"domain must be a pair of numbers: {exc}") from exc
-        lo, hi = _number("domain", lo), _number("domain", hi)
+        lo, hi = number("domain", lo), number("domain", hi)
         if not lo < hi:
             raise err("domain must satisfy left < right")
         object.__setattr__(self, "domain", (lo, hi))
@@ -176,7 +161,7 @@ class ScenarioConfig:
             times = tuple(float(t) for t in np.linspace(0.0, self.t_end, 11))
         else:
             try:
-                times = tuple(_number("output time", t) for t in self.output_times)
+                times = tuple(number("output time", t) for t in self.output_times)
             except TypeError as exc:
                 raise err(f"output_times must be a list of times: {exc}") from exc
             if not times:
@@ -339,7 +324,7 @@ def run_convergence(config: ScenarioConfig, n_list) -> ConvergenceResult:
     edges (about 1.5e-3 on single-step at t=1, J=2400) exceeds the errors it
     would grade, so the ratios would measure the reference.
     """
-    ns = [int(n) for n in n_list]
+    ns = [number("n_list entry", n, integer=True) for n in n_list]
     if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("n_list must be a strictly increasing list of positive counts")
     n_ref = 4 * max(ns)
@@ -400,15 +385,15 @@ def run_entropy_audit(
     if c_list is None:
         c_list = tuple(float(c) for c in np.linspace(0.0, config.cap, 11))
     check_audit_inputs(c_list, n_space)
+    runners = {"particles": run_particles, "godunov": run_godunov}
+    if method not in runners:
+        raise ConfigError(f"unknown audit method {method!r}")
     tf = default_test_function(config, frozen=frozen, horizon=horizon)
     if frozen:
         snaps = frozen_snapshots(build_profile(config), tf)
     else:
         if config.t_end < tf.t_support_end - 1e-12:
             raise ConfigError(f"t_end={config.t_end:g} too short: the test function runs to t={tf.t_support_end:g}")
-        runners = {"particles": run_particles, "godunov": run_godunov}
-        if method not in runners:
-            raise ConfigError(f"unknown audit method {method!r}")
         run = runners[method](replace(config, output_times=np.linspace(0.0, config.t_end, 81)))
         snaps = list(zip(run.times, run.profiles))
     return entropy_residuals(snaps, kernel, mobility, tf, c_list, n_space=n_space)

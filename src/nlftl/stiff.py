@@ -120,8 +120,15 @@ def _doubling_levels(coef: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 
 def _rms(x: np.ndarray) -> float:
-    """Root mean square, by a plain sum."""
-    return math.sqrt(float(np.sum(x * x)) / x.size)
+    """Root mean square, by a plain sum; rescaled by max|x| where the squares overflow, and NaN stays NaN."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(x * x))
+    if math.isinf(total):  # a NaN makes the sum NaN, not inf
+        big = float(np.max(np.abs(x)))
+        if big < math.inf:
+            scaled = x / big
+            return big * math.sqrt(float(np.sum(scaled * scaled)) / x.size)
+    return math.sqrt(total / x.size)
 
 
 def _positive_step(h: float) -> float:

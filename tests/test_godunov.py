@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import nlftl as nl
 from nlftl import godunov
-from nlftl.godunov import cfl_dt, compute_fields, interface_flux
+from nlftl.godunov import Fields, cfl_dt, compute_fields
 
 MOB = nl.Mobility()
 KER = nl.Kernel()
@@ -146,9 +146,27 @@ def window_fields(rho, grid, kernel):
     return kplus, kminus
 
 
+def full_fields(fields, cells):
+    """(K+, K-) of a :class:`godunov.Fields` at all J+1 interfaces of a ``cells``-cell grid: the held entries on
+    the interior interfaces first+1..first+n of its window, exactly 0 at every other one."""
+    first, kplus, kminus = fields
+    out = np.zeros(cells + 1), np.zeros(cells + 1)
+    out[0][first + 1 : first + 1 + kplus.size] = kplus
+    out[1][first + 1 : first + 1 + kminus.size] = kminus
+    return out
+
+
+def interface_flux(rho, fields, mobility):
+    """G at all J+1 interfaces: :func:`godunov._window_flux` on the interior interfaces that ``fields`` holds and
+    +0.0 at every other one, the array the windowed step differences."""
+    g = np.zeros(rho.size + 1)
+    g[fields.first + 1 : fields.first + 1 + fields.kplus.size] = godunov._window_flux(rho, fields, mobility)
+    return g
+
+
 def full_interface_flux(rho, fields, mobility):
-    """G at all J+1 interfaces from the demand and the supply on the whole vacuum-padded cell array: the path
-    :func:`interface_flux` would take without the charged window, and its bitwise reference."""
+    """G at all J+1 interfaces, from J+1 ``fields``, by the demand and the supply on the whole vacuum-padded
+    cell array: the path :func:`interface_flux` would take without the charged window, and its bitwise reference."""
     kplus, kminus = fields
     ext = np.clip(np.concatenate(([0.0], rho, [0.0])), 0.0, mobility.cap)
     sigma = mobility.flux_argmax
@@ -322,13 +340,14 @@ def test_demand_supply_flux_matches_the_three_case_rule_on_several_mobilities(ca
     assert abs(got - godunov_flux(a, b, mob)) <= 2.0 * flux_rounding_bound(mob)
     # and interface_flux takes it at each interface of a two-cell grid
     vals = np.array([a, b])
-    kplus, kminus = fields_of(nl.Grid(-1.0, 1.0, 2), vals)
+    fields = fields_of(nl.Grid(-1.0, 1.0, 2), vals)
+    kplus, kminus = full_fields(fields, 2)
     ext = np.concatenate(([0.0], vals, [0.0]))
     want = [
         kplus[i] * demand_supply_flux(ext[i + 1], ext[i], mob) + kminus[i] * demand_supply_flux(ext[i], ext[i + 1], mob)
         for i in range(3)
     ]
-    assert bitwise_equal((interface_flux(vals, (kplus, kminus), mob),), (np.array(want),))
+    assert bitwise_equal((interface_flux(vals, fields, mob),), (np.array(want),))
 
 
 # ------------------------------------------------------ interface fields
@@ -340,11 +359,13 @@ def fields_of(grid, vals):
 def test_fields_vacuum():
     grid = nl.Grid(-2.5, 2.5, 10)
     zeros = np.zeros(10)
-    kplus, kminus = fields_of(grid, zeros)
+    fields = fields_of(grid, zeros)
+    assert fields.first == 0 and fields.kplus.shape == fields.kminus.shape == (0,)  # a one-cell window
+    kplus, kminus = full_fields(fields, 10)
     assert kplus.shape == kminus.shape == (11,)
     assert np.all(kplus == 0.0)
     assert np.all(kminus == 0.0)
-    assert np.all(interface_flux(zeros, (kplus, kminus), MOB) == 0.0)
+    assert np.all(interface_flux(zeros, fields, MOB) == 0.0)
 
 
 def test_fields_single_charged_cell():
@@ -353,9 +374,11 @@ def test_fields_single_charged_cell():
     vals[2] = 0.8
     # a lone cell has no interior interface: its pull on either face drives
     # a flux out of a vacuum cell, so no field is computed and nothing moves
-    kplus, kminus = fields_of(grid, vals)
+    fields = fields_of(grid, vals)
+    assert fields.first == 2 and fields.kplus.size == fields.kminus.size == 0
+    kplus, kminus = full_fields(fields, 10)
     assert np.all(kplus == 0.0) and np.all(kminus == 0.0)
-    assert np.all(interface_flux(vals, (kplus, kminus), MOB) == 0.0)
+    assert np.all(interface_flux(vals, fields, MOB) == 0.0)
     new, clamp = nl.gd_step(grid, nl.FVState(0.0, vals, MOB.cap), KER, MOB, 0.1)
     assert bitwise_equal((new.values,), (vals,)) and clamp == 0.0
     # the cell pulls on its two faces with equal and opposite strength: exactly
@@ -366,7 +389,7 @@ def test_fields_single_charged_cell():
     assert dplus[3] == -dminus[2]
     assert dplus[3] == pytest.approx(expect, rel=1e-14)
     vals[3] = 0.8
-    kplus, kminus = fields_of(grid, vals)
+    kplus, kminus = full_fields(fields_of(grid, vals), 10)
     assert kplus[3] == pytest.approx(expect, rel=1e-14)
     assert kplus[3] == pytest.approx(-kminus[3], rel=1e-15)
     zero = np.ones(11, dtype=bool)
@@ -377,13 +400,14 @@ def test_fields_single_charged_cell():
 def test_fields_signs_and_symmetry():
     grid = nl.Grid(-2.5, 2.5, 11)
     vals = np.array([0.0, 0.1, 0.5, 0.2, 0.7, 0.9, 0.7, 0.2, 0.5, 0.1, 0.0])
-    kplus, kminus = fields_of(grid, vals)
+    fields = fields_of(grid, vals)
+    kplus, kminus = full_fields(fields, 11)
     assert np.all(kplus >= 0.0)
     assert np.all(kminus <= 0.0)
     # even data: the field at interface i mirrors the one at interface J - i,
     # so the interface flux is odd and the step keeps the data even
     assert kplus == pytest.approx(-kminus[::-1], abs=1e-15)
-    g = interface_flux(vals, (kplus, kminus), MOB)
+    g = interface_flux(vals, fields, MOB)
     assert g == pytest.approx(-g[::-1], abs=1e-15)
 
 
@@ -393,7 +417,7 @@ def test_fields_match_oracle_loops():
     grid = nl.Grid(-2.5, 2.5, 5)  # dx = 1 exactly: table offsets equal interface offsets
     for vals in ([0.2, 0.9, 0.4, 0.0, 0.6], [0.0, 0.9, 0.4, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.6]):
         vals = np.array(vals)
-        kplus, kminus = fields_of(grid, vals)
+        kplus, kminus = full_fields(fields_of(grid, vals), 5)
         op, om = oracle_fields(grid, vals, KER)
         wp, wm = on_flux_span((op, om), vals)
         assert kplus == pytest.approx(wp, abs=1e-15)
@@ -450,7 +474,7 @@ def assert_fields_match_direct(rho, grid):
     same bound holds the former full-length path, :func:`scipy_fields`, at
     its own length.
     """
-    kplus, kminus = compute_fields(rho, grid, KER)
+    kplus, kminus = full_fields(compute_fields(rho, grid, KER), grid.cells)
     eplus, eminus = exact_fields(rho, grid, KER)
     scale = float(max(np.max(np.abs(eplus)), np.max(np.abs(eminus))))
     window_exact = on_flux_span((eplus, eminus), rho)
@@ -465,7 +489,7 @@ def assert_fields_match_direct(rho, grid):
     assert np.all(kminus[last + 1 :] == 0.0)  # no mass right of these
     assert np.all(kplus >= 0.0)
     assert np.all(kminus <= 0.0)
-    mplus, mminus = compute_fields(rho[::-1], grid, KER)
+    mplus, mminus = full_fields(compute_fields(rho[::-1], grid, KER), grid.cells)
     assert np.array_equal(mplus, -kminus[::-1])
     assert np.array_equal(mminus, -kplus[::-1])
 
@@ -499,7 +523,8 @@ def test_fields_fft_matches_direct_sums(case):
 def test_windowed_interface_flux_equals_the_full_array_flux_bitwise(case):
     grid, rho = case
     fields = compute_fields(rho, grid, KER)
-    assert bitwise_equal((interface_flux(rho, fields, MOB),), (full_interface_flux(rho, fields, MOB),))
+    want = full_interface_flux(rho, full_fields(fields, grid.cells), MOB)
+    assert bitwise_equal((interface_flux(rho, fields, MOB),), (want,))
 
 
 @pytest.mark.parametrize("name", nl.builtin_names())
@@ -512,9 +537,10 @@ def test_windowed_fields_and_flux_on_every_snapshot_of_the_builtins(name):
     kernel, mobility = nl.build_kernel(cfg), nl.build_mobility(cfg)
     for state in run.states:
         fields = compute_fields(state.values, run.grid, kernel)
-        assert bitwise_equal(fields, window_fields(state.values, run.grid, kernel))
+        full = full_fields(fields, run.grid.cells)
+        assert bitwise_equal(full, window_fields(state.values, run.grid, kernel))
         got = interface_flux(state.values, fields, mobility)
-        assert bitwise_equal((got,), (full_interface_flux(state.values, fields, mobility),))
+        assert bitwise_equal((got,), (full_interface_flux(state.values, full, mobility),))
 
 
 def test_fields_fft_matches_direct_sums_on_a_fine_wide_grid():
@@ -535,7 +561,7 @@ def test_fields_share_one_read_only_table():
     first, second = fields_of(grid, vals), fields_of(grid, vals[::-1])
     after = godunov._d1_spectrum.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
-    assert np.array_equal(first[0], -second[1][::-1])  # mirrored data, mirrored fields
+    assert np.array_equal(full_fields(first, 37)[0], -full_fields(second, 37)[1][::-1])  # mirrored data, mirrored fields
     spectrum = godunov._d1_spectrum(grid, KER, size)
     assert spectrum is godunov._d1_spectrum(grid, KER, size)
     table = grid.dx * KER.d1((np.arange(36) + 0.5) * grid.dx)  # ceil(72 / 2) = 36 < J entries
@@ -580,13 +606,15 @@ def test_fields_equal_the_scipy_fft_reference_bitwise_call_after_call(cells):
     grid = nl.Grid(-2.5, 2.5, cells)
     results = []
     for rho in shifted_states(grid.centers, np.random.default_rng(cells)):
-        got = compute_fields(rho, grid, KER)
+        fields = compute_fields(rho, grid, KER)
+        got = full_fields(fields, cells)
         assert bitwise_equal(got, window_fields(rho, grid, KER))
         old = scipy_fields(rho, grid, KER)
         scale = max(float(np.max(np.abs(a))) for a in old)
         assert fields_error(got, old) <= fft_tolerance(scipy.fft.next_fast_len(2 * cells, real=True), scale)
         assert_zero_off_flux_span(got, rho)
-        results.append((got, tuple(a.copy() for a in got)))
+        held = (fields.kplus, fields.kminus)
+        results.append((held, tuple(a.copy() for a in held)))
     product, sums = godunov._field_work(grid)
     for (kplus, kminus), (kplus_then, kminus_then) in results:
         assert np.array_equal(kplus, kplus_then) and np.array_equal(kminus, kminus_then)
@@ -623,8 +651,9 @@ def test_fields_and_flux_on_windows_at_the_domain_edges(cells, case):
     assert_fields_match_direct(rho, grid)  # and its mirror, bitwise
     for state in (rho, rho[::-1]):
         fields = compute_fields(state, grid, KER)
-        assert bitwise_equal(fields, window_fields(state, grid, KER))
-        assert bitwise_equal((interface_flux(state, fields, MOB),), (full_interface_flux(state, fields, MOB),))
+        full = full_fields(fields, cells)
+        assert bitwise_equal(full, window_fields(state, grid, KER))
+        assert bitwise_equal((interface_flux(state, fields, MOB),), (full_interface_flux(state, full, MOB),))
         for courant in (1.0, 20.0):
             assert_step_equals_the_full_update(grid, state, courant * cfl_dt(grid, fields, MOB, cap_dt=1.0))
 
@@ -669,10 +698,10 @@ def fv_march_states(shrinks):
 
 def assert_no_fft_work_array_per_call(windows):
     # after one warm-up call per state builds the cached entries, a call
-    # allocates K+, K- and a J-entry mask (an 87 KB peak at J = 4800), and no
-    # FFT work array: a product row and the sums allocated per call at the
-    # call's length raise the peak to 103 KB at length 1,000 (the 500-cell
-    # window) and 148 KB at 2,880 (the fv-march window)
+    # allocates a J-entry mask and K+, K- on the window's interior interfaces
+    # (at J = 4800 a 45 KB peak on the fv-march window, 77 KB on the fully
+    # charged grid), and no FFT work array: a product row and the sums
+    # allocated per call at the call's length would add 16-61 KB
     grid, kernel, states = fv_march_states(SHRINKS[windows])
     for rho in states:
         compute_fields(rho, grid, kernel)
@@ -705,7 +734,7 @@ def test_fields_on_a_shrinking_window_miss_once_per_length():
     outcomes = []
     for rho in (wide, trimmed, trimmed, narrow, narrow, wide):
         misses = godunov._d1_spectrum.cache_info().misses
-        got = compute_fields(rho, grid, kernel)
+        got = full_fields(compute_fields(rho, grid, kernel), grid.cells)
         assert bitwise_equal(got, window_fields(rho, grid, kernel))
         outcomes.append("miss" if godunov._d1_spectrum.cache_info().misses > misses else "hit")
     assert outcomes == ["miss", "hit", "hit", "miss", "hit", "hit"]
@@ -810,7 +839,8 @@ def test_interface_flux_equals_per_interface_godunov_fluxes(cells):
     # within two rounding bounds of f of the three-case Riemann flux
     vals = np.array(cells)
     grid = nl.Grid(-1.0, 1.0, vals.size)
-    kplus, kminus = fields_of(grid, vals)
+    fields = fields_of(grid, vals)
+    kplus, kminus = full_fields(fields, vals.size)
     ext = np.concatenate(([0.0], vals, [0.0]))
     want = []
     for i in range(vals.size + 1):
@@ -820,7 +850,7 @@ def test_interface_flux_equals_per_interface_godunov_fluxes(cells):
             assert abs(gap) <= 2.0 * flux_rounding_bound(MOB)
         fp, fm = (demand_supply_flux(u, d, MOB) for u, d in fluxes)
         want.append(kplus[i] * fp + kminus[i] * fm)
-    assert np.array_equal(interface_flux(vals, (kplus, kminus), MOB), want)
+    assert np.array_equal(interface_flux(vals, fields, MOB), want)
 
 
 def test_source_zero_at_vacuum_and_cap():
@@ -841,8 +871,9 @@ def test_source_zero_at_vacuum_and_cap():
 
 def test_cfl_vacuum_returns_cap():
     grid = nl.Grid(-1.0, 1.0, 10)
-    zeros = np.zeros(11)
-    dt = cfl_dt(grid, (zeros, zeros), MOB, cap_dt=0.125)
+    assert cfl_dt(grid, compute_fields(np.zeros(10), grid, KER), MOB, cap_dt=0.125) == 0.125  # no interface held
+    zeros = np.zeros(9)
+    dt = cfl_dt(grid, Fields(0, zeros, zeros), MOB, cap_dt=0.125)
     assert dt == 0.125
 
 
@@ -858,8 +889,9 @@ def test_cfl_transport_bound_uses_max_dflux():
     assert MOB.dflux_bound == 1.0  # |f'(0)| for f(u) = u(1-u)
     grid = nl.Grid(-2.5, 2.5, 5)
     vals = np.array([0.2, 0.9, 0.4, 0.0, 0.6])
-    kplus, kminus = fields_of(grid, vals)
-    dt = cfl_dt(grid, (kplus, kminus), MOB, cap_dt=np.inf)
+    fields = fields_of(grid, vals)
+    kplus, kminus = full_fields(fields, 5)
+    dt = cfl_dt(grid, fields, MOB, cap_dt=np.inf)
     assert dt == pytest.approx(0.45 * grid.dx / np.max(kplus + np.abs(kminus)), rel=1e-14)
 
 
@@ -934,7 +966,8 @@ def test_one_step_at_the_flux_span_bound_clamps_nothing(case):
     grid, rho = case
     fields = compute_fields(rho, grid, KER)
     dt = cfl_dt(grid, fields, MOB, cap_dt=1.0)
-    speed = np.max((np.abs(fields[0]) + np.abs(fields[1]))[flux_span(rho)], initial=0.0)
+    kplus, kminus = full_fields(fields, grid.cells)
+    speed = np.max((np.abs(kplus) + np.abs(kminus))[flux_span(rho)], initial=0.0)
     with np.errstate(over="ignore"):  # a tiny speed makes the quotient inf, and min(1, inf) is 1
         assert dt == (min(1.0, 0.45 * grid.dx / speed) if speed > 0.0 else 1.0)
     new, clamp = nl.gd_step(grid, nl.FVState(0.0, rho, MOB.cap), KER, MOB, dt, fields)
@@ -952,7 +985,10 @@ def march_checking_every_step(monkeypatch, march):
     """Call ``march()``, which ends in :func:`godunov.gd_run`, and check each step it takes; returns the run.
 
     The kernel is attractive, so the charged window can only shrink: its
-    first cell never decreases and its last never increases.  G is +0.0 off
+    first cell never decreases and its last never increases.  The step's
+    fields hold that window: ``first`` is its first charged cell, and K+ and
+    K- its last - first interior interfaces (none on vacuum, ``first`` 0 and
+    a one-cell window).  G is +0.0 off
     :func:`flux_span`, and so is the flux of the direct fields, taken at
     every interface, on the first state.  The Courant step is
     0.45 dx / (max interior speed * dflux_bound), or the cap when that speed
@@ -972,6 +1008,8 @@ def march_checking_every_step(monkeypatch, march):
     assert len(steps) == run.steps
     for k, (grid, kernel, mobility, rho, fields, dt, new) in enumerate(steps):
         window, after = charged_window(rho), charged_window(new)
+        first, last = window if window is not None else (0, 0)
+        assert fields.first == first and fields.kplus.size == fields.kminus.size == last - first
         if window is None:
             assert after is None
             continue
@@ -983,7 +1021,8 @@ def march_checking_every_step(monkeypatch, march):
         assert np.all(interface_flux(rho, fields, mobility)[off].view(np.uint64) == 0)  # +0.0, not -0.0
         if k == 0:
             assert np.all(full_interface_flux(rho, direct_fields(rho, grid, kernel), mobility)[off] == 0.0)
-        speed = np.max((np.abs(fields[0]) + np.abs(fields[1]))[span], initial=0.0) * mobility.dflux_bound
+        kplus, kminus = full_fields(fields, rho.size)
+        speed = np.max((np.abs(kplus) + np.abs(kminus))[span], initial=0.0) * mobility.dflux_bound
         with np.errstate(over="ignore"):  # a tiny speed makes the quotient inf, and min(1, inf) is 1
             courant = 0.45 * grid.dx / speed if speed > 0.0 else np.inf
         assert cfl_dt(grid, fields, mobility, cap_dt=1.0) == min(1.0, courant)
@@ -991,6 +1030,17 @@ def march_checking_every_step(monkeypatch, march):
         if window[0] == window[1]:
             assert bitwise_equal((new,), (rho,))
     return run
+
+
+@pytest.mark.parametrize("name", nl.builtin_names())
+def test_runs_find_the_charged_window_once_per_step(monkeypatch, name):
+    # compute_fields finds the window; the Courant bound, the flux and the
+    # update read it from the fields
+    found = []
+    find = godunov._charged_window
+    monkeypatch.setattr(godunov, "_charged_window", lambda rho: found.append(rho.size) or find(rho))
+    run = nl.run_godunov(nl.builtin_scenario(name)).fv
+    assert run.steps > 0 and len(found) == run.steps
 
 
 @pytest.mark.parametrize("name", nl.builtin_names())

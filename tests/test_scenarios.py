@@ -432,6 +432,40 @@ def test_convergence_validation():
         run_convergence(cfg, [16, 8])
 
 
+@pytest.mark.parametrize("n_list", [[20.7, 40.2], [True, 2], [8, "16"], [8, math.nan]], ids=["fraction", "bool", "str", "nan"])
+def test_convergence_counts_go_through_the_scalar_conversion(monkeypatch, n_list):
+    # int() took 20.7 as 20, True as 1 and "16" as 16
+    monkeypatch.setattr(scenarios, "run_particles", lambda config: pytest.fail("a run started"))
+    with pytest.raises(ConfigError, match="n_list entry"):
+        run_convergence(small_config(), n_list)
+
+
+@pytest.mark.parametrize(
+    "c_list, n_space",
+    [((True,), 16), (("0.5",), 16), ((0.5, None), 16), ((0.5,), True), ((0.5,), "16"), ((0.5,), 16.5)],
+    ids=["c-bool", "c-str", "c-none", "n_space-bool", "n_space-str", "n_space-fraction"],
+)
+def test_audit_inputs_go_through_the_scalar_conversion(c_list, n_space):
+    # float() took True as c = 1.0 and "0.5" as 0.5; n_space=True was 1 cell
+    with pytest.raises(ConfigError):
+        entropy.check_audit_inputs(c_list, n_space)
+    with pytest.raises(ConfigError):
+        run_entropy_audit(builtin_scenario("stationary-weak"), c_list=c_list, frozen=True, n_space=n_space, horizon=1.0)
+
+
+def test_audit_inputs_convert_numpy_and_integral_scalars():
+    assert entropy.check_audit_inputs((np.float64(0.5), 1), np.int64(16)) == ([0.5, 1.0], 16)
+    cs, n = entropy.check_audit_inputs((0,), 16.0)
+    assert (cs, n) == ([0.0], 16) and type(cs[0]) is float and type(n) is int
+
+
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "solver"])
+def test_entropy_audit_rejects_an_unknown_method(frozen):
+    cfg = builtin_scenario("stationary-weak")
+    with pytest.raises(ConfigError, match="unknown audit method 'bogus'"):
+        run_entropy_audit(cfg, c_list=(0.5,), method="bogus", frozen=frozen, n_space=16, horizon=1.0)
+
+
 def test_entropy_audit_emission(tmp_path):
     cfg = builtin_scenario("stationary-weak")
     reports = run_entropy_audit(cfg, c_list=(0.0, 0.5), frozen=True, n_space=64, horizon=1.0)
@@ -675,7 +709,7 @@ def test_counts_at_their_bounds_are_accepted():
     assert len(replace(cfg, output_times=np.concatenate((times, times))).output_times) == 2 * times.size  # distinct times count
     audit = replace(cfg, n_cells=MAX_SNAPSHOT_CELLS // 81, fv_cells=1200, t_end=2.0)
     assert len(replace(audit, output_times=np.linspace(0.0, 2.0, 81)).output_times) == 81
-    assert entropy.check_audit_inputs((0.5,), entropy.MAX_N_SPACE) == [0.5]
+    assert entropy.check_audit_inputs((0.5,), entropy.MAX_N_SPACE) == ([0.5], entropy.MAX_N_SPACE)
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,31 @@ def test_non_dominant_newton_matrix_fails_its_pivot_check(c, lower, main, upper)
         TridiagonalLU(c, *(np.asarray(d, dtype=float) for d in (lower, main, upper)))
 
 
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        ([1e200] * 3, 1e200),  # each square overflows, the norm does not
+        ([3e300, -4e300], 5e300 / np.sqrt(2.0)),
+        ([np.finfo(float).max] * 2, np.finfo(float).max),
+        ([1e200, np.inf], np.inf),
+        ([1e200, np.nan], np.nan),
+        ([3.0, -4.0], np.sqrt(12.5)),
+        ([1e154, 1e-300], np.sqrt(1e308 / 2.0)),
+    ],
+    ids=["1e200", "3e300-4e300", "max", "inf", "nan", "in-range", "edge"],
+)
+def test_rms_rescales_squares_past_the_float_range(x, want):
+    # a plain sum of squares, bitwise, wherever it stays finite; rescaled by
+    # max|x| where it overflows, so a finite vector has a finite norm
+    got = stiff._rms(np.array(x))
+    if np.isnan(want):
+        assert np.isnan(got)
+    elif abs(want) < 1e300 or np.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=4 * np.finfo(float).eps)
+
+
 def test_step_raises_once_its_size_underflows():
     # y' = -y at t = 0 and NaN after it: no Newton iteration past t = 0
     # converges, so the step halves until it falls below the spacing of t
