@@ -17,6 +17,7 @@ from .scenarios import (
     ScenarioConfig,
     builtin_description,
     builtin_names,
+    check_out_dirs,
     emit_compare,
     emit_convergence,
     emit_entropy,
@@ -45,7 +46,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", type=float, dest="t_end", help="final time")
 
 
-def _load_config(args) -> ScenarioConfig:
+def _load_config(args, *labels) -> ScenarioConfig:
+    """The run's config; its output directories ``<out>/<scenario>/<label>`` are
+    checked before any solver runs."""
     data: dict = {}
     if args.config is not None:
         try:
@@ -67,7 +70,9 @@ def _load_config(args) -> ScenarioConfig:
         data["out_dir"] = str(args.out)
     if "scenario" not in data and data.get("profile") is None:
         raise ConfigError("give --scenario NAME or --config with a profile")
-    return ScenarioConfig.from_dict(data)
+    config = ScenarioConfig.from_dict(data)
+    check_out_dirs(config, *labels)
+    return config
 
 
 def _parse_floats(text: str, flag: str) -> tuple:
@@ -85,7 +90,7 @@ def _parse_ints(text: str, flag: str) -> tuple:
 
 
 def _cmd_particles(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, "particles")
     run = run_particles(config)
     d = emit_method_run(run)
     final = run.trajectory.final
@@ -94,7 +99,7 @@ def _cmd_particles(args) -> int:
 
 
 def _cmd_godunov(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, "godunov")
     run = run_godunov(config)
     d = emit_method_run(run)
     drift = run.fv.diagnostics()["mass_drift"]
@@ -103,7 +108,7 @@ def _cmd_godunov(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, "particles", "godunov", "compare")
     result = run_compare(config)
     d = emit_compare(result)
     t, l1, w1 = result.rows[-1]
@@ -112,7 +117,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, "convergence")
     n_list = _parse_ints(args.n_list, "--n-list")
     result = run_convergence(config, n_list)
     d = emit_convergence(result)
@@ -124,7 +129,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_entropy_audit(args) -> int:
-    config = _load_config(args)
+    label = f"{args.method}-frozen" if args.frozen else f"{args.method}-audit"
+    config = _load_config(args, label)
     c_list = _parse_floats(args.c_list, "--c-list") if args.c_list else None
     reports = run_entropy_audit(
         config,
@@ -134,7 +140,6 @@ def _cmd_entropy_audit(args) -> int:
         n_space=args.n_space,
         horizon=args.horizon,
     )
-    label = f"{args.method}-frozen" if args.frozen else f"{args.method}-audit"
     d = emit_entropy(config, reports, label)
     flagged = [r for r in reports if r.violation]
     print(f"entropy-audit: {len(reports)} residuals, {len(flagged)} flagged -> {d}")

@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -58,10 +59,12 @@ _BUILTINS: dict[str, tuple[str, dict]] = {
 # Most cells of any count a config or a sweep asks for: particle cells
 # (``n_cells``, and a convergence sweep's reference run at 4*max(n)),
 # finite-volume cells (``fv_cells``) and the cells of a "parabola" profile
-# spec.  Memory grows about linearly in each: under tracemalloc a particle run
-# of 11 snapshots peaks at 65 MB at 10^5 cells, a finite-volume run at 31 MB,
-# so about 0.7 and 0.3 GB at the bound.  Larger counts are a ConfigError
-# rather than an out-of-memory kill.
+# spec.  Memory grows about linearly in each: under tracemalloc a single-step
+# run of 11 snapshots to t = 0.01 at 10^5 cells peaks at 95 MB in the particle
+# solver and 26 MB in the finite-volume one, so about 1 and 0.3 GB at the
+# bound; its emission peaks at 13 and 6 MB (the metrics rows; the CSV pieces
+# take under 2 MB).  Larger counts are a ConfigError rather than an
+# out-of-memory kill.
 MAX_CELLS = 1_000_000
 
 # Most snapshot cells a config asks for: the snapshots a run holds (t = 0 and
@@ -432,59 +435,88 @@ def _rows(prefix: str, *columns) -> str:
     return head + ("\n" + head).join(map(",".join, zip(*columns)))
 
 
-def _write_blocks(paths, blocks) -> None:
-    """Write each block to ``paths``, one text per path, each text followed by a newline.
+# Most rows in one piece of a per-snapshot file.  Emission holds about one
+# piece's strings at a time, so its memory stays flat in the cell count.
+_CHUNK = 512
 
-    The per-snapshot files pass one block per snapshot, so only one
-    snapshot's text is held in memory at a time.
+
+def _fmt_chunks(a: np.ndarray):
+    """``_fmt_all`` of ``a``, ``_CHUNK`` entries at a time."""
+    for lo in range(0, a.size, _CHUNK):
+        yield _fmt_all(a[lo:lo + _CHUNK])
+
+
+def _density_rows(t: str, breakpoint_chunks, values: np.ndarray):
+    """density.csv rows ``t,x_left,x_right,rho`` of one snapshot, one piece per chunk
+    of breakpoint strings, each yielded with its chunk.  A row whose two edges lie
+    in consecutive chunks takes its left edge from the earlier one."""
+    left: list[str] = []
+    lo = 0
+    for xs in breakpoint_chunks:
+        edges = left + xs
+        hi = lo + len(edges) - 1
+        yield xs, _rows(t, edges, itertools.islice(edges, 1, None), _fmt_all(values[lo:hi]))
+        left, lo = edges[-1:], hi
+
+
+def _write_blocks(paths, pieces) -> None:
+    """Write each ``(i, text)`` piece to ``paths[i]``, the text followed by a newline.
+
+    The per-snapshot files come in pieces of at most ``_CHUNK`` rows, so only
+    one piece's text is held in memory at a time.
     """
     with contextlib.ExitStack() as stack:
         files = []
         for path in paths:
             path.parent.mkdir(parents=True, exist_ok=True)
             files.append(stack.enter_context(path.open("w")))
-        for block in blocks:
-            for f, text in zip(files, block, strict=True):
-                f.write(text)
-                f.write("\n")
-            del block, text  # the next snapshot's text replaces this one instead of joining it
+        for i, text in pieces:
+            files[i].write(text)
+            files[i].write("\n")
+            del text  # the next piece replaces this one instead of joining it
 
 
 def _write_lines(path: Path, lines) -> None:
-    _write_blocks((path,), [("\n".join(lines),)])
+    _write_blocks((path,), [(0, "\n".join(lines))])
 
 
 def _snapshot_blocks(run: MethodRun):
-    """density.csv text, plus trajectory.csv text for particle runs, per snapshot.
+    """``(file index, text)`` pieces of density.csv (0) and, for particle runs,
+    trajectory.csv (1), at most ``_CHUNK`` rows each.
 
-    Every array is formatted once.  A forward reconstruction's breakpoints
-    are its snapshot's positions (the same array), so one list of strings
-    serves both files; a breakpoint array shared by consecutive snapshots,
-    such as the finite-volume grid edges, is formatted once for all of them;
-    and the particle indices are formatted once per run.
+    Every float is formatted once.  A forward reconstruction's breakpoints are
+    its snapshot's positions (the same array), so one chunk of strings serves
+    both files.  Other breakpoints, such as the finite-volume grid edges that
+    consecutive snapshots share, and the particle indices are formatted once
+    per run and held as comma-joined text per chunk, about 15 B an edge where
+    a ``str`` each would take about 80 B; a piece splits its chunk.
     """
+    yield 0, "t,x_left,x_right,rho"
     if run.trajectory is None:
-        yield ("t,x_left,x_right,rho",)
         states = [None] * len(run.profiles)
     else:
-        yield ("t,x_left,x_right,rho", "t,i,x")
+        yield 1, "t,i,x"
         states = run.trajectory.states
-    breakpoints = bs = None  # the last breakpoint array and its strings
-    index: list[str] = []
+        n = max(s.positions.size for s in states)
+        index = [",".join(map(str, range(lo, min(lo + _CHUNK, n)))) for lo in range(0, n, _CHUNK)]
+    breakpoints = held = None  # the last breakpoint array that is not the positions, and its text
     for t, p, s in zip(run.times, run.profiles, states, strict=True):
+        t = _fmt(t)
+        if s is not None and p.breakpoints is s.positions:
+            ts = _fmt(s.time)
+            for c, (xs, density) in enumerate(_density_rows(t, _fmt_chunks(s.positions), p.values)):
+                yield 0, density
+                yield 1, _rows(ts, index[c].split(","), xs)
+            continue
         if p.breakpoints is not breakpoints:
-            breakpoints, bs = p.breakpoints, None
-        xs = None if s is None else _fmt_all(s.positions)
-        if bs is None:
-            bs = xs if s is not None and breakpoints is s.positions else _fmt_all(breakpoints)
-        density = _rows(_fmt(t), bs, itertools.islice(bs, 1, None), _fmt_all(p.values))
-        if s is None:
-            yield (density,)
-        else:
-            if len(index) < len(xs):
-                index = list(map(str, range(len(xs))))
-            yield density, _rows(_fmt(s.time), index, xs)
-        del density, xs  # free this snapshot's text before formatting the next
+            breakpoints = p.breakpoints
+            held = [",".join(xs) for xs in _fmt_chunks(breakpoints)]
+        for _, density in _density_rows(t, (text.split(",") for text in held), p.values):
+            yield 0, density
+        if s is not None:
+            ts = _fmt(s.time)
+            for c, xs in enumerate(_fmt_chunks(s.positions)):
+                yield 1, _rows(ts, index[c].split(","), xs)
 
 
 def write_metrics_csv(path: Path, rows) -> None:
@@ -507,6 +539,20 @@ def write_meta(path: Path, config: ScenarioConfig, extra: dict | None = None) ->
 def _out_dir(config: ScenarioConfig, label: str, out_root) -> Path:
     """``<out>/<scenario>/<label>``, ``<out>`` being ``out_root`` or else the config's ``out_dir``."""
     return Path(out_root if out_root is not None else config.out_dir) / config.scenario / label
+
+
+def check_out_dirs(config: ScenarioConfig, *labels: str) -> None:
+    """ConfigError unless every ``<out>/<scenario>/<label>`` can be created and
+    written, the config's ``out_dir`` being ``<out>``.  Creates nothing: the
+    nearest existing ancestor of each (or the directory itself) must be a
+    writable directory."""
+    for label in labels:
+        path = _out_dir(config, label, None)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"cannot write output under {path}: {existing} is not a directory")
+        if not os.access(existing, os.W_OK | os.X_OK):
+            raise ConfigError(f"cannot write output under {path}: {existing} is not writable")
 
 
 def emit_method_run(run: MethodRun, out_root=None) -> Path:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import runpy
+import shutil
 import sys
 import time
 import tracemalloc
@@ -241,9 +242,9 @@ def direct_trajectory_csv(path, traj):
     path.write_text("\n".join(lines) + "\n")
 
 
-def centered_run():
+def centered_run(n_cells=12):
     """A particle run whose profiles do not share the snapshot positions."""
-    run = run_particles(small_config())
+    run = run_particles(small_config(n_cells=n_cells))
     return replace(run, profiles=[reconstruct_density(s, "centered") for s in run.trajectory.states])
 
 
@@ -289,12 +290,20 @@ EMISSION_CASES = {
     "one-cell": lambda: run_particles(small_config(n_cells=1)),
     "vacuum": vacuum_run,
     "extreme-values": extreme_values_run,
+    # runs across the seams of the emitted pieces: trajectory.csv has one row
+    # more than density.csv, so the two files' seams differ, and the centered
+    # reconstruction's breakpoints (n_cells + 2 of them) are not the positions
+    **{f"particles-chunk{d:+d}": (lambda d=d: run_particles(small_config(n_cells=scenarios._CHUNK + d)))
+       for d in (-1, 0, 1)},
+    "godunov-two-chunks+1": lambda: run_godunov(small_config(fv_cells=2 * scenarios._CHUNK + 1)),
+    "centered-chunk": lambda: centered_run(scenarios._CHUNK),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EMISSION_CASES))
 def test_emission_matches_direct_writers_byte_for_byte(tmp_path, case):
     run = EMISSION_CASES[case]()
+    assert all(text.count("\n") < scenarios._CHUNK for _, text in scenarios._snapshot_blocks(run))
     d = emit_method_run(run, tmp_path / "emitted")
     direct_density_csv(tmp_path / "density.csv", run.times, run.profiles)
     assert (d / "density.csv").read_bytes() == (tmp_path / "density.csv").read_bytes()
@@ -347,10 +356,39 @@ def test_emission_holds_one_snapshot_of_text_at_a_time(tmp_path):
             tracemalloc.stop()
 
     one, whole = emit_peak(first), emit_peak(run)
-    # measured: 0.79 MB for one snapshot, 0.99 MB for all eleven (the particle
-    # indices stay formatted for the whole run); a writer that keeps every
+    # measured: 0.27 MB for one snapshot, 0.29 MB for all eleven (the particle
+    # indices' text is held for the whole run); a writer that keeps every
     # snapshot's text until the end peaks at 3.4 MB
     assert whole < 1.5 * one
+
+
+def emission_peak(runner, out, **cells):
+    """The tracemalloc peak, in bytes, of emitting a 3-snapshot run of ``runner``."""
+    run = runner(small_config(t_end=0.01, output_times=(0.0, 0.005, 0.01), **cells))
+    run.metric_rows  # computed on first access: outside the emission measured here
+    tracemalloc.start()
+    try:
+        emit_method_run(run, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_particle_emission_memory_stays_flat_in_the_cell_count(tmp_path):
+    narrow = emission_peak(run_particles, tmp_path, n_cells=2 * scenarios._CHUNK)
+    wide = emission_peak(run_particles, tmp_path, n_cells=16 * scenarios._CHUNK)
+    # measured: 267 kB at 2 chunks, 309 kB at 16 (a factor of 1.16, the held
+    # index text); writers that hold a whole snapshot's text grow about 8-fold
+    assert wide < 1.5 * narrow
+
+
+def test_finite_volume_emission_grows_by_the_held_edge_text_alone(tmp_path):
+    narrow = emission_peak(run_godunov, tmp_path, fv_cells=2 * scenarios._CHUNK)
+    wide = emission_peak(run_godunov, tmp_path, fv_cells=16 * scenarios._CHUNK)
+    # measured: 221 kB at 2 chunks, 370 kB at 16, or 20.7 B per added cell, of
+    # which 16 B is the grid edges' held text; a ``str`` per edge takes about
+    # 80 B, and a whole snapshot's text about 280 B per cell
+    assert wide - narrow < 32 * 14 * scenarios._CHUNK
 
 
 def test_compare_emission_layout(tmp_path):
@@ -764,6 +802,31 @@ def test_cli_godunov_overflowing_update_exits_two(tmp_path, capsys):
     assert "invariant violation: finite-volume step at t=0 gave a value that is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, label", [
+    ("particles", "particles"),
+    ("godunov", "godunov"),
+    ("compare", "compare"),
+    ("converge", "convergence"),
+    ("entropy-audit", "particles-audit"),
+])
+def test_cli_unusable_out_exits_three_before_the_solver(tmp_path, capsys, monkeypatch, command, label):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver ran before the output directory was checked")
+
+    for name in ("run_particles", "run_godunov", "run_compare", "run_convergence", "run_entropy_audit"):
+        monkeypatch.setattr(f"nlftl.cli.{name}", no_solver)
+    # a regular file as the out root, above it, and in place of the run's own directory
+    (tmp_path / "tree" / "single-step").mkdir(parents=True)
+    files = [tmp_path / "file", tmp_path / "file", tmp_path / "tree" / "single-step" / label]
+    outs = [files[0], files[0] / "below", tmp_path / "tree"]
+    for in_the_way, out in zip(files, outs):
+        in_the_way.write_text("kept\n")
+        assert main([command, "--scenario", "single-step", "--t-end", "2", "--out", str(out)]) == 3
+        assert in_the_way.read_text() == "kept\n"
+        assert f"config error: cannot write output under {out}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["file", "tree", "single-step", label])
+
+
 def test_cli_scenario_list(capsys):
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out
@@ -846,3 +909,23 @@ def test_entropy_audit_demo_flags_split_block_and_clears_solver_run(tmp_path, ca
     assert lines[0].startswith("split block: flagged at plateau horizon T=")
     assert lines[1].startswith("single-step via particles: 11 residuals, 0 flagged")
     assert (tmp_path / "single-step" / "particles-audit" / "entropy.jsonl").exists()
+
+
+def test_emit_manifest_repeats_on_the_same_tree(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "emit_manifest.py"
+    ns = runpy.run_path(str(script))
+    # the canonical set at reduced size: each later flag overrides its default
+    smaller = {
+        "compare": ("--n", "10", "--cells", "60", "--t-end", "0.1"),
+        "entropy-audit": ("--n", "10", "--cells", "60", "--n-space", "16", "--c-list", "0.5"),
+        "converge": ("--n-list", "5,10"),
+    }
+    commands = [(*argv, *smaller[argv[0]]) for argv in ns["CANONICAL"]]
+    out = tmp_path / "out"
+    first = ns["manifest"](out, commands)
+    shutil.rmtree(out)
+    assert ns["manifest"](out, commands) == first
+    assert capsys.readouterr().out == ""
+    assert len(first["stdout"]) == len(commands) == 10
+    # per builtin, compare's three trees; two files per audit; the convergence pair
+    assert len(first["files"]) == 5 * (4 + 3 + 2) + 4 * 2 + 2
