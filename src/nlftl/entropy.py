@@ -14,9 +14,9 @@ a residual below the negative guard band certifies a violation.
 Spatial convolutions of the Gaussian kernel against a piecewise-constant
 profile are exact: integrating K' (resp. K'') over a cell telescopes to K
 (resp. K') at the cell edges, so K' conv rho collapses to one kernel
-evaluation per breakpoint weighted by the density jump; above a crossover
-these jump sums come from the Gauss-Taylor expansion of
-:mod:`nlftl.gauss_sums`.  The space integral
+evaluation per breakpoint weighted by the density jump; where the rule of
+:func:`nlftl.gauss_sums.plan` picks an order, these jump sums come from its
+Gauss-Taylor expansion.  The space integral
 uses 3-point Gauss-Legendre on the merged cell grid, at two resolutions,
 and the time integral is trapezoidal over the snapshots.  The
 c-independent integrands (density, flux, both convolutions, phi and phi')
@@ -39,12 +39,6 @@ from .profiles import DensityProfile, sorted_union
 
 _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-# Crossover and term cap of the Gauss-Taylor jump sums, measured on a 2-vCPU
-# Xeon VM (medians of 7 x 40 calls, 2,439 points on [-6, 6]): the direct
-# blocks take 1.43 times the expansion's time at 24 breakpoints with 40 terms
-# (the audit's order) and 1.03 times with 63 terms; 0.97 and 0.60 at 12.
-_EXPANSION_MIN_BREAKPOINTS = 24
-_EXPANSION_MAX_TERMS = 64
 _GUARD_FLOOR = 1e-6  # smallest guard band below zero before a residual is flagged
 N_SPACE = 256  # default spatial quadrature cells of the coarse pass; the fine pass takes twice as many
 MAX_N_SPACE = 100_000  # most coarse-pass cells: a snapshot's work peaks at about 80 MB here (8.3 MB at 10^4 under tracemalloc)
@@ -336,10 +330,9 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
 
     sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into jump coefficients at the
     breakpoints: W1(x) = sum_j coef_j K(x - b_j), W2(x) = sum_j coef_j K'(x - b_j).
-    From ``_EXPANSION_MIN_BREAKPOINTS`` charged breakpoints on, and while the
-    order :func:`nlftl.gauss_sums.plan` picks for the breakpoints as sources
-    and the span of ``x`` as targets is at most ``_EXPANSION_MAX_TERMS``, the
-    sums come from the Gauss-Taylor expansion of :func:`_expanded_jump_sums`,
+    Where :func:`nlftl.gauss_sums.plan` picks an order for the charged
+    breakpoints as sources and the points ``x`` as targets, the sums come
+    from the Gauss-Taylor expansion of :func:`_expanded_jump_sums`,
     O((points + breakpoints) p) work; otherwise from
     :func:`_direct_jump_sums`, O(points x breakpoints).  Both use
     O(points + breakpoints) memory and plain numpy reductions in a fixed
@@ -349,11 +342,8 @@ def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
     bp, coef = _charged_breakpoints(profile)
     if bp.size == 0:
         return np.zeros_like(x), np.zeros_like(x), 0
-    p, c = 0, 0.0
-    if bp.size >= _EXPANSION_MIN_BREAKPOINTS:
-        p, c = gauss_sums.plan(
-            kernel.inv_width, float(bp[0]), float(bp[-1]), float(np.min(x)), float(np.max(x)), _EXPANSION_MAX_TERMS
-        )
+    lo, hi = float(np.min(x)), float(np.max(x))
+    p, c = gauss_sums.plan(kernel.inv_width, float(bp[0]), float(bp[-1]), bp.size, lo, hi, x.size, gauss_sums.MOMENT_RATIO)
     if p == 0:
         return (*_direct_jump_sums(kernel, bp, coef, x), 0)
     return (*_expanded_jump_sums(kernel, bp, coef, x, p, c), p)

@@ -11,11 +11,10 @@ A p-term sum leaves out terms of size at most e(u) e(v) R^n / n! for n >= p,
 where R bounds 2B |u v|.  Since e(u) e(v) exp(2B |u v|) <= 1, every term of
 the expansion is at most 1 whatever R is, so rounding stays near eps times
 the sum of the absolute weights; only p grows with R.  :func:`plan` picks the
-centre and the order for both sums; each caller keeps only its contraction
-(prefix sums of the source weights for the one-sided particle sums, global
-moments for the full entropy sums) and its measured crossover and term cap.
-Every sum takes its block arrays from one work area held here
-(:func:`work_arrays`).
+centre, the order and the path for both sums by one rule; each caller keeps
+only its contraction (prefix sums of the source weights for the one-sided
+particle sums, global moments for the full entropy sums).  Every sum takes
+its block arrays from one work area held here (:func:`work_arrays`).
 """
 
 from __future__ import annotations
@@ -27,31 +26,51 @@ import numpy as np
 
 _TAIL = 2.0**-56  # bound on the first omitted term R^p / p!
 BLOCK = 2**15  # array entries per block or strip of the pair sums and the jump sums
+# The path rule of :func:`plan`, measured on a 2-vCPU Xeon VM.  Past R =
+# MAX_REACH the direct paths run: the particle sums' max-norm error against
+# the strips grows with R and N, to 9.1e-15 at R = 16 (p = 72) on 2,401 to
+# 40,001 particles and 1.2e-14 at R = 36 (jump sums: 7e-15 at R = 16).  Up
+# to it, the expansion runs when ratio * (sources + targets) * p, its work,
+# is below the direct path's sources * targets.  At the crossovers the ratios
+# set, the strips take 1.03, 1.10 and 1.01 times the expansion's time (N+1 =
+# 6p for p = 19, 41, 72), and the direct blocks on 2,439 points 1.00 times
+# (16 breakpoints, p = 41), 0.93 and 1.07 (26 and 32, p = 64); medians.
+MAX_REACH = 16.0
+PREFIX_RATIO = 3.0  # the one-sided particle pair sums: prefix sums of the source weights
+MOMENT_RATIO = 0.4  # the entropy jump sums: global moments of the breakpoint weights
 
 
-def terms(r: float, max_terms: int) -> int:
-    """The smallest order p with r^p / p! <= 2^-56, or 0 when it exceeds ``max_terms``."""
+def terms(r: float) -> int:
+    """The smallest order p with r^p / p! <= 2^-56, or 0 when r exceeds ``MAX_REACH`` (or is not a number)."""
+    if not r <= MAX_REACH:
+        return 0
     p, term = 0, 1.0
     while term > _TAIL:
         p += 1
-        if p > max_terms:
-            return 0
         term *= r / p
     return p
 
 
+MAX_ORDER = terms(MAX_REACH)  # the largest order plan picks
+
+
 def plan(
-    inv_width: float, sources_lo: float, sources_hi: float, targets_lo: float, targets_hi: float, max_terms: int
+    inv_width: float, sources_lo: float, sources_hi: float, n_sources: int,
+    targets_lo: float, targets_hi: float, n_targets: int, ratio: float,
 ) -> tuple[int, float]:
     """Order p and centre c of an expansion of sources in [sources_lo, sources_hi] at targets in [targets_lo, targets_hi].
 
     c is the middle of the sources' span and R = 2B h_s h_t, with h_s the
     sources' half-span and h_t the distance from c to the farther target
-    end; p is :func:`terms` (R, ``max_terms``), 0 above the cap.
+    end.  p is :func:`terms` (R) when ``ratio`` (``PREFIX_RATIO`` or
+    ``MOMENT_RATIO``, after the caller's contraction) times the expansion's
+    work (n_sources + n_targets) p is below the direct path's
+    n_sources n_targets, and 0, for the direct path, otherwise.
     """
     centre = 0.5 * (sources_lo + sources_hi)
     reach = max(abs(targets_lo - centre), abs(targets_hi - centre))
-    return terms(2.0 * inv_width * (0.5 * (sources_hi - sources_lo)) * reach, max_terms), centre
+    p = terms(2.0 * inv_width * (0.5 * (sources_hi - sources_lo)) * reach)
+    return (p if ratio * (n_sources + n_targets) * p < n_sources * n_targets else 0), centre
 
 
 @functools.lru_cache(maxsize=256)

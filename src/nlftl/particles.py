@@ -110,12 +110,6 @@ def jam_state(center: float, mass: float, mobility: Mobility, n_cells: int) -> P
 
 
 _TILE = 64  # most rows per strip of the pair sums
-# Crossover and term cap of the Gauss-Taylor pair sums, measured on a 2-vCPU
-# Xeon VM (medians of 3 x 30 calls on equispaced particles): with 32 terms the
-# expansion takes 0.87 of the strips' time at N = 224 and 1.12 at N = 192;
-# with 19 terms (every builtin) 0.58 at N = 224; with 40 terms 1.06 at N = 224.
-_EXPANSION_MIN_N = 224  # cells
-_EXPANSION_MAX_TERMS = 32
 
 
 def _densities(gaps: np.ndarray, pm: float) -> np.ndarray:
@@ -128,23 +122,13 @@ def _densities(gaps: np.ndarray, pm: float) -> np.ndarray:
     return np.divide(pm, gaps, out=np.full(gaps.shape, np.inf), where=gaps > 0.0)
 
 
-def _expansion(x: np.ndarray, kernel: Kernel) -> tuple[int, float]:
+def _pair_sum_plan(x: np.ndarray, kernel: Kernel) -> tuple[int, float]:
     """Order p and centre c of the Gauss-Taylor expansion :func:`_pair_sums` uses on ``x``; p = 0 for the strips.
 
-    The particles are both the sources and the targets of
-    :func:`nlftl.gauss_sums.plan`.  The strips run below the crossover of
-    ``_EXPANSION_MIN_N`` cells and when p exceeds ``_EXPANSION_MAX_TERMS``
-    (narrow kernels or wide spans).
+    The particles are both the sources and the targets of :func:`nlftl.gauss_sums.plan`.
     """
-    if x.size - 1 < _EXPANSION_MIN_N:
-        return 0, 0.0
     lo, hi = float(x.min()), float(x.max())  # trial states of the integrator may be out of order
-    return gauss_sums.plan(kernel.inv_width, lo, hi, lo, hi, _EXPANSION_MAX_TERMS)
-
-
-def _pair_sum_terms(x: np.ndarray, kernel: Kernel) -> int:
-    """Order p of the expansion :func:`_pair_sums` uses on ``x``, 0 for the strips (see :func:`_expansion`)."""
-    return _expansion(x, kernel)[0]
+    return gauss_sums.plan(kernel.inv_width, lo, hi, x.size, lo, hi, x.size, gauss_sums.PREFIX_RATIO)
 
 
 def _tiled_pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -231,11 +215,10 @@ def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int, centre: float) ->
 def _pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """One-sided kernel sums (sum_{j>i} K'(x_i - x_j), sum_{j<i} K'(x_i - x_j)).
 
-    Above the crossover, and while the expansion needs at most the term cap
-    (see :func:`_expansion`), the sums come from a p-term Taylor
-    expansion of the Gaussian about the middle of the span, O(N p) work and
-    O(N) memory; otherwise from the row strips of :func:`_tiled_pair_sums`,
-    O(N^2).  Since e_i e_j <= 1 and (2B |u_i u_j|)^n / n! <= R^n / n!, the
+    Where :func:`_pair_sum_plan` picks an order p, the sums come from a
+    p-term Taylor expansion of the Gaussian about the middle of the span,
+    O(N p) work and O(N) memory; otherwise from the row strips of
+    :func:`_tiled_pair_sums`, O(N^2).  Since e_i e_j <= 1 and (2B |u_i u_j|)^n / n! <= R^n / n!, the
     omitted terms change each pair's weight exp(-B (x_i - x_j)^2) by about
     2^-56 at most, and since e_i e_j exp(2B |u_i u_j|) <= 1 the rounding
     stays near eps * sum |K'| whatever R is; only p grows with R.  Both
@@ -243,7 +226,7 @@ def _pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     BLAS, so results repeat bitwise.  The two arrays are fresh on every
     call, so callers may scale them in place.
     """
-    p, centre = _expansion(x, kernel)
+    p, centre = _pair_sum_plan(x, kernel)
     if p == 0:
         return _tiled_pair_sums(x, kernel)
     return _expanded_pair_sums(x, kernel, p, centre)
@@ -278,7 +261,7 @@ def _direct_velocities(x: np.ndarray, rows: np.ndarray, pm: float, kernel: Kerne
     more), so it lies within 2AB * span * N * (N + p + 16) eps of the exact
     sum; the omitted tail adds under eps / 8 per pair, and these direct sums
     round less.  The bound at particle i is pm (v(R_i) + v(R_{i-1})) times
-    twice that, with p at its cap.
+    twice that, with p the largest order the plan picks.
     """
     n = x.size - 1
     kp = kernel.d1(x[rows, None] - x)
@@ -289,7 +272,7 @@ def _direct_velocities(x: np.ndarray, rows: np.ndarray, pm: float, kernel: Kerne
     behind, ahead = speed[rows], speed[rows + 1]
     velocity = -pm * (ahead * above + behind * below)
     span = float(x.max() - x.min())
-    sums = 2.0 * kernel.amplitude * kernel.inv_width * span * n * (n + _EXPANSION_MAX_TERMS + 16) * np.finfo(float).eps
+    sums = 2.0 * kernel.amplitude * kernel.inv_width * span * n * (n + gauss_sums.MAX_ORDER + 16) * np.finfo(float).eps
     return velocity, 2.0 * pm * (ahead + behind) * sums
 
 
@@ -504,7 +487,7 @@ def integrate(
         jac_evals=solver.njev,
         lu_decompositions=solver.nlu,
         settle_checks=settle_checks,
-        pair_sum_terms=_pair_sum_terms(x0, kernel),
+        pair_sum_terms=_pair_sum_plan(x0, kernel)[0],
     )
 
 

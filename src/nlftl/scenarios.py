@@ -541,11 +541,15 @@ def _out_dir(config: ScenarioConfig, label: str, out_root) -> Path:
     return Path(out_root if out_root is not None else config.out_dir) / config.scenario / label
 
 
+_OUT_FILES = ("density.csv", "trajectory.csv", "metrics.csv", "distances.csv", "convergence.csv", "entropy.jsonl", "meta.json")  # what the emitters write
+
+
 def check_out_dirs(config: ScenarioConfig, *labels: str) -> None:
     """ConfigError unless every ``<out>/<scenario>/<label>`` can be created and
     written, the config's ``out_dir`` being ``<out>``.  Creates nothing: the
     nearest existing ancestor of each (or the directory itself) must be a
-    writable directory."""
+    writable directory, and what stands at an output file's name in it a
+    writable file."""
     for label in labels:
         path = _out_dir(config, label, None)
         existing = next(p for p in (path, *path.parents) if p.exists())
@@ -553,6 +557,9 @@ def check_out_dirs(config: ScenarioConfig, *labels: str) -> None:
             raise ConfigError(f"cannot write output under {path}: {existing} is not a directory")
         if not os.access(existing, os.W_OK | os.X_OK):
             raise ConfigError(f"cannot write output under {path}: {existing} is not writable")
+        for target in (path / name for name in _OUT_FILES):
+            if target.exists() and not (target.is_file() and os.access(target, os.W_OK)):
+                raise ConfigError(f"cannot write output under {path}: {target} is not a writable file")
 
 
 def emit_method_run(run: MethodRun, out_root=None) -> Path:

@@ -13,7 +13,10 @@ serves the tests alone, as the reference some results are checked against.
 Last, it fails on a function with a parameter named after a tolerance behind
 a gate (the Courant number, the integrator tolerances, the guard floor of the
 entropy audit, the gap slack): those are module constants, and a keyword
-would let a caller loosen the check they set.
+would let a caller loosen the check they set.  The same goes for a term cap
+of the Gauss-Taylor sums (``max_terms``): one rule in
+``nlftl.gauss_sums.plan`` picks every order, and a cap per caller would
+bring back the per-module crossovers that rule replaced.
 """
 
 import ast
@@ -24,7 +27,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlftl"
 BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
 CONCURRENCY = {"threading", "multiprocessing", "concurrent"}
-GATE_TOLERANCES = {"cfl", "rtol", "atol", "guard_floor", "eps_gap"}
+GATE_TOLERANCES = {"cfl", "rtol", "atol", "guard_floor", "eps_gap", "max_terms"}
 
 
 def imports_of(tree: ast.AST, packages: set[str]) -> list[str]:
@@ -146,6 +149,7 @@ def test_no_keyword_changes_a_gate_tolerance(path):
         "def outer():\n    def inner(rtol): pass",
         "def run(*rtol): pass",
         "def run(**atol): pass",
+        "def plan(inv_width, lo, hi, max_terms=32): pass",
     ],
 )
 def test_guard_catches_each_tolerance_parameter(source):

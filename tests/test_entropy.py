@@ -440,12 +440,27 @@ def test_convolutions_equal_direct_kernel_sums(kernel, particle_audit):
     assert not z1.any() and not z2.any() and terms == 0
 
 
+def fewest_expanded_breakpoints(kernel):
+    """The fewest charged breakpoints of :func:`perturbed_single_step` for which
+    :func:`nlftl.gauss_sums.plan` expands the jump sums at points on [-3, 3]."""
+    for n_bp in range(2, 1000):
+        profile, _ = perturbed_single_step(n_bp - 1)
+        x, _, _ = entropy._quad_grid(profile, -3.0, 3.0, 256)
+        bp = charged_breakpoints(profile)[0]
+        p, _ = gauss_sums.plan(
+            kernel.inv_width, bp[0], bp[-1], bp.size, np.min(x), np.max(x), x.size, gauss_sums.MOMENT_RATIO
+        )
+        if p:
+            return n_bp
+    raise AssertionError("no breakpoint count takes the expansion")
+
+
 @pytest.mark.parametrize("kernel", [KER, SECOND_KERNEL])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_jump_sums_across_the_crossover(kernel, offset):
     # n cells give n + 1 charged breakpoints; points on [-3, 3] keep the
-    # second kernel's order under the cap (R = 2B h_b h_x = 12)
-    n_bp = entropy._EXPANSION_MIN_BREAKPOINTS + offset
+    # second kernel's order within the limit (R = 2B h_b h_x = 12)
+    n_bp = fewest_expanded_breakpoints(kernel) + offset
     profile, _ = perturbed_single_step(n_bp - 1)
     assert charged_breakpoints(profile)[0].size == n_bp
     x, _, _ = entropy._quad_grid(profile, -3.0, 3.0, 256)
@@ -455,7 +470,7 @@ def test_jump_sums_across_the_crossover(kernel, offset):
         assert terms == 0
         assert np.array_equal(w1, want[0]) and np.array_equal(w2, want[1])
     else:
-        assert 0 < terms <= entropy._EXPANSION_MAX_TERMS
+        assert 0 < terms <= gauss_sums.MAX_ORDER
         assert max_rel_error((w1, w2), want) <= 1e-14
 
 
@@ -473,7 +488,7 @@ def test_expanded_jump_sums_match_direct_sums_up_to_forty_thousand_cells(kernel,
     profile, tf = perturbed_single_step(n_cells)
     x, _, _ = entropy._quad_grid(profile, *(window or tf.x_support), 512)
     w1, w2, terms = entropy._convolutions(kernel, profile, x)
-    assert 0 < terms <= entropy._EXPANSION_MAX_TERMS
+    assert 0 < terms <= gauss_sums.MAX_ORDER
     rows = np.unique(np.r_[np.linspace(0, x.size - 1, 100).astype(int), x.size - 1])
     want = strided_direct_sums(kernel, profile, x[rows])
     assert max_rel_error((w1[rows], w2[rows]), want) <= 1e-14
@@ -489,12 +504,14 @@ def test_expanded_jump_sums_repeat_bitwise():
 
 
 def test_jump_sums_above_the_term_cap_take_the_direct_blocks_bitwise():
-    # the t_end = 10 test function spans [-22, 22]: R = 2B h_b h_x is about 22
+    # the t_end = 10 test function spans [-22, 22]: R = 2B h_b h_x is about
+    # 22, past the limit, though 301 breakpoints would make the expansion cheaper
     cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "t_end": 10.0})
     profile, _ = perturbed_single_step(300)
     x, _, _ = entropy._quad_grid(profile, *nl.default_test_function(cfg).x_support, 64)
     bp, coef = charged_breakpoints(profile)
-    assert bp.size >= entropy._EXPANSION_MIN_BREAKPOINTS
+    centre = 0.5 * (bp[0] + bp[-1])
+    assert 2.0 * KER.inv_width * (bp[-1] - centre) * np.max(np.abs(x - centre)) > gauss_sums.MAX_REACH
     w1, w2, terms = entropy._convolutions(KER, profile, x)
     assert terms == 0
     want = entropy._direct_jump_sums(KER, bp, coef, x)

@@ -1,4 +1,6 @@
-"""The Gauss-Taylor plan (centre and order) shared by the particle pair sums and the entropy jump sums."""
+"""The Gauss-Taylor plan (centre, order and path) shared by the particle pair sums and the entropy jump sums."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,82 +8,107 @@ import pytest
 import nlftl as nl
 from nlftl import entropy, gauss_sums, particles
 
-# R from below the one-term bound 2^-56 to beyond both term caps, fine enough
-# in log R that every order up to each cap gets a value
+# R from below the one-term bound 2^-56 to beyond the limit, fine enough in
+# log R that every order up to the limit gets a value
 R_SWEEP = np.geomspace(1e-18, 50.0, 4000)
 
 
+def order_reference(r):
+    """The smallest p with r^p / p! <= 2^-56, or 0 past R = MAX_REACH."""
+    if not r <= gauss_sums.MAX_REACH:
+        return 0
+    return next(k for k in range(1, 1000) if r**k / math.factorial(k) <= 2.0**-56)
+
+
+def path_rule_reference(r, ratio, n_sources, n_targets):
+    """The path rule written out: R's order where ratio (n_sources + n_targets) p
+    is below n_sources n_targets, else 0 for the direct path."""
+    p = order_reference(r)
+    return p if ratio * (n_sources + n_targets) * p < n_sources * n_targets else 0
+
+
 def particle_expansion_reference(x, kernel):
-    """The rule particles._expansion applied before gauss_sums.plan: R = 2B h^2, h the half-span, about its middle."""
-    if x.size - 1 < particles._EXPANSION_MIN_N:
-        return 0, 0.0
+    """The plan of the particle pair sums: R = 2B h^2 about the middle, h the half-span."""
     lo, hi = float(x.min()), float(x.max())
     half = 0.5 * (hi - lo)
-    return gauss_sums.terms(2.0 * kernel.inv_width * half * half, particles._EXPANSION_MAX_TERMS), 0.5 * (lo + hi)
+    r = 2.0 * kernel.inv_width * half * half
+    return path_rule_reference(r, gauss_sums.PREFIX_RATIO, x.size, x.size), 0.5 * (lo + hi)
 
 
 def jump_sum_plan_reference(kernel, bp, x):
-    """The rule of entropy._jump_sum_terms before gauss_sums.plan, and the centre
-    entropy._expanded_jump_sums took: R = 2B h_b h_x about the middle c of the
-    breakpoints, h_b their half-span and h_x the farthest point's distance from c."""
-    if bp.size < entropy._EXPANSION_MIN_BREAKPOINTS:
-        return 0, None
+    """The plan of the entropy jump sums, and the centre entropy._expanded_jump_sums
+    takes: R = 2B h_b h_x about the middle c of the breakpoints, h_b their
+    half-span and h_x the farthest point's distance from c."""
     c = 0.5 * (bp[0] + bp[-1])
     h_x = max(abs(float(np.min(x)) - c), abs(float(np.max(x)) - c))
     r = 2.0 * kernel.inv_width * (0.5 * (bp[-1] - bp[0])) * h_x
-    return gauss_sums.terms(r, entropy._EXPANSION_MAX_TERMS), c
+    p = path_rule_reference(r, gauss_sums.MOMENT_RATIO, bp.size, x.size)
+    return p, (c if p else None)
+
+
+def counts_about_the_crossover(rng, r, ratio, straddle):
+    """A count of sources or of targets: where ``straddle``, about the cost
+    crossover of R's order, else enough that the cost rule keeps every order
+    up to the limit."""
+    if straddle:
+        return int(2.0 * ratio * max(1, order_reference(r)) * rng.uniform(0.8, 1.2)) + 1
+    return int(rng.integers(int(2.0 * ratio * gauss_sums.MAX_ORDER) + 1, 1000))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_particle_plan_equals_the_removed_rule(seed):
     # random spans, centres and kernels, the particles shuffled as the
-    # integrator's trial states may be; every order up to the cap, and 0 beyond it
+    # integrator's trial states may be; every order up to the limit, 0
+    # beyond it, and one count in five about the cost crossover
     rng = np.random.default_rng(seed)
-    seen = set()
-    for r in R_SWEEP:
+    seen, sides = set(), set()
+    for k, r in enumerate(R_SWEEP):
         half = 10.0 ** rng.uniform(-3.0, 0.5)
         kernel = nl.Kernel(amplitude=rng.uniform(0.1, 2.0), inv_width=r / (2.0 * half * half))
-        n = particles._EXPANSION_MIN_N + int(rng.integers(0, 40))
-        x = rng.uniform(-1.0, 1.0) + half * np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, n - 1)))
+        n = counts_about_the_crossover(rng, r, gauss_sums.PREFIX_RATIO, k % 5 == 0)
+        x = rng.uniform(-1.0, 1.0) + half * np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, n - 2)))
         rng.shuffle(x)
         want = particle_expansion_reference(x, kernel)
-        assert particles._expansion(x, kernel) == want
-        assert particles._pair_sum_terms(x, kernel) == want[0]
-        seen.add(want[0])
-    assert seen == set(range(particles._EXPANSION_MAX_TERMS + 1))
-    # below the crossover the strips run whatever R is
-    x = np.linspace(-1.0, 1.0, particles._EXPANSION_MIN_N)
-    assert particles._expansion(x, nl.Kernel()) == particle_expansion_reference(x, nl.Kernel()) == (0, 0.0)
+        assert particles._pair_sum_plan(x, kernel) == want
+        if k % 5:
+            seen.add(want[0])
+        elif order_reference(r):  # an order within the limit: the cost rule decides
+            sides.add(want[0] == 0)
+    assert seen == set(range(gauss_sums.MAX_ORDER + 1))
+    assert sides == {True, False}  # about the crossover, both paths
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_jump_sum_plan_equals_the_removed_rule(seed, monkeypatch):
     # random breakpoint and point sets: the points are unsorted and reach from
-    # well inside the breakpoints' span to beyond it; one set in ten has one
-    # breakpoint too few for the expansion
+    # well inside the breakpoints' span to beyond it; one set in five has
+    # counts about the cost crossover
     plans = []
     monkeypatch.setattr(entropy, "_direct_jump_sums", lambda kernel, bp, coef, x: (x, x))
     monkeypatch.setattr(entropy, "_expanded_jump_sums", lambda kernel, bp, coef, x, p, c: plans.append(c) or (x, x))
     rng = np.random.default_rng(seed)
-    seen = set()
+    seen, sides = set(), set()
     for k, r in enumerate(R_SWEEP):
         h_b = 10.0 ** rng.uniform(-2.0, 0.5)
         h_x = h_b * rng.uniform(0.2, 3.0)
         kernel = nl.Kernel(amplitude=rng.uniform(0.1, 2.0), inv_width=r / (2.0 * h_b * h_x))
         centre = rng.uniform(-1.0, 1.0)
-        below = k % 10 == 0
-        n_bp = entropy._EXPANSION_MIN_BREAKPOINTS + (-1 if below else int(rng.integers(0, 40)))
+        n_bp = max(2, counts_about_the_crossover(rng, r, gauss_sums.MOMENT_RATIO, k % 5 == 0))
+        n_x = counts_about_the_crossover(rng, r, gauss_sums.MOMENT_RATIO, k % 5 == 0)
         bp = np.sort(centre + h_b * np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, n_bp - 2))))
         profile = nl.DensityProfile(bp, rng.uniform(0.1, 1.0, n_bp - 1))
-        x = centre + h_x * np.concatenate(([rng.choice([-1.0, 1.0])], rng.uniform(-1.0, 1.0, 50)))
+        x = centre + h_x * np.concatenate(([rng.choice([-1.0, 1.0])], rng.uniform(-1.0, 1.0, n_x - 1)))
         rng.shuffle(x)
         want_p, want_c = jump_sum_plan_reference(kernel, bp, x)
         plans.clear()
         assert entropy._convolutions(kernel, profile, x)[2] == want_p
         assert plans == ([want_c] if want_p else [])
-        if not below:
+        if k % 5:
             seen.add(want_p)
-    assert seen == set(range(entropy._EXPANSION_MAX_TERMS + 1))
+        elif order_reference(r):
+            sides.add(want_p == 0)
+    assert seen == set(range(gauss_sums.MAX_ORDER + 1))
+    assert sides == {True, False}  # about the crossover, both paths
 
 
 # the orders README gives: R = 1 on a span of 2, R = 0.5625 on a span of 1.5
@@ -100,3 +127,47 @@ def test_builtin_pair_sums_and_orders_are_unchanged_bitwise(name):
     assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(particles._pair_sums(x, kernel), want))
     traj = nl.integrate(state, kernel, mobility, 0.01)
     assert traj.pair_sum_terms == p
+
+
+KER = nl.Kernel()
+# R = 6.25 (a span of 5 for the default kernel), 12, just inside the limit and just past it
+REACHES = [6.25, 12.0, gauss_sums.MAX_REACH * (1.0 - 1e-12), gauss_sums.MAX_REACH * (1.0 + 1e-12)]
+
+
+def max_rel_error(got, want):
+    return max(float(np.max(np.abs(g - w)) / np.max(np.abs(w))) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [2401, 10_001])
+@pytest.mark.parametrize("r", REACHES, ids=["R6", "R12", "at-limit", "past-limit"])
+def test_particle_sums_up_to_the_limit_match_the_strips(r, n):
+    # equispaced and random particles on the span where R = 2B h^2 is r: the
+    # expansion's error grows with R and N, to about 8e-15 at the limit;
+    # past it the strips run, bit for bit
+    half = math.sqrt(r / (2.0 * KER.inv_width))
+    rng = np.random.default_rng(n)
+    for x in (np.linspace(-half, half, n), np.sort(np.r_[-half, half, rng.uniform(-half, half, n - 2)])):
+        p = particles._pair_sum_plan(x, KER)[0]
+        assert p == gauss_sums.terms(r) and (p > 0) == (r <= gauss_sums.MAX_REACH)
+        got, want = particles._pair_sums(x, KER), particles._tiled_pair_sums(x, KER)
+        if p:
+            assert max_rel_error(got, want) <= 1e-14
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("r", REACHES, ids=["R6", "R12", "at-limit", "past-limit"])
+def test_jump_sums_up_to_the_limit_match_the_direct_blocks(r):
+    # 301 charged breakpoints spanning [-1, 1] and 2,439 points reaching to
+    # where R = 2B h_b h_x is r; past the limit the direct blocks run, bit for bit
+    rng = np.random.default_rng(7)
+    bp = np.sort(np.r_[-1.0, 1.0, rng.uniform(-1.0, 1.0, 299)])
+    profile = nl.DensityProfile(bp, rng.uniform(0.1, 1.0, 300))
+    x = np.linspace(-1.0, 1.0, 2439) * (r / (2.0 * KER.inv_width))
+    *got, p = entropy._convolutions(KER, profile, x)
+    assert p == gauss_sums.terms(r) and (p > 0) == (r <= gauss_sums.MAX_REACH)
+    want = entropy._direct_jump_sums(KER, *entropy._charged_breakpoints(profile), x)
+    if p:
+        assert max_rel_error(got, want) <= 1e-14
+    else:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -18,13 +18,11 @@ from hypothesis import strategies as st
 import nlftl as nl
 from nlftl import gauss_sums, particles
 from nlftl.particles import (
-    _EXPANSION_MAX_TERMS,
-    _EXPANSION_MIN_N,
     _TILE,
     _direct_velocities,
     _expanded_pair_sums,
     _jacobian,
-    _pair_sum_terms,
+    _pair_sum_plan,
     _pair_sums,
     _tiled_pair_sums,
     _velocities,
@@ -317,10 +315,14 @@ def test_rhs_memory_stays_bounded_at_ten_thousand_cells():
     assert peak < 8e6  # 8-row strips: about 2.8 MB; 64-row strips took 21 MB
 
 
-@pytest.mark.parametrize("n", [n for n in TILE_COUNTS if n >= _EXPANSION_MIN_N])
+def takes_the_expansion(n):
+    return _pair_sum_plan(compact_state(np.random.default_rng(n), n).positions, KER)[0] > 0
+
+
+@pytest.mark.parametrize("n", [n for n in TILE_COUNTS if takes_the_expansion(n)])
 def test_tiled_sums_match_dense_reference_across_tiles(n):
-    # above the crossover _pair_sums runs the strips only past the term cap,
-    # so the strips' tile edges at these counts are checked here directly
+    # _pair_sums runs the expansion on these compact states, so the strips'
+    # tile edges at these counts are checked here directly
     rng = np.random.default_rng(n)
     s = compact_state(rng, n)
     got = frozen_sum_rhs(s.positions, s.particle_mass, _tiled_pair_sums(s.positions, KER), MOB)
@@ -330,7 +332,8 @@ def test_tiled_sums_match_dense_reference_across_tiles(n):
 
 # -------------------------------------------------------- pair-sum expansion
 
-EXPANSION_COUNTS = (_EXPANSION_MIN_N - 1, _EXPANSION_MIN_N, _EXPANSION_MIN_N + 1, 2400, 10_000, 19_200, 40_000)
+# N = 113, 114 and 115 straddle the crossover of single-step's 19 terms (N+1 > 6p)
+EXPANSION_COUNTS = (113, 114, 115, 2400, 10_000, 19_200, 40_000)
 
 
 def expansion_inputs(n):
@@ -347,34 +350,41 @@ def test_expanded_sums_match_direct_row_sums(n):
     # 1.2e-14 at N = 40,000; the blocked sums stay near 2e-15)
     rows = np.arange(n + 1) if n <= 2400 else np.unique(np.r_[0:16, np.linspace(0, n, 1025).astype(int), n - 15 : n + 1])
     for name, x in expansion_inputs(n):
-        assert (_pair_sum_terms(x, KER) > 0) == (n >= _EXPANSION_MIN_N), name
+        if name == "single-step":
+            assert (_pair_sum_plan(x, KER)[0] > 0) == (n + 1 > 2 * gauss_sums.PREFIX_RATIO * 19)
         for got, want in zip(_pair_sums(x, KER), direct_pair_sums(x, KER, rows)):
             assert np.max(np.abs(got[rows] - want)) / np.max(np.abs(want)) <= 1e-14, name
 
 
 def test_expansion_order_is_the_smallest_with_a_small_first_omitted_term():
-    n = _EXPANSION_MIN_N
+    # 2401 particles keep every order up to the limit above the cost crossover
     seen = set()
-    for half in np.linspace(0.05, 3.0, 60):
-        x = np.linspace(-half, half, n + 1)
+    for half in np.linspace(0.05, 4.5, 90):
+        x = np.linspace(-half, half, 2401)
         r = 2.0 * KER.inv_width * half * half
         p = next(k for k in range(1, 200) if r**k / math.factorial(k) <= 2.0**-56)
-        assert _pair_sum_terms(x, KER) == (p if p <= _EXPANSION_MAX_TERMS else 0)
-        seen.add(p <= _EXPANSION_MAX_TERMS)
+        assert _pair_sum_plan(x, KER)[0] == (p if r <= gauss_sums.MAX_REACH else 0)
+        seen.add(r <= gauss_sums.MAX_REACH)
     assert seen == {True, False}
-    assert _pair_sum_terms(np.linspace(-1.0, 1.0, n), KER) == 0  # n - 1 cells: below the crossover
+    # R = 1 needs 19 terms: the strips run up to N+1 = 6p particles, the expansion beyond
+    assert _pair_sum_plan(np.linspace(-1.0, 1.0, 114), KER) == (0, 0.0)
+    assert _pair_sum_plan(np.linspace(-1.0, 1.0, 115), KER) == (19, 0.0)
+
+
+PAST_THE_LIMIT = math.sqrt(gauss_sums.MAX_REACH / (2.0 * KER.inv_width)) * (1.0 + 1e-12)  # the half-span with R just past it
 
 
 @pytest.mark.parametrize(
     "x, kernel",
     [
         (np.linspace(-1.0, 1.0, 2401), nl.Kernel(inv_width=50.0)),  # narrow kernel, R = 100
-        (np.linspace(-2.5, 2.5, 2401), KER),  # wide span, R = 6.25
+        (np.linspace(-PAST_THE_LIMIT, PAST_THE_LIMIT, 2401), KER),  # wide span, R just past the limit
     ],
     ids=["narrow-kernel", "wide-span"],
 )
 def test_states_above_the_term_cap_take_the_strips_bitwise(x, kernel):
-    assert _pair_sum_terms(x, kernel) == 0
+    # the order limit derives from the R limit: past it, the strips run bitwise
+    assert _pair_sum_plan(x, kernel)[0] == 0
     got = _pair_sums(x, kernel)
     want = _tiled_pair_sums(x, kernel)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -383,7 +393,7 @@ def test_states_above_the_term_cap_take_the_strips_bitwise(x, kernel):
 def test_expanded_sums_repeat_bitwise():
     x = compact_state(np.random.default_rng(17), 40_000).positions
     first = _pair_sums(x, KER)
-    assert _pair_sum_terms(x, KER) > 0
+    assert _pair_sum_plan(x, KER)[0] > 0
     assert all(np.array_equal(a, b) for a, b in zip(first, _pair_sums(x, KER)))
     assert all(np.array_equal(a, b) for a, b in zip(first, _pair_sums(x.copy(), KER)))
 
@@ -391,10 +401,10 @@ def test_expanded_sums_repeat_bitwise():
 def test_expanded_sums_have_the_signs_of_one_sided_sums():
     # K' > 0 on (0, inf): every pair to the right pulls right, to the left pulls left
     rng = np.random.default_rng(23)
-    for n in (*rng.integers(_EXPANSION_MIN_N, 3 * _EXPANSION_MIN_N, size=17), 2400, 10_000, 40_000):
+    for n in (*rng.integers(224, 672, size=17), 2400, 10_000, 40_000):  # all above the crossover
         s = compact_state(rng, int(n))
         s_above, s_below = _pair_sums(s.positions, KER)
-        assert _pair_sum_terms(s.positions, KER) > 0
+        assert _pair_sum_plan(s.positions, KER)[0] > 0
         assert s_above[-1] == 0.0 and s_below[0] == 0.0
         assert np.all(s_above[:-1] < 0.0) and np.all(s_below[1:] > 0.0)
         v = nl.rhs(s, KER, MOB)
@@ -405,7 +415,7 @@ def test_expanded_sums_have_the_signs_of_one_sided_sums():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.integers(min_value=1, max_value=_EXPANSION_MAX_TERMS),
+    p=st.integers(min_value=1, max_value=gauss_sums.MAX_ORDER),
     offset=st.integers(min_value=-40, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -433,7 +443,7 @@ def test_expansion_factors_are_shared_and_read_only():
 
 def test_expanded_rhs_memory_stays_bounded_at_forty_thousand_cells():
     s = compact_state(np.random.default_rng(29), 40_000)
-    assert _pair_sum_terms(s.positions, KER) > 0
+    assert _pair_sum_plan(s.positions, KER)[0] > 0
     tracemalloc.start()
     try:
         v = _velocities(s.positions, s.particle_mass, KER, MOB)
@@ -455,7 +465,7 @@ x = np.sort(rng.uniform(-1.0, 1.0, 2401))  # the wide workload's size
 snapshot = particles.reconstruct_density(nl.ParticleState(0.0, np.sort(rng.uniform(-1.0, 1.0, 301)), 0.002, 1.0))
 points = np.linspace(-6.0, 6.0, 2439)  # the audit's fine quadrature grid on its test function's support
 calls = {
-    "velocities": (lambda: particles._velocities(x, 0.6 / 2400, kernel, mobility), lambda: particles._pair_sum_terms(x, kernel)),
+    "velocities": (lambda: particles._velocities(x, 0.6 / 2400, kernel, mobility), lambda: particles._pair_sum_plan(x, kernel)[0]),
     "convolutions": (lambda: entropy._convolutions(kernel, snapshot, points), lambda: entropy._convolutions(kernel, snapshot, points)[2]),
 }
 call, terms = calls[sys.argv[1]]
@@ -654,16 +664,27 @@ def unscreened_settle_run(cfg, settle_tol):
         return nl.run_particles(cfg, settle_tol=settle_tol).trajectory
 
 
+WIDE_STEP = {"kind": "uniform-step", "left": -2.5, "right": 2.5, "height": 0.12}  # R = 6.25: 41 terms
+
+
 @pytest.mark.parametrize(
-    "n, settle_tol, most_checks",
-    [(300, 1e-6, 5), (2400, 1e-6, 5), (100, 1e-6, None), (1, 1e-6, None), (300, 1e-13, None)],
-    ids=["settle", "n2400", "strips", "one-cell", "tight-tol"],
+    "n, profile, settle_tol, most_checks, terms",
+    [
+        (300, None, 1e-6, 5, 19),
+        (2400, None, 1e-6, 5, 19),
+        (100, None, 1e-6, None, 0),  # N+1 = 101 is below the crossover 6p = 114
+        (1, None, 1e-6, None, 0),
+        (300, None, 1e-13, None, 19),
+        (300, WIDE_STEP, 1e-6, 5, 41),
+    ],
+    ids=["settle", "n2400", "strips", "one-cell", "tight-tol", "wide-span"],
 )
-def test_screened_settle_run_equals_the_unscreened_one_bitwise(n, settle_tol, most_checks):
-    cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "t_end": 200.0, "n_cells": n})
+def test_screened_settle_run_equals_the_unscreened_one_bitwise(n, profile, settle_tol, most_checks, terms):
+    doc = {"scenario": "single-step", "t_end": 200.0, "n_cells": n}
+    cfg = nl.ScenarioConfig.from_dict(doc if profile is None else {**doc, "profile": profile})
     screened = nl.run_particles(cfg, settle_tol=settle_tol).trajectory
     full = unscreened_settle_run(cfg, settle_tol)
-    assert (screened.pair_sum_terms == 0) == (n < _EXPANSION_MIN_N)
+    assert screened.pair_sum_terms == terms
     assert screened.settled and full.settled
     assert full.settle_checks == full.steps == screened.steps
     assert 0 < screened.settle_checks < screened.steps
@@ -674,7 +695,7 @@ def test_screened_settle_run_equals_the_unscreened_one_bitwise(n, settle_tol, mo
     assert all(np.array_equal(bits(a.positions), bits(b.positions)) for a, b in zip(screened.states, full.states))
 
 
-@pytest.mark.parametrize("n", [1, 2, 40, _TILE + 1, _EXPANSION_MIN_N, 300, 2400])
+@pytest.mark.parametrize("n", [1, 2, 40, _TILE + 1, 224, 300, 2400])
 def test_direct_velocities_match_the_oracle_and_bound_the_rhs(n):
     rng = np.random.default_rng(n)
     for k in range(4):
@@ -697,7 +718,7 @@ def test_direct_velocities_match_the_oracle_and_bound_the_rhs(n):
 def test_settle_run_records_the_expansion_order(settled_run):
     # single-step spans [-1, 1]: R = 2B h^2 = 1 needs 19 terms at N = 300
     traj, _ = settled_run
-    assert traj.pair_sum_terms == _pair_sum_terms(traj.states[0].positions, KER) == 19
+    assert traj.pair_sum_terms == _pair_sum_plan(traj.states[0].positions, KER)[0] == 19
     assert traj.diagnostics()["pair_sum_terms"] == 19
 
 

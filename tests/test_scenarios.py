@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlftl import __version__, entropy, scenarios
+from nlftl import __version__, entropy, gauss_sums, scenarios
 from nlftl.cli import main
 from nlftl.errors import ConfigError, InvariantViolation
 from nlftl.godunov import Grid
@@ -536,6 +536,7 @@ def test_every_meta_records_the_package_version(tmp_path):
     emit_entropy(frozen, run_entropy_audit(frozen, c_list=(0.5,), frozen=True, n_space=64, horizon=1.0), "particles-frozen", tmp_path)
     metas = sorted(tmp_path.rglob("meta.json"))
     assert [m.parent.name for m in metas] == ["compare", "convergence", "godunov", "particles", "particles-frozen"]
+    assert {p.name for p in tmp_path.rglob("*") if p.is_file()} == set(scenarios._OUT_FILES)  # what check_out_dirs checks
     for path in metas:
         assert json.loads(path.read_text())["versions"]["nlftl"] == __version__, path
 
@@ -553,7 +554,7 @@ def test_entropy_audit_meta_records_the_largest_jump_sum_order(tmp_path):
             x, _, _ = entropy._quad_grid(profile, *tf.x_support, n)
             orders.append(entropy._convolutions(kernel, profile, x)[2])
     assert meta["jump_sum_terms"] == {tf.label: max(orders)}
-    assert 0 < max(orders) <= entropy._EXPANSION_MAX_TERMS
+    assert 0 < max(orders) <= gauss_sums.MAX_ORDER
     assert all(r.jump_sum_terms == max(orders) for r in reports)
 
 
@@ -825,6 +826,24 @@ def test_cli_unusable_out_exits_three_before_the_solver(tmp_path, capsys, monkey
         assert in_the_way.read_text() == "kept\n"
         assert f"config error: cannot write output under {out}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["file", "tree", "single-step", label])
+
+
+@pytest.mark.parametrize("name", ["density.csv", "metrics.csv", "meta.json"])
+def test_cli_directory_in_place_of_an_output_file_exits_three_before_the_solver(tmp_path, capsys, monkeypatch, name):
+    # a directory where the run writes a file used to let the whole run march
+    # and then die on IsADirectoryError, exit 1, with the files before it written
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver ran before the output files were checked")
+
+    monkeypatch.setattr("nlftl.cli.run_godunov", no_solver)
+    run_dir = tmp_path / "out" / "single-step" / "godunov"
+    (run_dir / name).mkdir(parents=True)
+    argv = ["godunov", "--scenario", "single-step", "--t-end", "0.01", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"config error: cannot write output under {run_dir}: {run_dir / name} is not a writable file" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in run_dir.iterdir()] == [name]
 
 
 def test_cli_scenario_list(capsys):
