@@ -14,9 +14,8 @@ a residual below the negative guard band certifies a violation.
 Spatial convolutions of the Gaussian kernel against a piecewise-constant
 profile are exact: integrating K' (resp. K'') over a cell telescopes to K
 (resp. K') at the cell edges, so K' conv rho collapses to one kernel
-evaluation per breakpoint weighted by the density jump; where the rule of
-:func:`nlftl.gauss_sums.plan` picks an order, these jump sums come from its
-Gauss-Taylor expansion.  The space integral
+evaluation per breakpoint weighted by the density jump, the jump sums of
+:func:`nlftl.gauss_sums.jump_sums`.  The space integral
 uses 3-point Gauss-Legendre on the merged cell grid, at two resolutions,
 and the time integral is trapezoidal over the snapshots.  The
 c-independent integrands (density, flux, both convolutions, phi and phi')
@@ -255,98 +254,13 @@ def _charged_breakpoints(profile: DensityProfile) -> tuple[np.ndarray, np.ndarra
     return profile.breakpoints[keep], jumps[keep]
 
 
-def _direct_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray):
-    """The jump sums of :func:`_convolutions`, one kernel evaluation per (point, breakpoint).
-
-    The points are walked in blocks of about ``gauss_sums.BLOCK`` kernel
-    evaluations, so memory stays bounded at any N; each row is summed whole,
-    so the sums equal ``sum(coef * kernel.value(d))`` and
-    ``sum(coef * kernel.d1(d))`` exactly.  Every block is computed into the
-    same three arrays of :func:`nlftl.gauss_sums.work_arrays`: a fresh
-    allocation per call this size takes new pages from the OS each time.
-    """
-    w1, w2 = np.zeros_like(x), np.zeros_like(x)
-    rows = max(1, min(x.size, gauss_sums.BLOCK // bp.size))
-    if bp.size <= gauss_sums.BLOCK:
-        d, k, k1 = gauss_sums.work_arrays((rows, bp.size))
-    else:  # one row outgrows the work area
-        d, k, k1 = (np.empty((rows, bp.size)) for _ in range(3))
-    for start in range(0, x.size, rows):
-        m = min(rows, x.size - start)
-        np.subtract(x[start : start + m, None], bp, out=d[:m])
-        kernel.value_and_d1(d[:m], out=(k[:m], k1[:m]))
-        k[:m] *= coef
-        k1[:m] *= coef
-        w1[start : start + m] = np.sum(k[:m], axis=1)
-        w2[start : start + m] = np.sum(k1[:m], axis=1)
-    return w1, w2
-
-
-def _expanded_jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray, p: int, c: float):
-    """The jump sums of :func:`_convolutions` by a p-term expansion about the centre ``c``.
-
-    With u = . - c and e, a_n as in :mod:`nlftl.gauss_sums`, the p+1 global
-    moments M_n = sum_j coef_j e_j a_n(u_j) give
-    W1 = -A e_x sum_{n<p} a_n(u_x) M_n and, by the twin identity,
-    W2 = 2AB e_x sum_{n<p} a_n(u_x) (u_x M_n - sqrt((n+1)/(2B)) M_{n+1}).
-    The moments add up over blocks of ``gauss_sums.BLOCK // (p+1)``
-    breakpoints, all orders at once, in a work array that
-    :func:`nlftl.gauss_sums.work_arrays` holds across calls.  Since
-    a_n(u) = a_n(1) u^n, each sum over n is a polynomial in u_x, evaluated
-    by Horner's rule on all points at once, W1's and W2's in the two rows
-    of one array: O(points) memory, 2p passes.
-    """
-    step, twin = gauss_sums.factors(p, kernel.inv_width)
-    cols = max(1, gauss_sums.BLOCK // (p + 1))
-    a_buf = gauss_sums.work_arrays((p + 1, min(cols, bp.size)))[0]
-    moments = np.zeros(p + 1)
-    for lo in range(0, bp.size, cols):
-        u = bp[lo : lo + cols] - c
-        a = gauss_sums.basis(step[:, None], u, a_buf[:, : u.size])
-        a *= coef[lo : lo + cols] * kernel.gauss(u)
-        moments += np.sum(a, axis=1)
-    scale = gauss_sums.unit_basis(p, kernel.inv_width)
-    g = np.empty((2, p))
-    np.multiply(moments[:p], scale, out=g[0])
-    np.multiply(twin, moments[1:], out=g[1])
-    g[1] *= scale
-    cols = g.T[:, :, None]  # cols[n] = (g1[n], g2[n]) down one column
-    u = x - c
-    s = np.empty((2, u.size))  # (S1, S2)
-    s[...] = cols[-1]
-    for col in cols[-2::-1]:
-        s *= u
-        s += col
-    e = kernel.gauss(u)
-    u *= s[0]
-    s[1] -= u  # -(u_x S1 - S2)
-    s *= e
-    s *= np.array([[-kernel.amplitude], [-2.0 * kernel.amplitude * kernel.inv_width]])
-    return s[0], s[1]
-
-
 def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
-    """(K' conv rho, K'' conv rho) at points x, exact per cell, and the expansion order used.
+    """(K' conv rho, K'' conv rho, p) at points x, exact per cell; p is the expansion order, 0 where the sums ran direct.
 
-    sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into jump coefficients at the
-    breakpoints: W1(x) = sum_j coef_j K(x - b_j), W2(x) = sum_j coef_j K'(x - b_j).
-    Where :func:`nlftl.gauss_sums.plan` picks an order for the charged
-    breakpoints as sources and the points ``x`` as targets, the sums come
-    from the Gauss-Taylor expansion of :func:`_expanded_jump_sums`,
-    O((points + breakpoints) p) work; otherwise from
-    :func:`_direct_jump_sums`, O(points x breakpoints).  Both use
-    O(points + breakpoints) memory and plain numpy reductions in a fixed
-    order, so results repeat bitwise.  Returns (W1, W2, p), p = 0 on the
-    direct path.
+    sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into the jump sums of :func:`nlftl.gauss_sums.jump_sums`
+    over the breakpoints: W1(x) = sum_j coef_j K(x - b_j), W2(x) = sum_j coef_j K'(x - b_j).
     """
-    bp, coef = _charged_breakpoints(profile)
-    if bp.size == 0:
-        return np.zeros_like(x), np.zeros_like(x), 0
-    lo, hi = float(np.min(x)), float(np.max(x))
-    p, c = gauss_sums.plan(kernel.inv_width, float(bp[0]), float(bp[-1]), bp.size, lo, hi, x.size, gauss_sums.MOMENT_RATIO)
-    if p == 0:
-        return (*_direct_jump_sums(kernel, bp, coef, x), 0)
-    return (*_expanded_jump_sums(kernel, bp, coef, x, p, c), p)
+    return gauss_sums.jump_sums(kernel, *_charged_breakpoints(profile), x)
 
 
 def _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space):

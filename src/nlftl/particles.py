@@ -109,9 +109,6 @@ def jam_state(center: float, mass: float, mobility: Mobility, n_cells: int) -> P
     return ParticleState(time=0.0, positions=center + idx * gap, particle_mass=pm, cap=mobility.cap)
 
 
-_TILE = 64  # most rows per strip of the pair sums
-
-
 def _densities(gaps: np.ndarray, pm: float) -> np.ndarray:
     """R_i = pm / gap_i, and +inf where a gap is not positive.
 
@@ -120,116 +117,6 @@ def _densities(gaps: np.ndarray, pm: float) -> np.ndarray:
     as gap -> 0+.
     """
     return np.divide(pm, gaps, out=np.full(gaps.shape, np.inf), where=gaps > 0.0)
-
-
-def _pair_sum_plan(x: np.ndarray, kernel: Kernel) -> tuple[int, float]:
-    """Order p and centre c of the Gauss-Taylor expansion :func:`_pair_sums` uses on ``x``; p = 0 for the strips.
-
-    The particles are both the sources and the targets of :func:`nlftl.gauss_sums.plan`.
-    """
-    lo, hi = float(x.min()), float(x.max())  # trial states of the integrator may be out of order
-    return gauss_sums.plan(kernel.inv_width, lo, hi, x.size, lo, hi, x.size, gauss_sums.PREFIX_RATIO)
-
-
-def _tiled_pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """The one-sided sums of :func:`_pair_sums`, pair by pair in row strips.
-
-    The sums walk row strips of ``max(8, min(_TILE, gauss_sums.BLOCK // (N+1)))``
-    particles, so no temporary exceeds ``gauss_sums.BLOCK`` entries up to
-    N+1 = 4096, nor 8*(N+1) beyond.  A strip evaluates K'(x_i - x_j)
-    once on its block of pairs j > i (the mirrored pairs inside the strip's
-    diagonal tile are evaluated too and masked to zero), adds the block's row
-    sums to the sums over j > i, and subtracts its column sums from the sums
-    over j < i: K' is odd, exactly so in floating point, so
-    K'(x_j - x_i) = -K'(x_i - x_j) bit for bit.
-    """
-    n = x.size
-    tile = max(8, min(_TILE, gauss_sums.BLOCK // n))
-    s_above = np.zeros(n)
-    s_below = np.zeros(n)
-    mirrored = np.tri(tile, tile - 1, -1, dtype=bool)  # column j = lo+1+c is at or left of row i = lo+r
-    for lo in range(0, n - 1, tile):
-        hi = min(lo + tile, n)
-        kp = kernel.d1(x[lo:hi, None] - x[None, lo + 1 :])
-        rows = hi - lo
-        kp[:, : rows - 1][mirrored[:rows, : rows - 1]] = 0.0
-        s_above[lo:hi] = np.sum(kp, axis=1)
-        s_below[lo + 1 :] -= np.sum(kp, axis=0)
-    return s_above, s_below
-
-
-def _expanded_pair_sums(x: np.ndarray, kernel: Kernel, p: int, centre: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one-sided sums of :func:`_pair_sums` by a p-term expansion about ``centre``.
-
-    With u = x - c and e_j, a_n as in :mod:`nlftl.gauss_sums`, let P_n(i) be
-    the sum over j < i of the source weight e_j a_n(u_j); by the twin
-    identity its u_j-weighted twin is sqrt((n+1)/(2B)) P_{n+1}(i), so
-    sum_{j<i} K'(u_i - u_j) = 2AB e_i sum_{n<p} a_n(u_i) (u_i P_n(i) - sqrt((n+1)/(2B)) P_{n+1}(i)).
-    The sums over j > i are the same sums on the reversed particles; both
-    orders go through together.  Particles go in blocks of
-    ``gauss_sums.BLOCK // (2 (p+1))``, all p+1 weights at once, in the work
-    arrays :func:`nlftl.gauss_sums.work_arrays` holds across calls; a block's
-    exclusive prefix sums start from the running totals of the blocks before
-    it, so no running sum is longer than one block.  When one block holds
-    every particle, the basis and weights of the reversed particles are
-    those of the particles reversed, bit for bit, and are copied, not
-    computed.
-    """
-    n = x.size
-    block = min(n, max(1, gauss_sums.BLOCK // (2 * (p + 1))))
-    step, twin = gauss_sums.factors(p, kernel.inv_width)
-    step, twin = step[:, None, None], twin[:, None, None]
-    u = np.empty((2, n))  # row 0 gives the sums over j < i, row 1 over j > i, reversed
-    np.subtract(x, centre, out=u[0])
-    u[1] = u[0, ::-1]
-    e = kernel.gauss(u)
-    total = np.zeros((p + 1, 2, 1))
-    out = np.empty((2, n))
-    a_buf, w_buf, pre_buf = gauss_sums.work_arrays((p + 1, 2, block))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        ub = u[:, lo:hi]
-        a, w, pre = a_buf[..., : hi - lo], w_buf[..., : hi - lo], pre_buf[..., : hi - lo]
-        if block == n:  # row 1 is row 0 reversed, bit for bit
-            gauss_sums.basis(step[:, 0], u[0], a[:, 0])
-            np.multiply(a[:, 0], e[0], out=w[:, 0])
-            a[:, 1] = a[:, 0, ::-1]
-            w[:, 1] = w[:, 0, ::-1]
-        else:
-            gauss_sums.basis(step, ub, a)
-            np.multiply(a, e[:, lo:hi], out=w)
-        pre[..., :1] = total  # pre[n, :, i] = P_n(lo + i): the running totals plus this block's sums
-        np.cumsum(w[..., :-1], axis=2, out=pre[..., 1:])
-        if block < n:  # the totals stay zero when one block holds every particle
-            pre[..., 1:] += total
-            total = pre[..., -1:] + w[..., -1:]
-        direct = np.multiply(a[:p], pre[:p], out=w[:p])
-        shifted = np.multiply(twin, a[:p], out=a[:p])
-        shifted *= pre[1:]
-        out[:, lo:hi] = ub * np.add.reduce(direct, axis=0) - np.add.reduce(shifted, axis=0)
-    out *= e
-    out *= 2.0 * kernel.amplitude * kernel.inv_width
-    return out[1, ::-1], out[0]
-
-
-def _pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided kernel sums (sum_{j>i} K'(x_i - x_j), sum_{j<i} K'(x_i - x_j)).
-
-    Where :func:`_pair_sum_plan` picks an order p, the sums come from a
-    p-term Taylor expansion of the Gaussian about the middle of the span,
-    O(N p) work and O(N) memory; otherwise from the row strips of
-    :func:`_tiled_pair_sums`, O(N^2).  Since e_i e_j <= 1 and (2B |u_i u_j|)^n / n! <= R^n / n!, the
-    omitted terms change each pair's weight exp(-B (x_i - x_j)^2) by about
-    2^-56 at most, and since e_i e_j exp(2B |u_i u_j|) <= 1 the rounding
-    stays near eps * sum |K'| whatever R is; only p grows with R.  Both
-    paths use plain numpy reductions in a fixed order, no threads and no
-    BLAS, so results repeat bitwise.  The two arrays are fresh on every
-    call, so callers may scale them in place.
-    """
-    p, centre = _pair_sum_plan(x, kernel)
-    if p == 0:
-        return _tiled_pair_sums(x, kernel)
-    return _expanded_pair_sums(x, kernel, p, centre)
 
 
 def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) -> np.ndarray:
@@ -241,7 +128,7 @@ def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) ->
     defined neighbour cell.
     """
     speed = mobility.value_unchecked(_densities(x[1:] - x[:-1], pm))  # v(R_i); every R_i is > 0 or +inf
-    fwd, bwd = _pair_sums(x, kernel)
+    fwd, bwd = gauss_sums.pair_sums(x, kernel)
     fwd[:-1] *= speed
     fwd[-1] *= 0.0  # no cell ahead of the last particle: its sum is empty
     bwd[1:] *= speed
@@ -254,14 +141,8 @@ def _velocities(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility) ->
 def _direct_velocities(x: np.ndarray, rows: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
     """dx_i/dt at particles ``rows`` by direct O(N) sums, and how far :func:`_velocities` can lie from each.
 
-    Each one-sided sum of :func:`_pair_sums` has at most N terms of modulus
-    at most 2AB * span (in the expansion too, as e_i e_j exp(2B |u_i u_j|)
-    <= 1), and at most 2 (N + p + 16) roundings of eps / 2 lie on the way to
-    any term (running sums over N terms in blocks, p basis products, a few
-    more), so it lies within 2AB * span * N * (N + p + 16) eps of the exact
-    sum; the omitted tail adds under eps / 8 per pair, and these direct sums
-    round less.  The bound at particle i is pm (v(R_i) + v(R_{i-1})) times
-    twice that, with p the largest order the plan picks.
+    Each one-sided sum lies within :func:`nlftl.gauss_sums.pair_sum_error` of the exact
+    sum, and these direct sums round less: the bound is pm (v(R_i) + v(R_{i-1})) times twice that.
     """
     n = x.size - 1
     kp = kernel.d1(x[rows, None] - x)
@@ -271,9 +152,7 @@ def _direct_velocities(x: np.ndarray, rows: np.ndarray, pm: float, kernel: Kerne
     speed[1:-1] = mobility.value_unchecked(_densities(x[1:] - x[:-1], pm))
     behind, ahead = speed[rows], speed[rows + 1]
     velocity = -pm * (ahead * above + behind * below)
-    span = float(x.max() - x.min())
-    sums = 2.0 * kernel.amplitude * kernel.inv_width * span * n * (n + gauss_sums.MAX_ORDER + 16) * np.finfo(float).eps
-    return velocity, 2.0 * pm * (ahead + behind) * sums
+    return velocity, 2.0 * pm * (ahead + behind) * gauss_sums.pair_sum_error(x, kernel)
 
 
 def _jacobian(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
@@ -289,7 +168,7 @@ def _jacobian(x: np.ndarray, pm: float, kernel: Kernel, mobility: Mobility):
     row sum to zero (the frozen-sum system sees only gaps).
     """
     gaps = np.diff(x)
-    s_above, s_below = _pair_sums(x, kernel)
+    s_above, s_below = gauss_sums.pair_sums(x, kernel)
     safe = np.where(gaps > 0.0, gaps, 1.0)
     w = pm * pm * mobility.d1(_densities(gaps, pm)) / (safe * safe)  # v' is 0 where jammed or inverted
     upper = s_above[:-1] * w
@@ -487,7 +366,7 @@ def integrate(
         jac_evals=solver.njev,
         lu_decompositions=solver.nlu,
         settle_checks=settle_checks,
-        pair_sum_terms=_pair_sum_plan(x0, kernel)[0],
+        pair_sum_terms=gauss_sums.pair_sum_order(x0, kernel),
     )
 
 

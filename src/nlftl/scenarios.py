@@ -193,8 +193,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         merged = copy.deepcopy(data)
         name = merged.setdefault("scenario", "custom")
-        if name in _BUILTINS:
-            merged.setdefault("profile", copy.deepcopy(_BUILTINS[name][1]))
+        if name in _BUILTINS and merged.get("profile") is None:
+            merged["profile"] = copy.deepcopy(_BUILTINS[name][1])
         if merged.get("profile") is None:
             raise ConfigError(f"scenario {name!r} is not builtin and no profile was given; known: {', '.join(sorted(_BUILTINS))}")
         return cls(**merged)

@@ -14,9 +14,13 @@ Last, it fails on a function with a parameter named after a tolerance behind
 a gate (the Courant number, the integrator tolerances, the guard floor of the
 entropy audit, the gap slack): those are module constants, and a keyword
 would let a caller loosen the check they set.  The same goes for a term cap
-of the Gauss-Taylor sums (``max_terms``): one rule in
-``nlftl.gauss_sums.plan`` picks every order, and a cap per caller would
-bring back the per-module crossovers that rule replaced.
+of the Gauss-Taylor sums (``max_terms``): one rule in ``nlftl.gauss_sums``
+picks every order, and a cap per caller would bring back the per-module
+crossovers that rule replaced.
+
+And it fails where a module other than ``gauss_sums`` reads a name of
+``gauss_sums`` outside its public set: the work area it shares between the
+two sums, its block sizes and its plan stay known to one module.
 """
 
 import ast
@@ -28,6 +32,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlftl"
 BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
 CONCURRENCY = {"threading", "multiprocessing", "concurrent"}
 GATE_TOLERANCES = {"cfl", "rtol", "atol", "guard_floor", "eps_gap", "max_terms"}
+GAUSS_SUMS_PUBLIC = {"pair_sums", "pair_sum_order", "pair_sum_error", "jump_sums", "MAX_REACH", "MAX_ORDER"}
 
 
 def imports_of(tree: ast.AST, packages: set[str]) -> list[str]:
@@ -166,3 +171,57 @@ def test_guard_catches_each_tolerance_parameter(source):
 )
 def test_guard_allows_tolerances_as_constants_and_call_keywords(source):
     assert tolerance_parameters(ast.parse(source)) == []
+
+
+def private_gauss_sums_reads(tree: ast.AST) -> list[str]:
+    """Line-tagged reads of names of ``gauss_sums`` outside ``GAUSS_SUMS_PUBLIC`` in ``tree``:
+    attributes of the module under any name it is imported as, and names imported from it."""
+    aliases = {"gauss_sums"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name.endswith(".gauss_sums") and a.asname}
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "gauss_sums":
+                found += [f"{node.lineno}: from gauss_sums import {a.name}" for a in node.names if a.name not in GAUSS_SUMS_PUBLIC]
+            aliases |= {a.asname or a.name for a in node.names if a.name == "gauss_sums"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr not in GAUSS_SUMS_PUBLIC:
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in aliases) or (isinstance(owner, ast.Attribute) and owner.attr == "gauss_sums"):
+                found.append(f"{node.lineno}: gauss_sums.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "gauss_sums.py"}), ids=lambda p: p.name)
+def test_only_gauss_sums_reads_its_private_names(path):
+    assert private_gauss_sums_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "a, w, pre = gauss_sums.work_arrays((20, 2, 100))",
+        "rows = gauss_sums._BLOCK // n",
+        "from .gauss_sums import work_arrays",
+        "from nlftl.gauss_sums import pair_sums, _plan",
+        "from . import gauss_sums as gs\np = gs._plan(kernel, x, x, 3.0)",
+        "import nlftl.gauss_sums as gs\nstep, twin = gs._factors(19, 0.5)",
+        "import nlftl\nf = nlftl.gauss_sums._basis",
+    ],
+)
+def test_guard_catches_each_private_gauss_sums_read(source):
+    assert len(private_gauss_sums_reads(ast.parse(source))) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "fwd, bwd = gauss_sums.pair_sums(x, kernel)",
+        "w1, w2, p = gauss_sums.jump_sums(kernel, bp, coef, x)",
+        "from .gauss_sums import MAX_ORDER, MAX_REACH, pair_sum_error, pair_sum_order",
+        "work_arrays = other.work_arrays",
+    ],
+)
+def test_guard_allows_the_public_gauss_sums_names(source):
+    assert private_gauss_sums_reads(ast.parse(source)) == []

@@ -197,9 +197,12 @@ def test_converged_solution_not_flagged_at_c_zero():
 
 
 def test_particle_run_not_flagged_on_single_step():
-    cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "n_cells": 100})
-    reports = nl.run_entropy_audit(cfg, c_list=[0.0, 0.3, 1.0], method="particles")
-    assert not any(r.violation for r in reports)
+    # N = 100 on three constants, and the default N = 300 to t = 2 on the 11 default constants
+    for settings, c_list in (({"n_cells": 100}, [0.0, 0.3, 1.0]), ({"t_end": 2.0}, None)):
+        cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", **settings})
+        reports = nl.run_entropy_audit(cfg, c_list=c_list, method="particles")
+        assert len(reports) == (11 if c_list is None else 3)
+        assert not any(r.violation for r in reports)
 
 
 # ------------------------------------------------- one pass over constants
@@ -427,10 +430,10 @@ def test_convolutions_equal_direct_kernel_sums(kernel, particle_audit):
     # the direct blocks: many of them, the last one partial, bit for bit
     many, _ = perturbed_single_step(1000)
     bp, coef = charged_breakpoints(many)
-    rows = gauss_sums.BLOCK // bp.size
+    rows = gauss_sums._BLOCK // bp.size
     x = np.linspace(-3.0, 3.0, 9 * rows + 5)
     want = direct_kernel_sums(kernel, many, x)
-    assert all(np.array_equal(g, w) for g, w in zip(entropy._direct_jump_sums(kernel, bp, coef, x), want))
+    assert all(np.array_equal(g, w) for g, w in zip(gauss_sums._direct_jump_sums(kernel, bp, coef, x), want))
     *got, terms = entropy._convolutions(kernel, many, x)
     assert terms > 0
     assert max_rel_error(got, want) <= 1e-14
@@ -442,15 +445,12 @@ def test_convolutions_equal_direct_kernel_sums(kernel, particle_audit):
 
 def fewest_expanded_breakpoints(kernel):
     """The fewest charged breakpoints of :func:`perturbed_single_step` for which
-    :func:`nlftl.gauss_sums.plan` expands the jump sums at points on [-3, 3]."""
+    :func:`nlftl.gauss_sums.jump_sums` expands them at points on [-3, 3]."""
     for n_bp in range(2, 1000):
         profile, _ = perturbed_single_step(n_bp - 1)
         x, _, _ = entropy._quad_grid(profile, -3.0, 3.0, 256)
         bp = charged_breakpoints(profile)[0]
-        p, _ = gauss_sums.plan(
-            kernel.inv_width, bp[0], bp[-1], bp.size, np.min(x), np.max(x), x.size, gauss_sums.MOMENT_RATIO
-        )
-        if p:
+        if gauss_sums._plan(kernel, bp, x, gauss_sums._MOMENT_RATIO)[0]:
             return n_bp
     raise AssertionError("no breakpoint count takes the expansion")
 
@@ -514,7 +514,7 @@ def test_jump_sums_above_the_term_cap_take_the_direct_blocks_bitwise():
     assert 2.0 * KER.inv_width * (bp[-1] - centre) * np.max(np.abs(x - centre)) > gauss_sums.MAX_REACH
     w1, w2, terms = entropy._convolutions(KER, profile, x)
     assert terms == 0
-    want = entropy._direct_jump_sums(KER, bp, coef, x)
+    want = gauss_sums._direct_jump_sums(KER, bp, coef, x)
     assert np.array_equal(w1, want[0]) and np.array_equal(w2, want[1])
     assert all(np.array_equal(g, w) for g, w in zip(want, direct_kernel_sums(KER, profile, x)))
 
@@ -553,7 +553,7 @@ def test_snapshot_memory_stays_bounded_at_ten_thousand_space_cells(particle_audi
 def test_direct_jump_sums_memory_stays_bounded_at_two_thousand_cells():
     profile, tf = perturbed_single_step(2000)
     x, _, _ = entropy._quad_grid(profile, *tf.x_support, 512)
-    (w1, w2), peak = traced_peak(entropy._direct_jump_sums, KER, *charged_breakpoints(profile), x)
+    (w1, w2), peak = traced_peak(gauss_sums._direct_jump_sums, KER, *charged_breakpoints(profile), x)
     assert np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))
     assert peak < 8e6
 
@@ -562,15 +562,15 @@ DIRECT_FAULTS_PER_CALL = """
 import resource
 import numpy as np
 import nlftl as nl
-from nlftl import entropy
+from nlftl import gauss_sums
 bp = np.linspace(-1.0, 1.0, 15)
 coef = np.where(np.arange(15) % 2 == 0, 0.25, -0.25)
 x = np.linspace(-3.0, 3.0, 2439)
 kernel = nl.Kernel()
-entropy._direct_jump_sums(kernel, bp, coef, x)
+gauss_sums._direct_jump_sums(kernel, bp, coef, x)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(50):
-    entropy._direct_jump_sums(kernel, bp, coef, x)
+    gauss_sums._direct_jump_sums(kernel, bp, coef, x)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 """
 

@@ -1,4 +1,4 @@
-"""The Gauss-Taylor plan (centre, order and path) shared by the particle pair sums and the entropy jump sums."""
+"""The two kernel sums of nlftl.gauss_sums: the plan (centre, order and path) both share, and each sum against its direct path."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nlftl as nl
-from nlftl import entropy, gauss_sums, particles
+from nlftl import entropy, gauss_sums
 
 # R from below the one-term bound 2^-56 to beyond the limit, fine enough in
 # log R that every order up to the limit gets a value
@@ -32,17 +32,17 @@ def particle_expansion_reference(x, kernel):
     lo, hi = float(x.min()), float(x.max())
     half = 0.5 * (hi - lo)
     r = 2.0 * kernel.inv_width * half * half
-    return path_rule_reference(r, gauss_sums.PREFIX_RATIO, x.size, x.size), 0.5 * (lo + hi)
+    return path_rule_reference(r, gauss_sums._PREFIX_RATIO, x.size, x.size), 0.5 * (lo + hi)
 
 
 def jump_sum_plan_reference(kernel, bp, x):
-    """The plan of the entropy jump sums, and the centre entropy._expanded_jump_sums
+    """The plan of the entropy jump sums, and the centre gauss_sums._expanded_jump_sums
     takes: R = 2B h_b h_x about the middle c of the breakpoints, h_b their
     half-span and h_x the farthest point's distance from c."""
     c = 0.5 * (bp[0] + bp[-1])
     h_x = max(abs(float(np.min(x)) - c), abs(float(np.max(x)) - c))
     r = 2.0 * kernel.inv_width * (0.5 * (bp[-1] - bp[0])) * h_x
-    p = path_rule_reference(r, gauss_sums.MOMENT_RATIO, bp.size, x.size)
+    p = path_rule_reference(r, gauss_sums._MOMENT_RATIO, bp.size, x.size)
     return p, (c if p else None)
 
 
@@ -65,11 +65,11 @@ def test_particle_plan_equals_the_removed_rule(seed):
     for k, r in enumerate(R_SWEEP):
         half = 10.0 ** rng.uniform(-3.0, 0.5)
         kernel = nl.Kernel(amplitude=rng.uniform(0.1, 2.0), inv_width=r / (2.0 * half * half))
-        n = counts_about_the_crossover(rng, r, gauss_sums.PREFIX_RATIO, k % 5 == 0)
+        n = counts_about_the_crossover(rng, r, gauss_sums._PREFIX_RATIO, k % 5 == 0)
         x = rng.uniform(-1.0, 1.0) + half * np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, n - 2)))
         rng.shuffle(x)
         want = particle_expansion_reference(x, kernel)
-        assert particles._pair_sum_plan(x, kernel) == want
+        assert gauss_sums._plan(kernel, x, x, gauss_sums._PREFIX_RATIO) == want
         if k % 5:
             seen.add(want[0])
         elif order_reference(r):  # an order within the limit: the cost rule decides
@@ -84,8 +84,8 @@ def test_jump_sum_plan_equals_the_removed_rule(seed, monkeypatch):
     # well inside the breakpoints' span to beyond it; one set in five has
     # counts about the cost crossover
     plans = []
-    monkeypatch.setattr(entropy, "_direct_jump_sums", lambda kernel, bp, coef, x: (x, x))
-    monkeypatch.setattr(entropy, "_expanded_jump_sums", lambda kernel, bp, coef, x, p, c: plans.append(c) or (x, x))
+    monkeypatch.setattr(gauss_sums, "_direct_jump_sums", lambda kernel, bp, coef, x: (x, x))
+    monkeypatch.setattr(gauss_sums, "_expanded_jump_sums", lambda kernel, bp, coef, x, p, c: plans.append(c) or (x, x))
     rng = np.random.default_rng(seed)
     seen, sides = set(), set()
     for k, r in enumerate(R_SWEEP):
@@ -93,8 +93,8 @@ def test_jump_sum_plan_equals_the_removed_rule(seed, monkeypatch):
         h_x = h_b * rng.uniform(0.2, 3.0)
         kernel = nl.Kernel(amplitude=rng.uniform(0.1, 2.0), inv_width=r / (2.0 * h_b * h_x))
         centre = rng.uniform(-1.0, 1.0)
-        n_bp = max(2, counts_about_the_crossover(rng, r, gauss_sums.MOMENT_RATIO, k % 5 == 0))
-        n_x = counts_about_the_crossover(rng, r, gauss_sums.MOMENT_RATIO, k % 5 == 0)
+        n_bp = max(2, counts_about_the_crossover(rng, r, gauss_sums._MOMENT_RATIO, k % 5 == 0))
+        n_x = counts_about_the_crossover(rng, r, gauss_sums._MOMENT_RATIO, k % 5 == 0)
         bp = np.sort(centre + h_b * np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, n_bp - 2))))
         profile = nl.DensityProfile(bp, rng.uniform(0.1, 1.0, n_bp - 1))
         x = centre + h_x * np.concatenate(([rng.choice([-1.0, 1.0])], rng.uniform(-1.0, 1.0, n_x - 1)))
@@ -123,8 +123,8 @@ def test_builtin_pair_sums_and_orders_are_unchanged_bitwise(name):
     x = state.positions
     p, centre = particle_expansion_reference(x, kernel)
     assert p == BUILTIN_TERMS[name]
-    want = particles._expanded_pair_sums(x, kernel, p, centre)
-    assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(particles._pair_sums(x, kernel), want))
+    want = gauss_sums._expanded_pair_sums(x, kernel, p, centre)
+    assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(gauss_sums.pair_sums(x, kernel), want))
     traj = nl.integrate(state, kernel, mobility, 0.01)
     assert traj.pair_sum_terms == p
 
@@ -147,9 +147,9 @@ def test_particle_sums_up_to_the_limit_match_the_strips(r, n):
     half = math.sqrt(r / (2.0 * KER.inv_width))
     rng = np.random.default_rng(n)
     for x in (np.linspace(-half, half, n), np.sort(np.r_[-half, half, rng.uniform(-half, half, n - 2)])):
-        p = particles._pair_sum_plan(x, KER)[0]
-        assert p == gauss_sums.terms(r) and (p > 0) == (r <= gauss_sums.MAX_REACH)
-        got, want = particles._pair_sums(x, KER), particles._tiled_pair_sums(x, KER)
+        p = gauss_sums.pair_sum_order(x, KER)
+        assert p == gauss_sums._terms(r) and (p > 0) == (r <= gauss_sums.MAX_REACH)
+        got, want = gauss_sums.pair_sums(x, KER), gauss_sums._tiled_pair_sums(x, KER)
         if p:
             assert max_rel_error(got, want) <= 1e-14
         else:
@@ -165,8 +165,8 @@ def test_jump_sums_up_to_the_limit_match_the_direct_blocks(r):
     profile = nl.DensityProfile(bp, rng.uniform(0.1, 1.0, 300))
     x = np.linspace(-1.0, 1.0, 2439) * (r / (2.0 * KER.inv_width))
     *got, p = entropy._convolutions(KER, profile, x)
-    assert p == gauss_sums.terms(r) and (p > 0) == (r <= gauss_sums.MAX_REACH)
-    want = entropy._direct_jump_sums(KER, *entropy._charged_breakpoints(profile), x)
+    assert p == gauss_sums._terms(r) and (p > 0) == (r <= gauss_sums.MAX_REACH)
+    want = gauss_sums._direct_jump_sums(KER, *entropy._charged_breakpoints(profile), x)
     if p:
         assert max_rel_error(got, want) <= 1e-14
     else:

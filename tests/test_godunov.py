@@ -1050,6 +1050,28 @@ def test_builtin_runs_never_grow_the_charged_window(monkeypatch, name):
     assert run.steps > 0
 
 
+def test_step_bound_takes_the_largest_kernel_slope():
+    # gd_run bounds every field by sup|K'| m = A sqrt(2B) e^(-1/2) m
+    for kernel in (KER, nl.Kernel(amplitude=0.7, inv_width=2.0)):
+        slope = np.max(np.abs(kernel.d1(np.linspace(-5.0, 5.0, 100_001))))
+        closed = kernel.amplitude * np.sqrt(2.0 * kernel.inv_width) * np.exp(-0.5)
+        assert slope <= closed <= slope * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, t_end", [*((name, None) for name in nl.builtin_names()), ("two-step-0206", 80.0)]
+)
+def test_step_bound_lies_above_the_steps_taken(monkeypatch, name, t_end):
+    # the five builtins to their own t_end, and the tightest of them to t = 80
+    # (4,019 steps under a bound of about 4,140): a bound of the steps taken
+    # would be exceeded
+    cfg = nl.ScenarioConfig.from_dict({"scenario": name, **({} if t_end is None else {"t_end": t_end})})
+    steps = nl.run_godunov(cfg).fv.steps
+    monkeypatch.setattr(godunov, "MAX_STEPS", steps)
+    with pytest.raises(nl.ConfigError, match=f"steps, above {steps}$"):
+        nl.run_godunov(cfg)
+
+
 @settings(max_examples=50, deadline=None)
 @given(block_profiles(), st.sampled_from([2.0, 10.0]))
 def test_runs_never_grow_the_charged_window(case, courant_steps):

@@ -17,16 +17,8 @@ from hypothesis import strategies as st
 
 import nlftl as nl
 from nlftl import gauss_sums, particles
-from nlftl.particles import (
-    _TILE,
-    _direct_velocities,
-    _expanded_pair_sums,
-    _jacobian,
-    _pair_sum_plan,
-    _pair_sums,
-    _tiled_pair_sums,
-    _velocities,
-)
+from nlftl.gauss_sums import _PREFIX_RATIO, _TILE, _expanded_pair_sums, _plan, _tiled_pair_sums, pair_sum_order, pair_sums
+from nlftl.particles import _direct_velocities, _jacobian, _velocities
 
 MOB = nl.Mobility()
 KER = nl.Kernel()
@@ -101,8 +93,8 @@ def two_row_expanded_pair_sums(x, kernel, p):
     u = x - 0.5 * (np.min(x) + np.max(x))
     u = np.stack((u, u[::-1]))
     n = x.size
-    block = min(n, max(1, gauss_sums.BLOCK // (2 * (p + 1))))
-    step, twin = (f[:, None, None] for f in gauss_sums.factors(p, kernel.inv_width))
+    block = min(n, max(1, gauss_sums._BLOCK // (2 * (p + 1))))
+    step, twin = (f[:, None, None] for f in gauss_sums._factors(p, kernel.inv_width))
     e = kernel.gauss(u)
     total = np.zeros((p + 1, 2, 1))
     out = np.empty((2, n))
@@ -111,7 +103,7 @@ def two_row_expanded_pair_sums(x, kernel, p):
         hi = min(lo + block, n)
         ub = u[:, lo:hi]
         a, w, pre = a_buf[..., : hi - lo], w_buf[..., : hi - lo], pre_buf[..., : hi - lo]
-        gauss_sums.basis(step, ub, a)
+        gauss_sums._basis(step, ub, a)
         np.multiply(a, e[:, lo:hi], out=w)
         pre[..., :1] = total
         np.cumsum(w[..., :-1], axis=2, out=pre[..., 1:])
@@ -316,12 +308,12 @@ def test_rhs_memory_stays_bounded_at_ten_thousand_cells():
 
 
 def takes_the_expansion(n):
-    return _pair_sum_plan(compact_state(np.random.default_rng(n), n).positions, KER)[0] > 0
+    return pair_sum_order(compact_state(np.random.default_rng(n), n).positions, KER) > 0
 
 
 @pytest.mark.parametrize("n", [n for n in TILE_COUNTS if takes_the_expansion(n)])
 def test_tiled_sums_match_dense_reference_across_tiles(n):
-    # _pair_sums runs the expansion on these compact states, so the strips'
+    # pair_sums runs the expansion on these compact states, so the strips'
     # tile edges at these counts are checked here directly
     rng = np.random.default_rng(n)
     s = compact_state(rng, n)
@@ -351,8 +343,8 @@ def test_expanded_sums_match_direct_row_sums(n):
     rows = np.arange(n + 1) if n <= 2400 else np.unique(np.r_[0:16, np.linspace(0, n, 1025).astype(int), n - 15 : n + 1])
     for name, x in expansion_inputs(n):
         if name == "single-step":
-            assert (_pair_sum_plan(x, KER)[0] > 0) == (n + 1 > 2 * gauss_sums.PREFIX_RATIO * 19)
-        for got, want in zip(_pair_sums(x, KER), direct_pair_sums(x, KER, rows)):
+            assert (pair_sum_order(x, KER) > 0) == (n + 1 > 2 * _PREFIX_RATIO * 19)
+        for got, want in zip(pair_sums(x, KER), direct_pair_sums(x, KER, rows)):
             assert np.max(np.abs(got[rows] - want)) / np.max(np.abs(want)) <= 1e-14, name
 
 
@@ -363,12 +355,13 @@ def test_expansion_order_is_the_smallest_with_a_small_first_omitted_term():
         x = np.linspace(-half, half, 2401)
         r = 2.0 * KER.inv_width * half * half
         p = next(k for k in range(1, 200) if r**k / math.factorial(k) <= 2.0**-56)
-        assert _pair_sum_plan(x, KER)[0] == (p if r <= gauss_sums.MAX_REACH else 0)
+        assert pair_sum_order(x, KER) == (p if r <= gauss_sums.MAX_REACH else 0)
         seen.add(r <= gauss_sums.MAX_REACH)
     assert seen == {True, False}
     # R = 1 needs 19 terms: the strips run up to N+1 = 6p particles, the expansion beyond
-    assert _pair_sum_plan(np.linspace(-1.0, 1.0, 114), KER) == (0, 0.0)
-    assert _pair_sum_plan(np.linspace(-1.0, 1.0, 115), KER) == (19, 0.0)
+    for n, want in ((114, (0, 0.0)), (115, (19, 0.0))):
+        x = np.linspace(-1.0, 1.0, n)
+        assert _plan(KER, x, x, _PREFIX_RATIO) == want
 
 
 PAST_THE_LIMIT = math.sqrt(gauss_sums.MAX_REACH / (2.0 * KER.inv_width)) * (1.0 + 1e-12)  # the half-span with R just past it
@@ -384,18 +377,18 @@ PAST_THE_LIMIT = math.sqrt(gauss_sums.MAX_REACH / (2.0 * KER.inv_width)) * (1.0 
 )
 def test_states_above_the_term_cap_take_the_strips_bitwise(x, kernel):
     # the order limit derives from the R limit: past it, the strips run bitwise
-    assert _pair_sum_plan(x, kernel)[0] == 0
-    got = _pair_sums(x, kernel)
+    assert pair_sum_order(x, kernel) == 0
+    got = pair_sums(x, kernel)
     want = _tiled_pair_sums(x, kernel)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_expanded_sums_repeat_bitwise():
     x = compact_state(np.random.default_rng(17), 40_000).positions
-    first = _pair_sums(x, KER)
-    assert _pair_sum_plan(x, KER)[0] > 0
-    assert all(np.array_equal(a, b) for a, b in zip(first, _pair_sums(x, KER)))
-    assert all(np.array_equal(a, b) for a, b in zip(first, _pair_sums(x.copy(), KER)))
+    first = pair_sums(x, KER)
+    assert pair_sum_order(x, KER) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(first, pair_sums(x, KER)))
+    assert all(np.array_equal(a, b) for a, b in zip(first, pair_sums(x.copy(), KER)))
 
 
 def test_expanded_sums_have_the_signs_of_one_sided_sums():
@@ -403,8 +396,8 @@ def test_expanded_sums_have_the_signs_of_one_sided_sums():
     rng = np.random.default_rng(23)
     for n in (*rng.integers(224, 672, size=17), 2400, 10_000, 40_000):  # all above the crossover
         s = compact_state(rng, int(n))
-        s_above, s_below = _pair_sums(s.positions, KER)
-        assert _pair_sum_plan(s.positions, KER)[0] > 0
+        s_above, s_below = pair_sums(s.positions, KER)
+        assert pair_sum_order(s.positions, KER) > 0
         assert s_above[-1] == 0.0 and s_below[0] == 0.0
         assert np.all(s_above[:-1] < 0.0) and np.all(s_below[1:] > 0.0)
         v = nl.rhs(s, KER, MOB)
@@ -424,7 +417,7 @@ def test_expanded_sums_have_the_signs_of_one_sided_sums():
 def test_expanded_sums_equal_the_two_row_reference_bitwise(p, offset, seed):
     # one block holds every particle exactly when 2 (p+1) (N+1) <= BLOCK, so
     # offset <= 0 takes the copied reversed row and offset > 0 the blocks
-    n_particles = max(2, gauss_sums.BLOCK // (2 * (p + 1)) + offset)
+    n_particles = max(2, gauss_sums._BLOCK // (2 * (p + 1)) + offset)
     x = compact_state(np.random.default_rng(seed), n_particles - 1).positions
     got = _expanded_pair_sums(x, KER, p, 0.5 * (float(x.min()) + float(x.max())))
     want = two_row_expanded_pair_sums(x, KER, p)
@@ -432,8 +425,8 @@ def test_expanded_sums_equal_the_two_row_reference_bitwise(p, offset, seed):
 
 
 def test_expansion_factors_are_shared_and_read_only():
-    step, twin = gauss_sums.factors(19, KER.inv_width)
-    again = gauss_sums.factors(19, KER.inv_width)
+    step, twin = gauss_sums._factors(19, KER.inv_width)
+    again = gauss_sums._factors(19, KER.inv_width)
     assert again[0] is step and again[1] is twin
     assert step.shape == twin.shape == (19,)
     for f in (step, twin):
@@ -443,7 +436,7 @@ def test_expansion_factors_are_shared_and_read_only():
 
 def test_expanded_rhs_memory_stays_bounded_at_forty_thousand_cells():
     s = compact_state(np.random.default_rng(29), 40_000)
-    assert _pair_sum_plan(s.positions, KER)[0] > 0
+    assert pair_sum_order(s.positions, KER) > 0
     tracemalloc.start()
     try:
         v = _velocities(s.positions, s.particle_mass, KER, MOB)
@@ -458,14 +451,14 @@ EXPANSION_FAULTS_PER_CALL = """
 import resource, sys
 import numpy as np
 import nlftl as nl
-from nlftl import entropy, particles
+from nlftl import entropy, gauss_sums, particles
 rng = np.random.default_rng(0)
 kernel, mobility = nl.Kernel(), nl.Mobility()
 x = np.sort(rng.uniform(-1.0, 1.0, 2401))  # the wide workload's size
 snapshot = particles.reconstruct_density(nl.ParticleState(0.0, np.sort(rng.uniform(-1.0, 1.0, 301)), 0.002, 1.0))
 points = np.linspace(-6.0, 6.0, 2439)  # the audit's fine quadrature grid on its test function's support
 calls = {
-    "velocities": (lambda: particles._velocities(x, 0.6 / 2400, kernel, mobility), lambda: particles._pair_sum_plan(x, kernel)[0]),
+    "velocities": (lambda: particles._velocities(x, 0.6 / 2400, kernel, mobility), lambda: gauss_sums.pair_sum_order(x, kernel)),
     "convolutions": (lambda: entropy._convolutions(kernel, snapshot, points), lambda: entropy._convolutions(kernel, snapshot, points)[2]),
 }
 call, terms = calls[sys.argv[1]]
@@ -506,7 +499,7 @@ def test_jacobian_matches_finite_differences_with_pair_sums_fixed(n):
     floor = s.gap_floor
     x[n // 2 + 1 :] -= x[n // 2 + 1] - x[n // 2] - 0.5 * floor  # one jammed cell: v = v' = 0
     pm = s.particle_mass
-    sums = _pair_sums(x, KER)
+    sums = pair_sums(x, KER)
     lower, main, upper = _jacobian(x, pm, KER, MOB)
     assert (lower.size, main.size, upper.size) == (x.size - 1, x.size, x.size - 1)
     got = np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1)
@@ -522,7 +515,7 @@ def test_jacobian_matches_finite_differences_with_pair_sums_fixed(n):
 
 def test_pair_sums_are_the_sums_the_rhs_uses():
     s = compact_state(np.random.default_rng(2), 3 * _TILE + 5)
-    sums = _pair_sums(s.positions, KER)
+    sums = pair_sums(s.positions, KER)
     assert np.array_equal(frozen_sum_rhs(s.positions, s.particle_mass, sums, MOB), nl.rhs(s, KER, MOB))
 
 
@@ -718,7 +711,7 @@ def test_direct_velocities_match_the_oracle_and_bound_the_rhs(n):
 def test_settle_run_records_the_expansion_order(settled_run):
     # single-step spans [-1, 1]: R = 2B h^2 = 1 needs 19 terms at N = 300
     traj, _ = settled_run
-    assert traj.pair_sum_terms == _pair_sum_plan(traj.states[0].positions, KER)[0] == 19
+    assert traj.pair_sum_terms == pair_sum_order(traj.states[0].positions, KER) == 19
     assert traj.diagnostics()["pair_sum_terms"] == 19
 
 

@@ -6,7 +6,6 @@ import json
 import math
 import runpy
 import shutil
-import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlftl import __version__, entropy, gauss_sums, scenarios
+from nlftl import __version__, entropy, gauss_sums, godunov, scenarios
 from nlftl.cli import main
 from nlftl.errors import ConfigError, InvariantViolation
 from nlftl.godunov import Grid
@@ -105,6 +104,12 @@ def test_builtin_overlay_keeps_profile_and_applies_overrides():
     assert cfg.n_cells == 40
     assert cfg.fv_cells == 1200
     assert cfg.profile == builtin_scenario("single-step").profile
+
+
+def test_explicit_null_profile_of_a_builtin_takes_its_profile():
+    assert ScenarioConfig.from_dict({"scenario": "single-step", "profile": None}) == builtin_scenario("single-step")
+    with pytest.raises(ConfigError, match="not builtin"):
+        ScenarioConfig.from_dict({"scenario": "freeway", "profile": None})
 
 
 # config scalars no number conversion may accept: each once failed with a
@@ -803,6 +808,26 @@ def test_cli_godunov_overflowing_update_exits_two(tmp_path, capsys):
     assert "invariant violation: finite-volume step at t=0 gave a value that is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "settings, flags",
+    [({"scenario": "single-step", "amplitude": 1e300}, []), ({"scenario": "single-step"}, ["--t-end", "1e6"])],
+    ids=["amplitude-1e300", "t-end-1e6"],
+)
+def test_cli_godunov_past_its_step_bound_exits_three_after_one_step(tmp_path, capsys, monkeypatch, settings, flags):
+    # the first Courant step of the 1e300 amplitude is 7.2e-303, and t_end = 1e6
+    # takes about 7.7e7 steps: both ran for hours; the bound stops them after
+    # the one step that checks the update is finite
+    steps = []
+    step = godunov.gd_step
+    monkeypatch.setattr(godunov, "gd_step", lambda *args: steps.append(args) or step(*args))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    assert main(["godunov", "--config", str(config), *flags, "--out", str(out)]) == 3
+    assert len(steps) == 1 and not out.exists()
+    assert f"steps, above {godunov.MAX_STEPS}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, label", [
     ("particles", "particles"),
     ("godunov", "godunov"),
@@ -918,16 +943,6 @@ def test_cli_rerun_is_byte_identical(tmp_path, capsys):
 
 
 # --- scripts ----------------------------------------------------------------
-
-
-def test_entropy_audit_demo_flags_split_block_and_clears_solver_run(tmp_path, capsys, monkeypatch):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "entropy_audit_demo.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path)])
-    runpy.run_path(str(script), run_name="__main__")
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("split block: flagged at plateau horizon T=")
-    assert lines[1].startswith("single-step via particles: 11 residuals, 0 flagged")
-    assert (tmp_path / "single-step" / "particles-audit" / "entropy.jsonl").exists()
 
 
 def test_emit_manifest_repeats_on_the_same_tree(tmp_path, capsys):
