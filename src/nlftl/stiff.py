@@ -10,7 +10,8 @@ side evaluations, Jacobian evaluations and LU factorizations.  It differs in
 four ways:
 
 - the Jacobian is tridiagonal, passed as its three diagonals, and the Newton
-  matrix I - cJ is factored without pivoting (:class:`TridiagonalLU`);
+  matrix I - cJ is factored without pivoting and solved by doubling scans
+  in O(n) memory (:class:`TridiagonalLU`);
 - every product and norm is a plain numpy reduction in a fixed order, never
   BLAS, so results repeat bitwise;
 - the error scale is one length, not a parameter: ``_RTOL`` times the span
@@ -66,18 +67,19 @@ class TridiagonalLU:
     :meth:`solve` runs the two first-order recurrences of the triangular
     solves, z_i = b_i - (l_i / d_{i-1}) z_{i-1} and
     x_i = z_i / d_i - (u_i / d_i) x_{i+1}, as doubling scans (Hillis &
-    Steele): log2(n) vector passes each, whose multiplier products are
-    formed here once per factorization (about 2 n log2(n) entries).
+    Steele): log2(n) vector passes each.  Only the pivots, the first-pass
+    multipliers and a (3, n-1) work array are kept, about 7n doubles; each
+    solve forms the later passes' multipliers anew, bit for bit.
     """
 
     def __init__(self, c: float, lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> None:
         n = main.size
         l = -c * lower  # A[i, i-1]
         u = -c * upper  # A[i, i+1]
-        diag = (1.0 - c * main).tolist()
+        diag = memoryview(1.0 - c * main)  # no lists of n floats
         d = diag[0]
         piv = [d]
-        for a, q in zip(diag[1:], (l * u).tolist()):
+        for a, q in zip(diag[1:], memoryview(l * u)):
             if not d > 0.0:
                 break
             d = a - q / d
@@ -85,38 +87,46 @@ class TridiagonalLU:
         if not d > 0.0:
             raise InvariantViolation(f"Newton matrix pivot {d!r} at row {len(piv) - 1} of {n} is not positive")
         self.pivots = np.array(piv)
+        del diag, piv  # before the scan arrays are made
         self._x = x = np.empty(n)  # the solve works in place, on views of x
-        tmp = np.empty(max(n - 1, 0))
-        self._forward = [(x[s:], x[:-s], m, tmp[: m.size]) for s, m in _doubling_levels(-l / self.pivots[:-1])]
-        self._backward = [(x[:-s], x[s:], m, tmp[: m.size]) for s, m in _doubling_levels(-u / self.pivots[:-1])]
+        work = np.empty((3, max(n - 1, 0)))  # shared by both scans
+        self._forward = _doubling_passes(-l / self.pivots[:-1], x, work, forward=True)
+        self._backward = _doubling_passes(-u / self.pivots[:-1], x, work, forward=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (I - cJ) x = b, as a new array."""
         x = self._x
         x[...] = b
-        for dst, src, m, tmp in self._forward:  # x_i += m x_{i-s}
-            np.add(dst, np.multiply(m, src, out=tmp), out=dst)
+        _scan(self._forward)  # x_i += m x_{i-s}
         x /= self.pivots
-        for dst, src, m, tmp in self._backward:  # x_i += m x_{i+s}
-            np.add(dst, np.multiply(m, src, out=tmp), out=dst)
+        _scan(self._backward)  # x_i += m x_{i+s}
         return x.copy()
 
 
-def _doubling_levels(coef: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(shift s, multipliers) of each pass of a doubling scan.
+def _doubling_passes(coef: np.ndarray, x: np.ndarray, work: np.ndarray, forward: bool) -> list:
+    """Views for each pass of a doubling scan of x_i += coef x_{i-+1} over x.
 
-    ``coef`` holds the n-1 multipliers of a recurrence x_i += coef x_{i-+1}.
-    The pass of shift s adds the product of the s multipliers it bridges
-    times the entry s places away; the next pass's multipliers are products
-    of two of this pass's, s apart.
+    The pass of shift s adds the product m of the s multipliers it bridges
+    times the entry s places away: past the first pass, two of the last
+    pass's m, s/2 apart, formed into ``work[0]`` and ``work[1]`` in turn.
     """
-    levels = []
-    s = 1
-    while coef.size:
-        levels.append((s, coef))
-        coef = coef[s:] * coef[:-s]
+    n = x.size
+    passes = []
+    s, m, factors = 1, coef, ()
+    while s < n:
+        dst, src = (x[s:], x[:-s]) if forward else (x[:-s], x[s:])
+        passes.append((factors, m, dst, src, work[2, : n - s]))
+        factors, m = (m[s:], m[:-s]), work[s.bit_length() % 2, : n - 2 * s]
         s *= 2
-    return levels
+    return passes
+
+
+def _scan(passes: list) -> None:
+    """Run the passes of :func:`_doubling_passes` in place."""
+    for factors, m, dst, src, tmp in passes:
+        if factors:
+            np.multiply(*factors, out=m)
+        np.add(dst, np.multiply(m, src, out=tmp), out=dst)
 
 
 def _rms(x: np.ndarray) -> float:
@@ -188,6 +198,7 @@ class BDF:
 
     def lu(self, c: float, J) -> TridiagonalLU:
         self.nlu += 1
+        self.LU = None  # free the old factors first
         return TridiagonalLU(c, *J)
 
     def _initial_step(self, f0: np.ndarray) -> float:
@@ -335,7 +346,7 @@ class BDF:
         error_norms = np.array([error_m_norm, error_norm, error_p_norm])
         with np.errstate(divide="ignore"):
             factors = error_norms ** (-1 / np.arange(order, order + 3))
-        delta_order = np.argmax(factors) - 1
+        delta_order = int(np.argmax(factors)) - 1  # an int, which json writes
         order += delta_order
         self.order = order
 

@@ -1,6 +1,11 @@
 """The BDF stepper of ``nlftl.stiff``: its tridiagonal Newton solve against a
-dense solve, and whole particle runs against scipy's ``BDF``, which
-``particles.integrate`` ran before the stepper replaced it."""
+dense solve and against doubling scans over stored levels, and whole particle
+runs against scipy's ``BDF``, which ``particles.integrate`` ran before the
+stepper replaced it."""
+
+import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -48,6 +53,63 @@ def test_tridiagonal_solve_matches_a_dense_solve(n):
         again = TridiagonalLU(c, *diagonals).solve(b)
         assert np.array_equal(got.view(np.uint64), again.view(np.uint64))
         assert np.array_equal(lu.solve(b).view(np.uint64), got.view(np.uint64))  # the factors are reused
+
+
+def doubling_levels(coef):
+    """(shift s, multipliers) of every pass of a doubling scan of
+    x_i += coef x_{i-+1}, all formed at once: about n log2(n) entries."""
+    levels = []
+    s = 1
+    while coef.size:
+        levels.append((s, coef))
+        coef = coef[s:] * coef[:-s]
+        s *= 2
+    return levels
+
+
+def stored_levels_solve(c, lower, upper, pivots, b):
+    """x with (I - cJ) x = b by the doubling scans of ``TridiagonalLU``, given
+    its pivots, with every pass's multipliers formed and held up front, as
+    ``TridiagonalLU`` held them when it kept them per factorization."""
+    l, u = -c * lower, -c * upper
+    x = b.copy()
+    for s, m in doubling_levels(-l / pivots[:-1]):
+        x[s:] += m * x[:-s]
+    x /= pivots
+    for s, m in doubling_levels(-u / pivots[:-1]):
+        x[:-s] += m * x[s:]
+    return x
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 63, 64, 65, 301, 2401, 10001))
+def test_tridiagonal_solve_equals_the_stored_levels_solve_bitwise(n):
+    # the solve overwrites its multiplier rows, so a row read before it is
+    # formed anew shows from the second solve of a factorization on: three each
+    rng = np.random.default_rng(n)
+    lower, main, upper = particle_like_jacobian(rng, n)
+    for c in np.logspace(-3.0, 3.0, 7):
+        lu = TridiagonalLU(c, lower, main, upper)
+        for b in rng.standard_normal((3, n)):
+            want = stored_levels_solve(c, lower, upper, lu.pivots, b)
+            assert np.array_equal(lu.solve(b).view(np.uint64), want.view(np.uint64)), f"c = {c:g}"
+
+
+def test_tridiagonal_factors_hold_and_peak_at_a_few_doubles_per_row():
+    # the stored levels held about 35n doubles at this n and peaked at 46n
+    n = 200_000
+    lower, main, upper = particle_like_jacobian(np.random.default_rng(0), n)
+    b = np.ones(n)
+    tracemalloc.start()
+    try:
+        lu = TridiagonalLU(1.0, lower, main, upper)
+        held = tracemalloc.get_traced_memory()[0]
+        x = lu.solve(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.size == n
+    assert held <= 8 * n * 8, f"{held / 8 / n:.1f} n doubles held"
+    assert peak <= 12 * n * 8, f"{peak / 8 / n:.1f} n doubles at the peak"
 
 
 def test_tridiagonal_solve_leaves_its_input_and_earlier_results_alone():
@@ -98,6 +160,49 @@ def test_rms_rescales_squares_past_the_float_range(x, want):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=4 * np.finfo(float).eps)
+
+
+def single_step_bdf(n_cells, t_end):
+    """``BDF`` on the single-step particle system, as ``particles.integrate`` builds it."""
+    cfg = nl.builtin_scenario("single-step")
+    kernel, mobility = nl.build_kernel(cfg), nl.build_mobility(cfg)
+    state = nl.init_particles(nl.build_profile(cfg), n_cells, mobility)
+    pm = state.particle_mass
+    return BDF(
+        lambda t, y: _velocities(y, pm, kernel, mobility),
+        state.time,
+        state.positions,
+        t_end,
+        lambda t, y: _jacobian(y, pm, kernel, mobility),
+    )
+
+
+def test_order_stays_an_int_that_json_writes():
+    # np.argmax made it an np.int64 at the first order change
+    solver = single_step_bdf(300, 40.0)
+    while solver.order == 1:
+        solver.step()
+    assert type(solver.order) is int
+    assert json.loads(json.dumps({"order": solver.order})) == {"order": solver.order}
+
+
+def test_bdf_frees_the_old_factors_before_it_factors(monkeypatch):
+    # else two factorizations are alive at once, and the memory of the
+    # Newton solve doubles
+    made, alive = [], []
+
+    class Watched(TridiagonalLU):
+        def __init__(self, *args):
+            alive.append(sum(ref() is not None for ref in made))
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(stiff, "TridiagonalLU", Watched)
+    solver = single_step_bdf(300, 40.0)
+    while solver.t < solver.t_bound:
+        solver.step()
+    assert len(made) == solver.nlu > 1
+    assert alive == [0] * solver.nlu
 
 
 def test_step_raises_once_its_size_underflows():
