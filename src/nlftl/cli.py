@@ -75,18 +75,12 @@ def _load_config(args, *labels) -> ScenarioConfig:
     return config
 
 
-def _parse_floats(text: str, flag: str) -> tuple:
+def _parse_list(text: str, flag: str, kind: type) -> tuple:
+    """The comma-separated values of ``flag``, each read as ``kind`` (float or int)."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers: {exc}") from exc
-
-
-def _parse_ints(text: str, flag: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated integers: {exc}") from exc
+        raise ConfigError(f"{flag} expects comma-separated {'integers' if kind is int else 'numbers'}: {exc}") from exc
 
 
 def _cmd_particles(args) -> int:
@@ -118,7 +112,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = _load_config(args, "convergence")
-    n_list = _parse_ints(args.n_list, "--n-list")
+    n_list = _parse_list(args.n_list, "--n-list", int)
     result = run_convergence(config, n_list)
     d = emit_convergence(result)
     for k, n in enumerate(result.n_list):
@@ -131,7 +125,7 @@ def _cmd_converge(args) -> int:
 def _cmd_entropy_audit(args) -> int:
     label = f"{args.method}-frozen" if args.frozen else f"{args.method}-audit"
     config = _load_config(args, label)
-    c_list = _parse_floats(args.c_list, "--c-list") if args.c_list else None
+    c_list = _parse_list(args.c_list, "--c-list", float) if args.c_list else None
     reports = run_entropy_audit(
         config,
         c_list=c_list,

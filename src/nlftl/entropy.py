@@ -173,7 +173,8 @@ class EntropyReport:
     ``violation`` is ``residual < -guard``, where the guard band is
     max(_GUARD_FLOOR, 10 * est_error).  ``jump_sum_terms`` is the largest
     expansion order of the jump sums over every snapshot and both grids, 0
-    where all of them ran direct; it goes to ``meta.json``, not to the record.
+    only where all of them lay past ``gauss_sums.MAX_REACH`` and ran direct
+    (or had no jump to sum); it goes to ``meta.json``, not to the record.
     """
 
     c: float
@@ -255,7 +256,7 @@ def _charged_breakpoints(profile: DensityProfile) -> tuple[np.ndarray, np.ndarra
 
 
 def _convolutions(kernel: Kernel, profile: DensityProfile, x: np.ndarray):
-    """(K' conv rho, K'' conv rho, p) at points x, exact per cell; p is the expansion order, 0 where the sums ran direct.
+    """(K' conv rho, K'' conv rho, p) at points x, exact per cell; p is the expansion order, 0 past ``MAX_REACH``, where the sums ran direct.
 
     sum_i r_i [K(x-a_i) - K(x-b_i)] regroups into the jump sums of :func:`nlftl.gauss_sums.jump_sums`
     over the breakpoints: W1(x) = sum_j coef_j K(x - b_j), W2(x) = sum_j coef_j K'(x - b_j).
@@ -271,12 +272,12 @@ def _snapshot_terms(profile, kernel, mobility, test_fn, cs, fcs, n_space):
     like the constants ``cs``, whose fluxes f(c) are ``fcs``, with
       S_abs  = int |rho - c| phi dx
       S_flux = int sign(rho - c) [ (f(rho) - f(c)) W1 phi' - f(c) W2 phi ] dx,
-    and the largest expansion order of the jump sums (0 when they ran
-    direct).  Both grids' points sit in one array, so everything that does
-    not depend on c is evaluated in one pass, the jump sums included.  The
-    fine grid's end cells are no wider than the coarse grid's, so its
-    outermost points lie farther out and every point takes the order the
-    fine grid alone would.
+    and the largest expansion order of the jump sums (0 when they lay past
+    ``MAX_REACH`` and ran direct).  Both grids' points sit in one array, so
+    everything that does not depend on c is evaluated in one pass, the jump
+    sums included.  The fine grid's end cells are no wider than the coarse
+    grid's, so its outermost points lie farther out and every point takes
+    the order the fine grid alone would.
     Each integral sums its own grid's contiguous slice, in the order a grid
     of its own would.
     """

@@ -2,7 +2,7 @@
 ahead of and behind each particle, and :func:`jump_sums` of K and K' weighted
 by the density jumps, each by a single-centre Gauss-Taylor expansion (a
 one-level fast Gauss transform; Greengard & Strain, SIAM J. Sci. Stat.
-Comput. 12, 1991) or pair by pair.
+Comput. 12, 1991), or pair by pair past its accuracy limit.
 
 With u = . - c about a centre c, e(u) = exp(-B u^2) and the basis
 a_n(u) = (sqrt(2B) u)^n / sqrt(n!),
@@ -13,7 +13,8 @@ A p-term sum leaves out terms of size at most e(u) e(v) R^n / n! for n >= p,
 where R bounds 2B |u v|.  Since e(u) e(v) exp(2B |u v|) <= 1, every term of
 the expansion is at most 1 whatever R is, so rounding stays near eps times
 the sum of the absolute weights; only p grows with R.  :func:`_plan` picks
-the centre, the order and the path of both sums by one rule; each sum keeps
+the centre and the order of both sums from R alone: they expand wherever R
+is at most ``MAX_REACH`` and go pair by pair only past it.  Each sum keeps
 only its contraction (prefix sums of the source weights for the one-sided
 pair sums, global moments for the full jump sums).  Both paths use plain
 numpy reductions in a fixed order, no threads and no BLAS, so results repeat
@@ -33,18 +34,11 @@ from .model import Kernel
 _TAIL = 2.0**-56  # bound on the first omitted term R^p / p!
 _BLOCK = 2**15  # array entries per block or strip of both sums
 _TILE = 64  # most rows per strip of the pair sums
-# The path rule of :func:`_plan`, measured on a 2-vCPU Xeon VM.  Past R =
-# MAX_REACH the direct paths run: the pair sums' max-norm error against the
-# strips grows with R and N, to 9.1e-15 at R = 16 (p = 72) on 2,401 to
-# 40,001 particles and 1.2e-14 at R = 36 (jump sums: 7e-15 at R = 16).  Up
-# to it, the expansion runs when ratio * (sources + targets) * p, its work,
-# is below the direct path's sources * targets.  At the crossovers the ratios
-# set, the strips take 1.03, 1.10 and 1.01 times the expansion's time (N+1 =
-# 6p for p = 19, 41, 72), and the direct blocks on 2,439 points 1.00 times
-# (16 breakpoints, p = 41), 0.93 and 1.07 (26 and 32, p = 64); medians.
+# The accuracy limit of the expansion, measured on a 2-vCPU Xeon VM: the pair
+# sums' max-norm error against the strips grows with R and N, to 9.1e-15 at
+# R = 16 (p = 72) on 2,401 to 40,001 particles and 1.2e-14 at R = 36 (jump
+# sums: 7e-15 at R = 16).  Past it the direct paths run.
 MAX_REACH = 16.0
-_PREFIX_RATIO = 3.0  # the one-sided pair sums: prefix sums of the source weights
-_MOMENT_RATIO = 0.4  # the jump sums: global moments of the breakpoint weights
 
 
 def _terms(r: float) -> int:
@@ -61,21 +55,18 @@ def _terms(r: float) -> int:
 MAX_ORDER = _terms(MAX_REACH)  # the largest order either sum takes
 
 
-def _plan(kernel: Kernel, sources: np.ndarray, targets: np.ndarray, ratio: float) -> tuple[int, float]:
+def _plan(kernel: Kernel, sources: np.ndarray, targets: np.ndarray) -> tuple[int, float]:
     """Order p and centre c of an expansion of the kernel about c from ``sources`` at ``targets``.
 
     c is the middle of the sources' span and R = 2B h_s h_t, with h_s the
     sources' half-span and h_t the distance from c to the farther target
-    end; neither array needs to be sorted.  p is :func:`_terms` (R) when
-    ``ratio`` (``_PREFIX_RATIO`` or ``_MOMENT_RATIO``, after the sum's
-    contraction) times the expansion's work (sources + targets) p is below
-    the direct path's sources x targets, and 0, for the direct path, otherwise.
+    end; neither array needs to be sorted.  p is :func:`_terms` (R): 0, for
+    the direct path, only past ``MAX_REACH``.
     """
     lo, hi = float(sources.min()), float(sources.max())
     t_lo, t_hi = (lo, hi) if targets is sources else (float(targets.min()), float(targets.max()))
     centre = 0.5 * (lo + hi)
-    p = _terms(2.0 * kernel.inv_width * (0.5 * (hi - lo)) * max(abs(t_lo - centre), abs(t_hi - centre)))
-    return (p if ratio * (sources.size + targets.size) * p < sources.size * targets.size else 0), centre
+    return _terms(2.0 * kernel.inv_width * (0.5 * (hi - lo)) * max(abs(t_lo - centre), abs(t_hi - centre))), centre
 
 
 @functools.lru_cache(maxsize=256)
@@ -135,18 +126,18 @@ def _work_arrays(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def pair_sum_order(x: np.ndarray, kernel: Kernel) -> int:
-    """The order of the expansion :func:`pair_sums` takes on ``x``, 0 where it runs the strips."""
-    return _plan(kernel, x, x, _PREFIX_RATIO)[0]
+    """The order of the expansion :func:`pair_sums` takes on ``x``, 0 past ``MAX_REACH``, where it runs the strips."""
+    return _plan(kernel, x, x)[0]
 
 
 def pair_sums(x: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """One-sided kernel sums (sum_{j>i} K'(x_i - x_j), sum_{j<i} K'(x_i - x_j)), in fresh arrays.
 
-    By the expansion of :func:`_expanded_pair_sums`, O(N p), where :func:`_plan`
-    picks an order p, else by the strips of :func:`_tiled_pair_sums`, O(N^2);
-    both in O(N) memory.  Callers may scale the two arrays in place.
+    By the expansion of :func:`_expanded_pair_sums`, O(N p), wherever R is at
+    most ``MAX_REACH``, else by the strips of :func:`_tiled_pair_sums`,
+    O(N^2); both in O(N) memory.  Callers may scale the two arrays in place.
     """
-    p, centre = _plan(kernel, x, x, _PREFIX_RATIO)  # the particles are both the sources and the targets
+    p, centre = _plan(kernel, x, x)  # the particles are both the sources and the targets
     if p == 0:
         return _tiled_pair_sums(x, kernel)
     return _expanded_pair_sums(x, kernel, p, centre)
@@ -250,13 +241,13 @@ def jump_sums(kernel: Kernel, bp: np.ndarray, coef: np.ndarray, x: np.ndarray):
     """(W1, W2, p) at points ``x``: W1(x) = sum_j coef_j K(x - b_j), W2(x) = sum_j coef_j K'(x - b_j).
 
     By the expansion of :func:`_expanded_jump_sums`, O((points + breakpoints)
-    p), where :func:`_plan` picks an order p, else by the direct blocks of
+    p), wherever R is at most ``MAX_REACH``, else by the direct blocks of
     :func:`_direct_jump_sums`, O(points x breakpoints), with p = 0; both in
     O(points + breakpoints) memory.
     """
     if bp.size == 0:
         return np.zeros_like(x), np.zeros_like(x), 0
-    p, c = _plan(kernel, bp, x, _MOMENT_RATIO)
+    p, c = _plan(kernel, bp, x)
     if p == 0:
         return (*_direct_jump_sums(kernel, bp, coef, x), 0)
     return (*_expanded_jump_sums(kernel, bp, coef, x, p, c), p)

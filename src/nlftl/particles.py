@@ -197,8 +197,9 @@ class Trajectory:
     a ``settle_tol``, the other ``steps - settle_checks`` steps were screened
     out by a few direct velocities (see :func:`integrate`).
     ``pair_sum_terms`` is the order of the pair-sum expansion at the initial
-    state, or 0 where the sums run pair by pair; the support only shrinks,
-    so later states need no more terms.
+    state, or 0 only where R is past ``gauss_sums.MAX_REACH`` and the sums
+    run pair by pair; the support only shrinks, so later states need no more
+    terms.
     """
 
     integrator: ClassVar[str] = "BDF"

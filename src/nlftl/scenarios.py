@@ -180,6 +180,8 @@ class ScenarioConfig:
         initial = _profile_from_spec(self.profile)
         if float(np.max(initial.values)) > self.cap + 1e-12:
             raise err("initial density exceeds the mobility cap")
+        if not initial.mass > 0.0:
+            raise err("initial profile must carry positive mass")
         blo, bhi = initial.breakpoints[0], initial.breakpoints[-1]
         if blo < lo or bhi > hi:
             raise err(f"initial support [{blo:g}, {bhi:g}] is not contained in the domain [{lo:g}, {hi:g}]")
@@ -608,7 +610,7 @@ def min_margins(reports) -> dict:
 
 
 def jump_sum_terms(reports) -> dict:
-    """Per test function, the largest expansion order of its jump sums (0 where all ran direct)."""
+    """Per test function, the largest expansion order of its jump sums (0 where all lay past ``MAX_REACH``)."""
     terms: dict = {}
     for r in reports:
         terms[r.phi] = max(terms.get(r.phi, 0), r.jump_sum_terms)

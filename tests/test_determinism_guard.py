@@ -14,9 +14,9 @@ Last, it fails on a function with a parameter named after a tolerance behind
 a gate (the Courant number, the integrator tolerances, the guard floor of the
 entropy audit, the gap slack): those are module constants, and a keyword
 would let a caller loosen the check they set.  The same goes for a term cap
-of the Gauss-Taylor sums (``max_terms``): one rule in ``nlftl.gauss_sums``
-picks every order, and a cap per caller would bring back the per-module
-crossovers that rule replaced.
+(``max_terms``) or a work ratio (``ratio``) of the Gauss-Taylor sums: one
+accuracy rule in ``nlftl.gauss_sums`` picks every order from R alone, and a
+cap or a ratio per caller would bring back the crossovers that rule replaced.
 
 And it fails where a module other than ``gauss_sums`` reads a name of
 ``gauss_sums`` outside its public set: the work area it shares between the
@@ -31,7 +31,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlftl"
 BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
 CONCURRENCY = {"threading", "multiprocessing", "concurrent"}
-GATE_TOLERANCES = {"cfl", "rtol", "atol", "guard_floor", "eps_gap", "max_terms"}
+GATE_TOLERANCES = {"cfl", "rtol", "atol", "guard_floor", "eps_gap", "max_terms", "ratio"}
 GAUSS_SUMS_PUBLIC = {"pair_sums", "pair_sum_order", "pair_sum_error", "jump_sums", "MAX_REACH", "MAX_ORDER"}
 
 
@@ -155,6 +155,7 @@ def test_no_keyword_changes_a_gate_tolerance(path):
         "def run(*rtol): pass",
         "def run(**atol): pass",
         "def plan(inv_width, lo, hi, max_terms=32): pass",
+        "def plan(kernel, sources, targets, ratio): pass",
     ],
 )
 def test_guard_catches_each_tolerance_parameter(source):

@@ -351,28 +351,21 @@ def test_one_pass_over_both_grids_equals_the_per_grid_reference_bitwise(case, pa
     # the coarse points take the fine grid's order, and the residuals still
     # equal the per-grid reference's bit for bit
     assert len(conv_calls) == len(splits)
-    assert (got[0].jump_sum_terms == 0) == (case == "frozen-split-jam")
     if case == "order-split":
         assert splits == [True] and [r.jump_sum_terms for r in got] == [23] * len(cs)
 
 
 @pytest.mark.parametrize("case", ["particles", "frozen-split-jam"])
 def test_one_pass_residuals_equal_the_direct_evaluation(case, particle_audit):
-    # the particle profiles have about 100 charged breakpoints, so their jump
-    # sums take the expansion and agree to rounding (3.2e-13 relative at
-    # most, against guard bands of 1.1e-2 and more); the split jam's 4
-    # breakpoints take the direct blocks, bit for bit
+    # the jump sums of the particle profiles (about 100 charged breakpoints)
+    # and of the split jam (4) take the expansion, and the residuals agree
+    # with the direct sums' to rounding (3.2e-13 relative at most on the
+    # particles, against guard bands of 1.1e-2 and more; equal on the jam)
     snaps, tf, kernel, mobility = particle_audit if case == "particles" else frozen_split_jam_audit()
     cs = (0.0, 0.3, 1.0)
     for rep, c in zip(nl.entropy_residuals(snaps, kernel, mobility, tf, cs, n_space=64), cs):
         want = _reference_residual(snaps, kernel, mobility, tf, c, 64)
-        got = (rep.residual_coarse, rep.residual, rep.est_error)
-        if case == "particles":
-            assert rep.jump_sum_terms > 0
-            assert got == pytest.approx(want, rel=1e-12)
-        else:
-            assert rep.jump_sum_terms == 0
-            assert got == want
+        assert (rep.residual_coarse, rep.residual, rep.est_error) == pytest.approx(want, rel=1e-12)
 
 
 def perturbed_single_step(n_cells, seed=0):
@@ -443,35 +436,31 @@ def test_convolutions_equal_direct_kernel_sums(kernel, particle_audit):
     assert not z1.any() and not z2.any() and terms == 0
 
 
-def fewest_expanded_breakpoints(kernel):
-    """The fewest charged breakpoints of :func:`perturbed_single_step` for which
-    :func:`nlftl.gauss_sums.jump_sums` expands them at points on [-3, 3]."""
+def former_crossover(kernel):
+    """The fewest charged breakpoints of :func:`perturbed_single_step` that the
+    removed cost rule expanded at points on [-3, 3]: 0.4 (breakpoints + points) p
+    below breakpoints x points; the direct blocks ran below it."""
     for n_bp in range(2, 1000):
         profile, _ = perturbed_single_step(n_bp - 1)
         x, _, _ = entropy._quad_grid(profile, -3.0, 3.0, 256)
         bp = charged_breakpoints(profile)[0]
-        if gauss_sums._plan(kernel, bp, x, gauss_sums._MOMENT_RATIO)[0]:
+        if 0.4 * (bp.size + x.size) * gauss_sums._plan(kernel, bp, x)[0] < bp.size * x.size:
             return n_bp
-    raise AssertionError("no breakpoint count takes the expansion")
+    raise AssertionError("the removed rule expands no breakpoint count")
 
 
 @pytest.mark.parametrize("kernel", [KER, SECOND_KERNEL])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_jump_sums_across_the_crossover(kernel, offset):
-    # n cells give n + 1 charged breakpoints; points on [-3, 3] keep the
-    # second kernel's order within the limit (R = 2B h_b h_x = 12)
-    n_bp = fewest_expanded_breakpoints(kernel) + offset
+    # about the former crossover every count expands, within 1e-14 of the
+    # direct sums; n cells give n + 1 charged breakpoints, and points on
+    # [-3, 3] keep the second kernel's order within the limit (R = 2B h_b h_x = 12)
+    n_bp = former_crossover(kernel) + offset
     profile, _ = perturbed_single_step(n_bp - 1)
     assert charged_breakpoints(profile)[0].size == n_bp
     x, _, _ = entropy._quad_grid(profile, -3.0, 3.0, 256)
-    w1, w2, terms = entropy._convolutions(kernel, profile, x)
-    want = direct_kernel_sums(kernel, profile, x)
-    if offset < 0:
-        assert terms == 0
-        assert np.array_equal(w1, want[0]) and np.array_equal(w2, want[1])
-    else:
-        assert 0 < terms <= gauss_sums.MAX_ORDER
-        assert max_rel_error((w1, w2), want) <= 1e-14
+    *got, _ = entropy._convolutions(kernel, profile, x)
+    assert max_rel_error(got, direct_kernel_sums(kernel, profile, x)) <= 1e-14
 
 
 def strided_direct_sums(kernel, profile, x, rows=16):
@@ -608,3 +597,19 @@ def test_residuals_reject_bad_constants_before_spatial_work(c_list, n_space, mon
     snaps, tf, kernel, mobility = frozen_split_jam_audit()
     with pytest.raises(ValueError):
         nl.entropy_residuals(snaps, kernel, mobility, tf, c_list, n_space=n_space)
+
+
+def test_jump_sums_past_the_limit_on_more_breakpoints_than_the_work_area_holds():
+    # _BLOCK + 1 charged breakpoints on [-8, 8] at points reaching as far:
+    # R = 2B h_b h_x = 64, so the direct blocks run, one row at a time in
+    # arrays of their own, bit for bit the dense sums
+    rng = np.random.default_rng(5)
+    n_bp = gauss_sums._BLOCK + 1
+    profile = nl.DensityProfile(np.linspace(-8.0, 8.0, n_bp), rng.uniform(0.1, 1.0, n_bp - 1))
+    bp, coef = charged_breakpoints(profile)
+    assert bp.size == n_bp
+    x = np.linspace(-8.0, 8.0, 5)
+    w1, w2, terms = gauss_sums.jump_sums(KER, bp, coef, x)
+    assert terms == 0
+    want = direct_kernel_sums(KER, profile, x)
+    assert np.array_equal(w1, want[0]) and np.array_equal(w2, want[1])

