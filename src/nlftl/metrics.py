@@ -2,7 +2,9 @@
 
 All distances are computed exactly on the merged breakpoint grid: between
 breakpoints both arguments are constant (L1) or their CDF difference is
-affine (W1), so each segment has a closed-form contribution.
+affine (W1), so each segment has a closed-form contribution.  The terms are
+formed _CHUNK segments at a time into one array that is summed once: at 10^5
+cells a distance holds 9 B a cell on a shared grid, 34 B on a merged one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 from .profiles import AtomicMeasure, DensityProfile, sorted_union
 
 _MASS_MATCH = 1e-12
+_CHUNK = 2048
 
 
 def total_variation(profile: DensityProfile) -> float:
@@ -22,7 +25,8 @@ def total_variation(profile: DensityProfile) -> float:
     pieces leaves the value unchanged.
     """
     v = profile.values
-    return float(v[0] + np.sum(np.abs(np.diff(v))) + v[-1])
+    jumps = np.diff(v)
+    return float(v[0] + np.sum(np.abs(jumps, out=jumps)) + v[-1])
 
 
 def _breaks(obj) -> np.ndarray:
@@ -33,22 +37,57 @@ def _breaks(obj) -> np.ndarray:
     raise TypeError(f"unsupported measure type: {type(obj).__name__}")
 
 
+def _segment_sum(a, b, terms) -> float:
+    """Sum of ``terms(a, b, pts, s, e)``, the terms of the segments s..e-1 of the
+    merged grid ``pts``, which is the breakpoint array itself when a and b hold the same one."""
+    ba, bb = _breaks(a), _breaks(b)
+    pts = ba if ba is bb else sorted_union(ba, bb)
+    seg = np.empty(pts.size - 1)
+    for s in range(0, seg.size, _CHUNK):
+        e = min(s + _CHUNK, seg.size)
+        seg[s:e] = terms(a, b, pts, s, e)
+    return float(np.sum(seg))
+
+
+def _l1_terms(a, b, pts, s, e):
+    p, q = pts[s:e], pts[s + 1 : e + 1]
+    mids = 0.5 * (p + q)
+    return np.abs(a.value_at(mids) - b.value_at(mids)) * (q - p)
+
+
 def l1_distance(a: DensityProfile, b: DensityProfile) -> float:
     """Exact integral of |a - b| (profiles are 0 outside their breakpoints)."""
-    pts = sorted_union(_breaks(a), _breaks(b))
-    if pts.size < 2:
-        return 0.0
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    va = a.value_at(mids)
-    vb = b.value_at(mids)
-    return float(np.sum(np.abs(va - vb) * np.diff(pts)))
+    return _segment_sum(a, b, _l1_terms)
 
 
-def _cdf(obj, points: np.ndarray, side: str) -> np.ndarray:
-    """CDF at points; ``side`` picks whether an atom sitting on a point counts."""
-    if isinstance(obj, DensityProfile):
-        return obj.cdf(points)
-    return obj.cdf(points, side=side)
+def _cdfs(obj, pts, s, e):
+    """CDF at pts[s:e] with and without an atom sitting on a point: one array for a
+    profile, whose CDF at its own breakpoints is its cumulative mass, as np.interp gives it."""
+    if isinstance(obj, AtomicMeasure):
+        x = pts[s:e]
+        return obj.cdf(x, side="right"), obj.cdf(x, side="left")
+    f = obj._cum[s:e] if pts is obj.breakpoints else obj.cdf(pts[s:e])
+    return f, f
+
+
+def _w1_terms(a, b, pts, s, e):
+    ra, la = _cdfs(a, pts, s, e + 1)
+    rb, lb = _cdfs(b, pts, s, e + 1)
+    g0 = ra[:-1] - rb[:-1]
+    g1 = la[1:] - lb[1:]
+    w = pts[s + 1 : e + 1] - pts[s:e]
+    span = np.abs(g0) + np.abs(g1)
+    segments = 0.5 * w * span
+    cross = np.sign(g0) * np.sign(g1) < 0.0  # by the signs: g0 * g1 overflows beyond about 1e154
+    g0, g1, w, span = g0[cross], g1[cross], w[cross], span[cross]
+    with np.errstate(over="ignore"):
+        crossing = w * (g0 * g0 + g1 * g1) / (2.0 * span)
+    big = ~np.isfinite(crossing)
+    if big.any():  # each gap over the span squares to at most 1
+        a0, a1 = g0[big] / span[big], g1[big] / span[big]
+        crossing[big] = 0.5 * w[big] * (a0 * a0 + a1 * a1) * span[big]
+    segments[cross] = crossing
+    return segments
 
 
 def wasserstein1(a, b) -> float:
@@ -63,22 +102,4 @@ def wasserstein1(a, b) -> float:
     mass_b = b.mass
     if abs(mass_a - mass_b) > _MASS_MATCH:
         raise ValueError(f"mass mismatch: {mass_a} vs {mass_b}")
-    pts = sorted_union(_breaks(a), _breaks(b))
-    if pts.size < 2:
-        return 0.0
-    p, q = pts[:-1], pts[1:]
-    g0 = _cdf(a, p, "right") - _cdf(b, p, "right")
-    g1 = _cdf(a, q, "left") - _cdf(b, q, "left")
-    w = q - p
-    span = np.abs(g0) + np.abs(g1)
-    segments = 0.5 * w * span
-    cross = np.sign(g0) * np.sign(g1) < 0.0  # by the signs: g0 * g1 overflows beyond about 1e154
-    g0, g1, w, span = g0[cross], g1[cross], w[cross], span[cross]
-    with np.errstate(over="ignore"):
-        crossing = w * (g0 * g0 + g1 * g1) / (2.0 * span)
-    big = ~np.isfinite(crossing)
-    if big.any():  # each gap over the span squares to at most 1
-        a0, a1 = g0[big] / span[big], g1[big] / span[big]
-        crossing[big] = 0.5 * w[big] * (a0 * a0 + a1 * a1) * span[big]
-    segments[cross] = crossing
-    return float(np.sum(segments))
+    return _segment_sum(a, b, _w1_terms)

@@ -115,7 +115,7 @@ class AtomicMeasure:
             raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "atoms", at)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_cum", np.cumsum(w))
+        object.__setattr__(self, "_cum", np.concatenate(([0.0], np.cumsum(w))))
 
     @property
     def mass(self) -> float:
@@ -124,9 +124,7 @@ class AtomicMeasure:
     def cdf(self, x, side: str = "right"):
         """Step CDF; side='right' includes an atom sitting exactly at x."""
         arr = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.atoms, arr, side=side)
-        cum = np.concatenate(([0.0], self._cum))
-        out = cum[idx]
+        out = self._cum[np.searchsorted(self.atoms, arr, side=side)]
         return float(out) if np.ndim(x) == 0 else out
 
 

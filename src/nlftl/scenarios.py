@@ -62,9 +62,9 @@ _BUILTINS: dict[str, tuple[str, dict]] = {
 # spec.  Memory grows about linearly in each: under tracemalloc a single-step
 # run of 11 snapshots to t = 0.01 at 10^5 cells peaks at 95 MB in the particle
 # solver and 26 MB in the finite-volume one, so about 1 and 0.3 GB at the
-# bound; its emission peaks at 13 and 6 MB (the metrics rows; the CSV pieces
-# take under 2 MB).  Larger counts are a ConfigError rather than an
-# out-of-memory kill.
+# bound; its emission peaks at 3.4 MB (particle metrics rows) and 1.8 MB
+# (finite-volume CSV pieces).  Larger counts are a ConfigError rather than
+# an out-of-memory kill.
 MAX_CELLS = 1_000_000
 
 # Most snapshot cells a config asks for: the snapshots a run holds (t = 0 and

@@ -1,11 +1,14 @@
 """Mass, total variation, L1 and 1-Wasserstein diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlftl as nl
+from nlftl.metrics import _CHUNK
 from nlftl.profiles import sorted_union
 
 
@@ -192,3 +195,186 @@ def test_sorted_union_equals_numpy_union1d_bitwise(seed):
     for a, b in cases:
         want, got = np.union1d(a, b), sorted_union(a, b)
         assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ------------------------------------- chunked sums against the direct ones
+#
+# The direct forms below are the bodies ``total_variation``, ``l1_distance``
+# and ``wasserstein1`` had before they formed their terms _CHUNK segments at a
+# time: every term on the whole merged grid at once, then one np.sum.  The
+# chunked forms sum the same terms in one array of the same length, so their
+# results must agree bit for bit.
+
+
+def total_variation_reference(profile):
+    v = profile.values
+    return float(v[0] + np.sum(np.abs(np.diff(v))) + v[-1])
+
+
+def breaks_reference(obj):
+    return obj.breakpoints if isinstance(obj, nl.DensityProfile) else obj.atoms
+
+
+def l1_distance_reference(a, b):
+    pts = sorted_union(breaks_reference(a), breaks_reference(b))
+    if pts.size < 2:
+        return 0.0
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    va = a.value_at(mids)
+    vb = b.value_at(mids)
+    return float(np.sum(np.abs(va - vb) * np.diff(pts)))
+
+
+def cdf_reference(obj, points, side):
+    return obj.cdf(points) if isinstance(obj, nl.DensityProfile) else obj.cdf(points, side=side)
+
+
+def wasserstein1_reference(a, b):
+    if abs(a.mass - b.mass) > 1e-12:
+        raise ValueError(f"mass mismatch: {a.mass} vs {b.mass}")
+    pts = sorted_union(breaks_reference(a), breaks_reference(b))
+    if pts.size < 2:
+        return 0.0
+    p, q = pts[:-1], pts[1:]
+    g0 = cdf_reference(a, p, "right") - cdf_reference(b, p, "right")
+    g1 = cdf_reference(a, q, "left") - cdf_reference(b, q, "left")
+    w = q - p
+    span = np.abs(g0) + np.abs(g1)
+    segments = 0.5 * w * span
+    cross = np.sign(g0) * np.sign(g1) < 0.0
+    g0, g1, w, span = g0[cross], g1[cross], w[cross], span[cross]
+    with np.errstate(over="ignore"):
+        crossing = w * (g0 * g0 + g1 * g1) / (2.0 * span)
+    big = ~np.isfinite(crossing)
+    if big.any():
+        a0, a1 = g0[big] / span[big], g1[big] / span[big]
+        crossing[big] = 0.5 * w[big] * (a0 * a0 + a1 * a1) * span[big]
+    segments[cross] = crossing
+    return float(np.sum(segments))
+
+
+def on_grid(rng, bp, mass=0.5):
+    """Random positive profile of the given mass on the breakpoint array ``bp`` itself."""
+    vals = rng.uniform(0.1, 1.0, size=bp.size - 1)
+    return nl.DensityProfile(bp, vals * (mass / nl.DensityProfile(bp, vals).mass))
+
+
+def assert_distances_match_the_references(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert nl.l1_distance(x, y).hex() == l1_distance_reference(x, y).hex()
+        assert nl.wasserstein1(x, y).hex() == wasserstein1_reference(x, y).hex()
+
+
+@pytest.mark.parametrize("cells", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1])
+@pytest.mark.parametrize("grid", ["same-array", "equal-copy", "distinct"])
+def test_chunked_metrics_equal_the_direct_references_bitwise(grid, cells):
+    rng = np.random.default_rng(cells)
+    a = random_profile(rng, cells=cells)
+    bp = {
+        "same-array": a.breakpoints,
+        "equal-copy": a.breakpoints.copy(),
+        "distinct": random_profile(rng, cells=cells, origin=0.2).breakpoints,
+    }[grid]
+    b = on_grid(rng, bp)
+    assert (b.breakpoints is a.breakpoints) == (grid == "same-array")
+    assert_distances_match_the_references(a, b)
+    assert nl.total_variation(b).hex() == total_variation_reference(b).hex()
+
+
+@pytest.mark.parametrize("cells", [_CHUNK - 1, 3 * _CHUNK + 1])
+@pytest.mark.parametrize("atoms_at", ["left-edges", "inside", "same-array"])
+def test_w1_of_atoms_against_a_density_equals_the_direct_reference_bitwise(cells, atoms_at):
+    # one atom per cell carrying the cell's mass, so both masses are the same
+    # cumulative sum.  On the left edges the merged grid equals the profile's
+    # breakpoints, inside the cells it is twice as long, and on the breakpoint
+    # array itself it is that array: its last atom adds 1e-13 to the mass.
+    prof = random_profile(np.random.default_rng(cells), cells=cells)
+    masses = prof.values * prof.widths
+    atoms = {
+        "left-edges": nl.AtomicMeasure(prof.breakpoints[:-1], masses),
+        "inside": nl.AtomicMeasure(prof.breakpoints[:-1] + 0.3 * prof.widths, masses),
+        "same-array": nl.AtomicMeasure(prof.breakpoints, np.append(masses, 1e-13)),
+    }[atoms_at]
+    assert (atoms.atoms is prof.breakpoints) == (atoms_at == "same-array")
+    for x, y in ((atoms, prof), (prof, atoms)):
+        assert nl.wasserstein1(x, y).hex() == wasserstein1_reference(x, y).hex()
+
+
+def test_w1_with_a_sign_crossing_in_every_segment_equals_the_reference_bitwise():
+    # the CDF gap alternates in sign from one breakpoint to the next, so every
+    # interior segment, those on both sides of each chunk seam included, is
+    # summed as two triangles
+    cells = 3 * _CHUNK + 1
+    bp = np.arange(cells + 1) / cells
+    jump = 0.6 * (-1.0) ** np.arange(cells)
+    jump[0], jump[-1] = 0.3, -0.3 * (-1.0) ** cells
+    a = nl.DensityProfile(bp, np.ones(cells))
+    b = nl.DensityProfile(bp, 1.0 - jump)
+    g = a.cdf(bp) - b.cdf(bp)
+    assert np.all(np.sign(g[1:-2]) * np.sign(g[2:-1]) < 0.0)
+    assert_distances_match_the_references(a, b)
+
+
+def seam_blocks(scale):
+    """A block of height ``scale`` on a grid of 2^-12 cells against one twice as
+    high on half the length, moved so that their CDFs cross inside the last
+    segment of the first chunk.  Every cell holds the same exact mass
+    scale * 2^-12, so the two masses agree bitwise at any scale."""
+    h, cells = 2.0**-12, 3 * _CHUNK // 2
+    start = (_CHUNK // 4 - 0.25) * h
+    wide = nl.DensityProfile(np.arange(cells + 1) * h, np.full(cells, scale))
+    narrow = nl.DensityProfile(start + np.arange(cells + 1) * (0.5 * h), np.full(cells, 2.0 * scale))
+    return wide, narrow
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_w1_crossing_at_a_chunk_seam_stays_finite_where_the_cdf_gaps_square_beyond_the_double_range(scale):
+    wide, narrow = seam_blocks(scale)
+    assert wide.mass == narrow.mass
+    pts = sorted_union(wide.breakpoints, narrow.breakpoints)
+    g = np.sign(wide.cdf(pts) - narrow.cdf(pts))
+    assert np.flatnonzero(g[:-1] * g[1:] < 0.0).tolist() == [_CHUNK - 1]
+    unit = nl.wasserstein1(*seam_blocks(1.0))
+    for x, y in ((wide, narrow), (narrow, wide)):
+        d = nl.wasserstein1(x, y)
+        assert d.hex() == wasserstein1_reference(x, y).hex()
+        assert d == pytest.approx(scale * unit, rel=1e-14)
+
+
+# ----------------------------------------------------------------- memory
+
+
+def traced_peak(f, *args):
+    """Bytes allocated at the peak of f(*args), under tracemalloc."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid, per_cell", [("shared", 16), ("distinct", 40)])
+@pytest.mark.parametrize("distance", [nl.l1_distance, nl.wasserstein1], ids=["l1", "w1"])
+def test_distances_hold_a_few_bytes_per_cell(distance, grid, per_cell):
+    # the whole-grid forms peaked at 49 (L1) and 64 (W1) bytes per cell on a
+    # shared grid, 98 and 128 on two grids; the chunked ones hold the segment
+    # terms (and the merged grid) plus fixed-size chunks: 9 and 34
+    n = 100_000
+    rng = np.random.default_rng(7)
+    bp = np.linspace(0.0, 1.0, n + 1)
+    a = on_grid(rng, bp)
+    b = on_grid(rng, bp if grid == "shared" else bp + 0.5 / n)
+    peak = traced_peak(distance, a, b)
+    assert peak <= per_cell * n, f"{peak / n:.1f} bytes per cell"
+
+
+def test_finite_volume_metric_rows_hold_a_few_bytes_per_cell():
+    # each snapshot's TV jumps, then its W1 terms on the grid edges it shares
+    # with the initial profile: 9.3 bytes per cell; the whole-grid W1 peaked at 64
+    n = 100_000
+    run = nl.run_godunov(nl.ScenarioConfig.from_dict({"scenario": "two-step-0206", "fv_cells": n, "t_end": 2e-4, "output_times": [1e-4]}))
+    assert len(run.profiles) == 3
+    peak = traced_peak(lambda: run.metric_rows)
+    assert len(run.metric_rows) == 3
+    assert peak <= 12 * n, f"{peak / n:.1f} bytes per cell"

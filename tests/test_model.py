@@ -261,6 +261,9 @@ def test_atomic_measure_invariants():
     assert mu.mass == pytest.approx(0.6)
     assert mu.cdf(0.5) == pytest.approx(0.3)          # right-continuous
     assert mu.cdf(0.5, side="left") == pytest.approx(0.1)
+    x = np.array([-1.0, 0.0, 0.5, 2.0, 3.0])  # before the first atom and past the last too
+    assert mu.cdf(x).tolist() == np.cumsum([0.0, 0.1, 0.2, 0.3, 0.0]).tolist()
+    assert mu.cdf(x, side="left").tolist() == np.cumsum([0.0, 0.0, 0.1, 0.2, 0.3]).tolist()
     with pytest.raises(ValueError):
         nl.AtomicMeasure(np.array([0.0, 0.0]), np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
